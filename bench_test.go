@@ -119,8 +119,22 @@ func BenchmarkFig8(b *testing.B) {
 // per-chip benchmarks measure only the online flow.
 type flowFixture struct {
 	circuit *effitest.Circuit
-	plan    *effitest.Plan
-	td      float64
+	eng     *effitest.Engine
+}
+
+// withWorkers rebuilds the fixture's engine around its plan and period at
+// another worker count.
+func (f *flowFixture) withWorkers(b *testing.B, workers int) *effitest.Engine {
+	b.Helper()
+	eng, err := effitest.New(f.circuit,
+		effitest.WithPlan(f.eng.Plan()),
+		effitest.WithPeriod(f.eng.Period()),
+		effitest.WithWorkers(workers),
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return eng
 }
 
 var (
@@ -144,15 +158,11 @@ func fixture(b *testing.B, name string, cfg effitest.Config) *flowFixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan, err := effitest.Prepare(c, cfg)
+	eng, err := effitest.New(c, effitest.WithConfig(cfg), effitest.WithPeriod(effitest.PeriodQuantile(c, 2, 400, 0.8413)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	f := &flowFixture{
-		circuit: c,
-		plan:    plan,
-		td:      effitest.PeriodQuantile(c, 2, 400, 0.8413),
-	}
+	f := &flowFixture{circuit: c, eng: eng}
 	fixtures[key] = f
 	return f
 }
@@ -164,11 +174,12 @@ func BenchmarkFlowChip(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			f := fixture(b, name, effitest.DefaultConfig())
 			chip := effitest.SampleChip(f.circuit, 3, 0)
+			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
 			iters := 0
 			for i := 0; i < b.N; i++ {
-				out, err := f.plan.RunChip(chip, f.td)
+				out, err := f.eng.RunChip(ctx, chip)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -191,9 +202,11 @@ func BenchmarkEngineRunChips(b *testing.B) {
 		workers int
 	}{{"workers-1", 1}, {"workers-all", 0}} {
 		b.Run(bc.name, func(b *testing.B) {
+			eng := f.withWorkers(b, bc.workers)
 			ctx := context.Background()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				outs, err := f.plan.RunChipsAll(ctx, chips, f.td, bc.workers)
+				outs, err := eng.RunChipsAll(ctx, chips)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -206,13 +219,14 @@ func BenchmarkEngineRunChips(b *testing.B) {
 	}
 }
 
-// BenchmarkFlowChipBatched measures the fleet flow through the batched
-// multi-RHS prediction path: 32 chips per op on one worker, unbatched
-// (k1) versus the auto width (k8). Outcomes are bit-identical
-// at every width (see TestBatchedPredictionMatchesUnbatched), so the delta
-// isolates what streaming each group's Cholesky factor through the cache
-// once per eight chips — instead of once per chip — buys, with worker
-// parallelism out of the picture.
+// BenchmarkFlowChipBatched measures 32 chips per op on one worker, chip
+// at a time through RunChip (k1) versus RunChips, whose scheduler batches
+// eight chips per multi-RHS prediction call (k8). Outcomes are
+// bit-identical at every width (see the core package's
+// TestBatchedPredictionMatchesUnbatched), so the delta isolates what
+// streaming each group's Cholesky factor through the cache once per eight
+// chips — instead of once per chip — buys, with worker parallelism out of
+// the picture.
 func BenchmarkFlowChipBatched(b *testing.B) {
 	for _, name := range []string{"s9234", "usb_funct"} {
 		f := fixture(b, name, effitest.DefaultConfig())
@@ -221,18 +235,18 @@ func BenchmarkFlowChipBatched(b *testing.B) {
 			// kN, not batch-N: benchjson strips a trailing -<digits> as the
 			// GOMAXPROCS suffix, so a dash here would corrupt the name.
 			b.Run(fmt.Sprintf("%s/k%d", name, kb), func(b *testing.B) {
-				eng, err := effitest.New(f.circuit,
-					effitest.WithPlan(f.plan),
-					effitest.WithPeriod(f.td),
-					effitest.WithWorkers(1),
-					effitest.WithPredictBatch(kb),
-				)
-				if err != nil {
-					b.Fatal(err)
-				}
+				eng := f.withWorkers(b, 1)
 				ctx := context.Background()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					if kb == 1 {
+						for _, ch := range chips {
+							if _, err := eng.RunChip(ctx, ch); err != nil {
+								b.Fatal(err)
+							}
+						}
+						continue
+					}
 					outs, err := eng.RunChipsAll(ctx, chips)
 					if err != nil {
 						b.Fatal(err)
@@ -267,10 +281,11 @@ func BenchmarkAblationAlignSolver(b *testing.B) {
 			cfg.AlignMode = m.mode
 			f := fixture(b, "s9234", cfg)
 			chip := effitest.SampleChip(f.circuit, 3, 0)
+			ctx := context.Background()
 			b.ResetTimer()
 			iters := 0
 			for i := 0; i < b.N; i++ {
-				out, err := f.plan.RunChip(chip, f.td)
+				out, err := f.eng.RunChip(ctx, chip)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -328,19 +343,19 @@ func BenchmarkAblationSlotFill(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			plan, err := effitest.Prepare(c, cfg)
+			eng, err := effitest.New(c, effitest.WithConfig(cfg), effitest.WithPeriod(effitest.PeriodQuantile(c, 2, 400, 0.8413)))
 			if err != nil {
 				b.Fatal(err)
 			}
-			td := effitest.PeriodQuantile(c, 2, 400, 0.8413)
 			chip := effitest.SampleChip(c, 3, 0)
+			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.RunChip(chip, td); err != nil {
+				if _, err := eng.RunChip(ctx, chip); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(plan.NumTested()), "npt")
+			b.ReportMetric(float64(eng.Plan().NumTested()), "npt")
 		})
 	}
 }
@@ -397,7 +412,7 @@ func BenchmarkPrepare(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if _, err := effitest.Prepare(c, effitest.DefaultConfig()); err != nil {
+				if _, err := effitest.New(c, effitest.WithPeriod(c.TNominal)); err != nil {
 					b.Fatal(err)
 				}
 			}

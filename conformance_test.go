@@ -116,7 +116,11 @@ func TestYieldMonotoneInPeriod(t *testing.T) {
 	prevT := 0.0
 	for _, f := range []float64{0.94, 0.97, 1.0, 1.03, 1.06, 1.12} {
 		T := base * f
-		st, err := res.Engine.YieldAt(ctx, res.Chips, T)
+		eng, err := effitest.New(res.Circuit, effitest.WithPlan(res.Engine.Plan()), effitest.WithPeriod(T))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := eng.Yield(ctx, res.Chips)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,12 +46,17 @@
 //		fmt.Println(res.Index, res.Outcome.Passed)
 //	}
 //
-// One chip at a time, aggregated over a population, or streamed from an
-// unbounded source without materializing it:
+// One chip at a time, collected or aggregated over a population, or
+// streamed from an unbounded source without materializing it — one entry
+// point per shape, all at the engine's test period:
 //
 //	out, _ := eng.RunChip(ctx, chips[0])
+//	outs, _ := eng.RunChipsAll(ctx, chips)   // input order, first error
 //	stats, _ := eng.Yield(ctx, chips)        // yield + average tester cost
 //	for res := range eng.Stream(ctx, nextChip) { ... } // iter.Seq[*Chip]
+//
+// To test the same plan at another period, build a second engine around
+// it: New(c, WithPlan(eng.Plan()), WithPeriod(T)).
 //
 // The measurement transport is pluggable (WithBackend): the in-process
 // simulated ATE by default, RecordBackend/ReplayBackend for recording and
@@ -74,9 +79,6 @@
 // fair-scheduled worker pool, exposed over HTTP/JSON by cmd/effitestd with
 // a typed Go client in effitest/fleet/client — so many tester processes
 // share one plan cache and engine pool.
-//
-// The pre-Engine free functions (Prepare, Plan.RunChip, YieldProposed, ...)
-// remain as thin shims and behave exactly as before.
 package effitest
 
 import (
@@ -318,13 +320,6 @@ func WriteDOT(w io.Writer, c *Circuit) error { return circuit.WriteDOT(w, c) }
 // DefaultConfig returns the paper-aligned EffiTest flow configuration.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// Prepare runs the offline flow (Procedure 1, multiplexing, hold bounds).
-//
-// Deprecated: build an Engine with New, which prepares the plan, calibrates
-// the test period and adds context-aware (parallel) chip execution. Prepare
-// remains for callers that manage the period and chip loop themselves.
-func Prepare(c *Circuit, cfg Config) (*Plan, error) { return core.Prepare(c, cfg) }
-
 // SampleChip manufactures one chip deterministically in (seed, index).
 func SampleChip(c *Circuit, seed int64, index int) *Chip { return tester.SampleChip(c, seed, index) }
 
@@ -366,21 +361,12 @@ func PeriodQuantile(c *Circuit, seed int64, chips int, q float64) float64 {
 	return yield.PeriodQuantile(c, seed, chips, q)
 }
 
-// YieldNoBuffer, YieldIdeal and YieldProposed evaluate the three regimes the
-// paper compares.
+// YieldNoBuffer and YieldIdeal evaluate two of the three regimes the paper
+// compares; (*Engine).Yield evaluates the third, the full EffiTest flow.
 func YieldNoBuffer(chips []*Chip, T float64) float64 { return yield.NoBuffer(chips, T) }
 
 // YieldIdeal is the yield with perfect per-chip delay measurement.
 func YieldIdeal(c *Circuit, chips []*Chip, T float64) float64 { return yield.Ideal(c, chips, T) }
-
-// YieldProposed runs the full EffiTest flow on every chip.
-//
-// Deprecated: use (*Engine).Yield or (*Engine).YieldAt, which fan chips
-// across the engine's worker pool with context cancellation. YieldProposed
-// uses the plan's Config.Workers and remains bit-compatible.
-func YieldProposed(plan *Plan, chips []*Chip, T float64) (ProposedStats, error) {
-	return yield.Proposed(plan, chips, T)
-}
 
 // YieldCurvePoint is one sample of a yield-versus-period sweep.
 type YieldCurvePoint = yield.CurvePoint

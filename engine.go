@@ -86,19 +86,6 @@ func WithWorkers(n int) Option {
 	return func(s *engineSettings) { s.cfg.Workers = n }
 }
 
-// WithPredictBatch sets how many in-flight chips RunChips and Stream group
-// into one conditional-prediction kernel call per correlation group: the
-// batched (TRSM-shaped) multi-RHS kernels stream each group's Cholesky
-// factor through the cache once per k chips instead of once per chip. 0
-// (the default) picks the width automatically; 1 disables batching;
-// negative counts are rejected by New. Like WithWorkers this is purely an
-// execution knob — results are bit-identical at any batch size, per-chip
-// streaming order is unchanged, and the setting is excluded from the
-// options fingerprint and the plan cache key.
-func WithPredictBatch(k int) Option {
-	return func(s *engineSettings) { s.cfg.PredictBatch = k }
-}
-
 // WithMaxBatch caps the size of a test batch (0 = unlimited).
 func WithMaxBatch(n int) Option {
 	return func(s *engineSettings) { s.cfg.MaxBatch = n }
@@ -178,8 +165,8 @@ func WithPlanCache(dir string) Option {
 // running Prepare. The plan must be bound to the same circuit handed to
 // New. The engine adopts the plan's flow configuration wholesale, so
 // flow-config options alongside WithPlan have no effect — except the
-// execution knobs WithWorkers and WithPredictBatch, which still apply on
-// top, since neither ever shaped a plan.
+// execution knob WithWorkers, which still applies on top, since it never
+// shaped a plan.
 func WithPlan(pl *Plan) Option {
 	return func(s *engineSettings) {
 		s.plan = pl
@@ -369,10 +356,8 @@ func resolvePlan(ctx context.Context, c *Circuit, s *engineSettings) (*core.Plan
 			return nil, false, core.ErrChipCircuitMismatch
 		}
 		// The plan's configuration governs the flow; only the engine's
-		// execution knobs (worker count, prediction batch width) apply on
-		// top.
+		// worker count applies on top.
 		pl.Cfg.Workers = s.cfg.Workers
-		pl.Cfg.PredictBatch = s.cfg.PredictBatch
 		if err := pl.Cfg.Validate(); err != nil {
 			return nil, false, err
 		}
@@ -418,12 +403,7 @@ func (e *Engine) Period() float64 { return e.period }
 // every tester iteration, so cancellation aborts promptly with the
 // context's error.
 func (e *Engine) RunChip(ctx context.Context, ch *Chip) (*ChipOutcome, error) {
-	return e.plan.RunChipOpts(ctx, ch, e.period, e.runOpts())
-}
-
-// RunChipAt is RunChip at an explicit test period.
-func (e *Engine) RunChipAt(ctx context.Context, ch *Chip, Td float64) (*ChipOutcome, error) {
-	return e.plan.RunChipOpts(ctx, ch, Td, e.runOpts())
+	return e.plan.RunChip(ctx, ch, e.period, e.runOpts())
 }
 
 // RunChipObserved is RunChip with an additional event sink for this call
@@ -435,7 +415,7 @@ func (e *Engine) RunChipAt(ctx context.Context, ch *Chip, Td float64) (*ChipOutc
 func (e *Engine) RunChipObserved(ctx context.Context, ch *Chip, obs Observer) (*ChipOutcome, error) {
 	opts := e.runOpts()
 	opts.Observer = fanoutObserver(opts.Observer, obs)
-	return e.plan.RunChipOpts(ctx, ch, e.period, opts)
+	return e.plan.RunChip(ctx, ch, e.period, opts)
 }
 
 // fanoutObserver merges two optional observers into one sink.
@@ -460,12 +440,7 @@ func fanoutObserver(a, b core.Observer) core.Observer {
 // context aborts in-flight chips promptly, and the remaining results carry
 // the context's error.
 func (e *Engine) RunChips(ctx context.Context, chips []*Chip) iter.Seq[ChipResult] {
-	return e.plan.RunChipsOpts(ctx, chips, e.period, e.plan.Cfg.Workers, e.runOpts())
-}
-
-// RunChipsAt is RunChips at an explicit test period.
-func (e *Engine) RunChipsAt(ctx context.Context, chips []*Chip, Td float64) iter.Seq[ChipResult] {
-	return e.plan.RunChipsOpts(ctx, chips, Td, e.plan.Cfg.Workers, e.runOpts())
+	return e.plan.RunChips(ctx, chips, e.period, e.plan.Cfg.Workers, e.runOpts())
 }
 
 // Stream executes the online flow over an unbounded chip source — a
@@ -486,26 +461,16 @@ func (e *Engine) Stream(ctx context.Context, chips iter.Seq[*Chip]) iter.Seq[Chi
 	return e.plan.Stream(ctx, chips, e.period, e.plan.Cfg.Workers, e.runOpts())
 }
 
-// StreamAt is Stream at an explicit test period.
-func (e *Engine) StreamAt(ctx context.Context, chips iter.Seq[*Chip], Td float64) iter.Seq[ChipResult] {
-	return e.plan.Stream(ctx, chips, Td, e.plan.Cfg.Workers, e.runOpts())
-}
-
 // RunChipsAll collects the full stream, returning one outcome per chip (in
 // input order) or the lowest-index per-chip error.
 func (e *Engine) RunChipsAll(ctx context.Context, chips []*Chip) ([]*ChipOutcome, error) {
-	return e.plan.RunChipsAllOpts(ctx, chips, e.period, e.plan.Cfg.Workers, e.runOpts())
+	return e.plan.RunChipsAll(ctx, chips, e.period, e.plan.Cfg.Workers, e.runOpts())
 }
 
 // Yield runs the full flow on every chip at the engine's period and
 // aggregates yield and tester cost across the worker pool.
 func (e *Engine) Yield(ctx context.Context, chips []*Chip) (ProposedStats, error) {
 	return yield.ProposedOpts(ctx, e.plan, chips, e.period, e.runOpts())
-}
-
-// YieldAt is Yield at an explicit test period.
-func (e *Engine) YieldAt(ctx context.Context, chips []*Chip, Td float64) (ProposedStats, error) {
-	return yield.ProposedOpts(ctx, e.plan, chips, Td, e.runOpts())
 }
 
 // SampleChips manufactures n chips of the engine's circuit on the worker

@@ -14,16 +14,15 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := effitest.Prepare(c, effitest.DefaultConfig())
+	eng, err := effitest.New(c, effitest.WithPeriod(effitest.PeriodQuantile(c, 9, 400, 0.9)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.NumTested() == 0 || plan.NumTested() >= c.NumPaths() {
-		t.Fatalf("npt = %d", plan.NumTested())
+	if npt := eng.Plan().NumTested(); npt == 0 || npt >= c.NumPaths() {
+		t.Fatalf("npt = %d", npt)
 	}
-	td := effitest.PeriodQuantile(c, 9, 400, 0.9)
 	chip := effitest.SampleChip(c, 2, 0)
-	out, err := plan.RunChip(chip, td)
+	out, err := eng.RunChip(t.Context(), chip)
 	if err != nil {
 		t.Fatal(err)
 	}

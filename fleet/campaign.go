@@ -61,8 +61,8 @@ type CampaignSpec struct {
 	// are always manufactured from the engine's circuit.
 	Circuit *effitest.Circuit
 	// Options configure the engine (see effitest.New). Execution knobs
-	// (WithWorkers) are irrelevant here: campaign chips run one at a time
-	// on the manager's shared pool.
+	// (WithWorkers) are irrelevant here: each campaign chip runs alone on
+	// one worker of the manager's shared pool.
 	Options []effitest.Option
 	// Plan, when non-nil, supplies a pre-built plan artifact; the engine is
 	// constructed directly from it, bypassing the registry.

@@ -327,6 +327,92 @@ func TestManagerShutdownMidCampaignNoLeak(t *testing.T) {
 	}
 }
 
+// TestManagerGoroutineHighWater pins the Manager's concurrency to its
+// worker budget: an 8-worker pool at GOMAXPROCS=8, with engines at the
+// default Workers=0, runs each chip on its manager worker alone — no
+// within-chip fan-out — so the live goroutine count stays within baseline
+// + workers + a small constant for the whole campaign.
+func TestManagerGoroutineHighWater(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	const workers = 8
+	c, err := effitest.Generate(effitest.NewProfile("hiwater", 64, 640, 6, 72), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Precondition: several correlation groups predict per chip, so a
+	// per-group fan-out would show in the count.
+	eng, err := effitest.New(c, fastOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tested := map[int]bool{}
+	for _, p := range eng.Plan().Tested {
+		tested[p] = true
+	}
+	predicting := 0
+	for _, g := range eng.Plan().Groups {
+		known := 0
+		for _, p := range g.Paths {
+			if tested[p] {
+				known++
+			}
+		}
+		if known > 0 && known < len(g.Paths) {
+			predicting++
+		}
+	}
+	if predicting < 2 {
+		t.Fatalf("circuit has %d predicting groups; the test needs a multi-group circuit", predicting)
+	}
+	chips := effitest.SampleChips(c, 7, 300)
+
+	before := runtime.NumGoroutine()
+	m := newTestManager(t, WithWorkers(workers))
+	ctx := context.Background()
+	// Warm the registry first, so the measured campaign skips Prepare and
+	// period calibration (which fan out on their own, before any chip runs).
+	warm, err := m.Submit(CampaignSpec{Circuit: c, Options: fastOpts(), Chips: chips[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := warm.Wait(ctx); err != nil || st.State != StateDone {
+		t.Fatalf("warm-up campaign: %v %v", st.State, err)
+	}
+
+	var peak atomic.Int64
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if n := int64(runtime.NumGoroutine()); n > peak.Load() {
+				peak.Store(n)
+			}
+			runtime.Gosched()
+		}
+	}()
+	camp, err := m.Submit(CampaignSpec{Circuit: c, Options: fastOpts(), Chips: chips})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := camp.Wait(ctx)
+	close(stop)
+	<-sampled
+	if err != nil || st.State != StateDone {
+		t.Fatalf("campaign: %v %v", st.State, err)
+	}
+	// The constant covers the dispatcher, the campaign's prepare goroutine
+	// and the sampler itself.
+	const slack = 4
+	if limit := int64(before + workers + slack); peak.Load() > limit {
+		t.Fatalf("goroutine high water %d exceeds baseline %d + %d workers + %d", peak.Load(), before, workers, slack)
+	}
+}
+
 // Shutdown is idempotent: sequential and concurrent repeat calls wait for
 // the one drain instead of panicking on re-closed channels.
 func TestManagerShutdownIdempotent(t *testing.T) {

@@ -86,7 +86,7 @@ func TestSlotFillAblation(t *testing.T) {
 	if len(planOn.Filled) > 0 {
 		ch := tester.SampleChip(c, 23, 0)
 		td := chipQuantile(c, 0.9)
-		out, err := planOn.RunChip(ch, td)
+		out, err := planOn.RunChip(t.Context(), ch, td, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestMaxBatchAblation(t *testing.T) {
 		}
 		ch := tester.SampleChip(c, 29, 0)
 		td := chipQuantile(c, 0.9)
-		out, err := plan.RunChip(ch, td)
+		out, err := plan.RunChip(t.Context(), ch, td, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,11 +145,11 @@ func TestFlowDeterminism(t *testing.T) {
 	}
 	ch := tester.SampleChip(c, 31, 4)
 	td := chipQuantile(c, 0.85)
-	o1, err := plan1.RunChip(ch, td)
+	o1, err := plan1.RunChip(t.Context(), ch, td, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := plan2.RunChip(ch, td)
+	o2, err := plan2.RunChip(t.Context(), ch, td, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestHoldBoundsRestrictConfiguration(t *testing.T) {
 		plan.Hold.ByPair[pair] = 10 * span
 	}
 	ch := tester.SampleChip(c, 37, 0)
-	out, err := plan.RunChip(ch, chipQuantile(c, 0.9))
+	out, err := plan.RunChip(t.Context(), ch, chipQuantile(c, 0.9), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,17 +118,6 @@ type Config struct {
 	// bit-identical at any worker count — chips never share mutable state
 	// and aggregation happens in chip order.
 	Workers int
-
-	// PredictBatch sets how many in-flight chips RunChips/Stream group into
-	// one §3.4 conditional-prediction kernel call per correlation group (the
-	// TRSM-shaped multi-RHS path): the per-group Cholesky factor then
-	// streams through the cache once per K chips instead of once per chip.
-	// 0 (the default) picks a width automatically; 1 disables batching.
-	// Like Workers this is purely an execution knob — results are
-	// bit-identical at any batch size, it never shapes a plan, it is
-	// excluded from ConfigFingerprint, and it is not serialized into plan
-	// artifacts (a loaded plan adopts the live request's value).
-	PredictBatch int
 }
 
 // DefaultConfig returns the paper-aligned defaults.
@@ -170,7 +159,6 @@ func (cfg Config) Validate() error {
 	for _, err := range []error{
 		check(finitePos(cfg.Eps), "Eps", cfg.Eps, "a positive delay threshold in ns"),
 		check(cfg.Workers >= 0, "Workers", cfg.Workers, "≥ 0 (0 = one per CPU)"),
-		check(cfg.PredictBatch >= 0, "PredictBatch", cfg.PredictBatch, "≥ 0 (0 = auto, 1 = no batching)"),
 		check(cfg.MaxBatch >= 0, "MaxBatch", cfg.MaxBatch, "≥ 0 (0 = unlimited)"),
 		check(cfg.MaxGroupSize >= 0, "MaxGroupSize", cfg.MaxGroupSize, "≥ 0 (0 = uncapped)"),
 		check(cfg.MaxIterPerPath >= 0, "MaxIterPerPath", cfg.MaxIterPerPath, "≥ 0 (0 = default cap)"),

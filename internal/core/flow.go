@@ -3,12 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"effitest/internal/circuit"
-	"effitest/internal/pool"
 	"effitest/internal/tester"
 )
 
@@ -36,14 +36,13 @@ type Plan struct {
 	circuitHash string
 	circuitName string
 
-	// kernels holds the baked per-group conditional predictors (see
-	// kernels.go) and scratch the pool of per-worker workspaces. Both are
-	// derived state — never serialized, read-only afterwards, shared safely
-	// by shallow copies. Prepare bakes kernels eagerly; Bind instead sets
-	// lazy, and the first chip run bakes through it (the pointer is shared
-	// by shallow copies, so the bake happens exactly once).
-	kernels *predictKernels
-	lazy    *lazyKernels
+	// kernels holds the per-group conditional predictors (see kernels.go)
+	// and scratch the pool of per-worker workspaces. Both are derived state
+	// — never serialized, shared safely by shallow copies. Prepare stores
+	// already-baked kernels; Bind leaves the holder empty and the first chip
+	// run bakes through it (the pointer is shared by shallow copies, so the
+	// bake happens exactly once).
+	kernels *lazyKernels
 	scratch *sync.Pool
 }
 
@@ -113,9 +112,13 @@ func PrepareCtx(ctx context.Context, c *circuit.Circuit, cfg Config) (*Plan, err
 	// Bake the conditional-prediction kernels for the final tested set: the
 	// ridged Cholesky factors, cross-covariance gains and conditional
 	// sigmas the per-chip flow applies without re-factorizing (kernels.go).
-	if err := pl.bakeKernels(ctx); err != nil {
+	// They are derived state — recomputed, never serialized — so plan
+	// artifacts stay compact and independent of the kernel layout.
+	ks, err := bakePredictKernels(ctx, c, groups, tested, cfg.Workers)
+	if err != nil {
 		return nil, err
 	}
+	pl.installKernels(ks)
 	pl.PrepDuration = time.Since(start)
 	return pl, nil
 }
@@ -180,28 +183,22 @@ type ChipOutcome struct {
 
 // RunChip executes the online flow on one manufactured chip: aligned delay
 // test of every batch, conditional prediction of the untested paths, buffer
-// configuration, and the final pass/fail test.
-func (pl *Plan) RunChip(ch *tester.Chip, Td float64) (*ChipOutcome, error) {
-	return pl.RunChipCtx(context.Background(), ch, Td)
-}
-
-// RunChipCtx is RunChip with cancellation: the context is checked on every
-// batch and every tester iteration inside a batch, so a cancelled run
-// aborts promptly with the context's error. RunChipCtx is safe for
-// concurrent use on distinct chips — each run owns its measurement session
-// and bounds, and the plan is read-only after Prepare.
-func (pl *Plan) RunChipCtx(ctx context.Context, ch *tester.Chip, Td float64) (*ChipOutcome, error) {
-	return pl.RunChipOpts(ctx, ch, Td, RunOptions{})
-}
-
-// RunChipOpts is RunChipCtx with a pluggable measurement backend and an
-// event observer. The observer sees BatchStart/End, AlignSolve,
+// configuration, and the final pass/fail test. The context is checked on
+// every batch and every tester iteration inside a batch, so a cancelled run
+// aborts promptly with the context's error. opts selects the measurement
+// backend and the event observer, which sees BatchStart/End, AlignSolve,
 // FrequencyStep, Predict and ChipDone events for this chip (identified by
-// Chip.Index); a nil backend means the in-process simulated ATE.
-func (pl *Plan) RunChipOpts(ctx context.Context, ch *tester.Chip, Td float64, opts RunOptions) (*ChipOutcome, error) {
+// Chip.Index). RunChip is safe for concurrent use on distinct chips — each
+// run owns its measurement session and bounds, and the plan is read-only
+// after Prepare.
+//
+// A lone chip is a batch of one: RunChip is runChipBatch over a pooled
+// scratch, the same executor RunChips and Stream drive.
+func (pl *Plan) RunChip(ctx context.Context, ch *tester.Chip, Td float64, opts RunOptions) (*ChipOutcome, error) {
 	scr := pl.getScratch()
 	defer pl.putScratch(scr)
-	return pl.runChipScratch(ctx, ch, Td, opts, scr, pool.Resolve(pl.Cfg.Workers))
+	r := pl.runChipBatch(ctx, 0, []*tester.Chip{ch}, Td, opts, scr)[0]
+	return r.Outcome, r.Err
 }
 
 // measureChip runs the measurement phase — aligned delay test of every
@@ -268,75 +265,30 @@ func chipDone(obs Observer, chip int, out *ChipOutcome, err error) {
 	obs.Observe(e)
 }
 
-// runChipScratch is RunChipOpts over a caller-owned scratch: the worker
-// pool hands each worker one scratch for its whole chip stream, so the hot
-// prediction and alignment state is reused instead of reallocated per chip.
-// pw is the within-chip prediction fan-out (subworkers sweeping the
-// correlation groups of one chip in parallel; ≤1 = sequential).
-func (pl *Plan) runChipScratch(ctx context.Context, ch *tester.Chip, Td float64, opts RunOptions, scr *chipScratch, pw int) (out *ChipOutcome, err error) {
-	if ch.Circuit != pl.Circuit {
-		return nil, ErrChipCircuitMismatch
-	}
-	obs := opts.Observer
-	if obs != nil {
-		defer func() { chipDone(obs, ch.Index, out, err) }()
-	}
-	out, b, err := pl.measureChip(ctx, ch, opts, scr)
-	if err != nil {
-		return nil, err
-	}
-
-	ks, err := pl.predictorKernels(ctx)
-	if err != nil {
-		return nil, err
-	}
-	predStart := time.Now()
-	if ks != nil {
-		// Fast path: the baked kernels reduce §3.4's conditional estimation
-		// to a triangular solve + matvec per group, allocation-free over the
-		// worker's scratch, bit-identical to the naive path below.
-		scr.bounds = append(scr.bounds[:0], b)
-		ks.predictInto(scr.bounds, scr, pw)
-	} else if err := PredictBounds(pl.Circuit, pl.Groups, pl.Tested, b); err != nil {
-		return nil, err
-	}
-	out.PredictDuration = time.Since(predStart)
-	if obs != nil {
-		e := PredictEvent{Chip: ch.Index, Duration: out.PredictDuration}
-		if ks != nil {
-			e.Groups = ks.predGroups
-			e.Predicted = ks.predPaths
-		}
-		obs.Observe(e)
-	}
-
-	if err := pl.finishChip(ch, Td, out, b); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// runChipBatch executes a contiguous run of chips as one scheduling unit:
-// measurement chip by chip, then §3.4 prediction batched across every chip
-// that measured cleanly — one TRSM-shaped multi-RHS kernel call per
-// correlation group — then configuration chip by chip. Outcomes are
-// bit-identical to per-chip execution (the batched kernels are column-wise
-// identical to the vector kernels) and a chip's failure stays its own
-// result: the rest of the batch proceeds without it. The returned slice is
-// parallel to chips, entry i carrying Index first+i.
+// runChipBatch executes a contiguous run of chips as one scheduling unit —
+// the only chip executor: measurement chip by chip, then §3.4 prediction
+// batched across every chip that measured cleanly — one TRSM-shaped
+// multi-RHS kernel call per correlation group — then configuration chip by
+// chip. Outcomes are bit-identical at any batch width (the batched kernels
+// are column-wise identical to the vector kernels) and a chip's failure
+// stays its own result: the rest of the batch proceeds without it. The
+// returned slice is parallel to chips, entry i carrying Index first+i; it
+// lives in scr and is valid until the scratch's next batch.
 //
 // The batch's prediction wall time is attributed evenly: each predicted
 // chip's PredictDuration is the batch total divided by the batch's live
 // chip count.
-func (pl *Plan) runChipBatch(ctx context.Context, first int, chips []*tester.Chip, Td float64, opts RunOptions, scr *chipScratch, pw int) []ChipResult {
+func (pl *Plan) runChipBatch(ctx context.Context, first int, chips []*tester.Chip, Td float64, opts RunOptions, scr *chipScratch) []ChipResult {
 	obs := opts.Observer
-	res := make([]ChipResult, len(chips))
-	bs := make([]*Bounds, len(chips))
+	res := slices.Grow(scr.res[:0], len(chips))[:len(chips)]
+	bs := slices.Grow(scr.bs[:0], len(chips))[:len(chips)]
+	clear(bs)
+	scr.res, scr.bs = res, bs
 	for i, ch := range chips {
 		res[i] = ChipResult{Index: first + i, Chip: ch}
 		if ch.Circuit != pl.Circuit {
-			// Mirror runChipScratch: a mismatched chip fails before the
-			// observer is engaged, so no ChipDone event.
+			// A mismatched chip fails before the observer is engaged, so no
+			// ChipDone event.
 			res[i].Err = ErrChipCircuitMismatch
 			continue
 		}
@@ -365,14 +317,14 @@ func (pl *Plan) runChipBatch(ctx context.Context, first int, chips []*tester.Chi
 	scr.bounds = live
 	ks, kerr := pl.predictorKernels(ctx)
 	var share time.Duration
-	if kerr == nil && ks != nil && len(live) > 0 {
+	if kerr == nil && len(live) > 0 {
 		predStart := time.Now()
-		ks.predictInto(live, scr, pw)
+		ks.predictInto(live, &scr.ws)
 		share = time.Since(predStart) / time.Duration(len(live))
 	}
 
 	for i, ch := range chips {
-		if res[i].Err != nil || bs[i] == nil {
+		if bs[i] == nil {
 			continue
 		}
 		out, b := res[i].Outcome, bs[i]
@@ -381,25 +333,9 @@ func (pl *Plan) runChipBatch(ctx context.Context, first int, chips []*tester.Chi
 			chipDone(obs, ch.Index, nil, kerr)
 			continue
 		}
-		if ks == nil {
-			// Naive fallback (plans without kernels), still per chip.
-			predStart := time.Now()
-			if err := PredictBounds(pl.Circuit, pl.Groups, pl.Tested, b); err != nil {
-				res[i].Outcome, res[i].Err = nil, err
-				chipDone(obs, ch.Index, nil, err)
-				continue
-			}
-			out.PredictDuration = time.Since(predStart)
-		} else {
-			out.PredictDuration = share
-		}
+		out.PredictDuration = share
 		if obs != nil {
-			e := PredictEvent{Chip: ch.Index, Duration: out.PredictDuration}
-			if ks != nil {
-				e.Groups = ks.predGroups
-				e.Predicted = ks.predPaths
-			}
-			obs.Observe(e)
+			obs.Observe(PredictEvent{Chip: ch.Index, Duration: share, Groups: ks.predGroups, Predicted: ks.predPaths})
 		}
 		if err := pl.finishChip(ch, Td, out, b); err != nil {
 			res[i].Outcome, res[i].Err = nil, err

@@ -135,9 +135,7 @@ func TestPredictBoundsBracketTruth(t *testing.T) {
 			b.Lo[p] = ch.TrueMax[p] - cfg.Eps/2
 			b.Hi[p] = ch.TrueMax[p] + cfg.Eps/2
 		}
-		if err := PredictBounds(c, groups, tested, b); err != nil {
-			t.Fatal(err)
-		}
+		kernelPredict(t, c, groups, tested, b)
 		for p := 0; p < c.NumPaths(); p++ {
 			if testedSet[p] {
 				continue
@@ -175,7 +173,7 @@ func TestPrepareAndRunChipEndToEnd(t *testing.T) {
 	const chips = 25
 	for i := 0; i < chips; i++ {
 		ch := tester.SampleChip(c, 7, i)
-		out, err := plan.RunChip(ch, td)
+		out, err := plan.RunChip(t.Context(), ch, td, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +219,7 @@ func TestRunChipImprovesOverNoBuffers(t *testing.T) {
 		if ch.PassesAt(td, zeros) {
 			noBuf++
 		}
-		out, err := plan.RunChip(ch, td)
+		out, err := plan.RunChip(t.Context(), ch, td, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,11 +7,12 @@ package core
 // prefactorizes it once. Per chip, conditional prediction then reduces to
 // one triangular solve + matrix-vector product per group over a pooled
 // scratch workspace: no maps, no matrix allocation, no re-factorization,
-// and results bit-identical to the naive groupMVN+Conditional path (pinned
-// by the differential tests).
+// and results bit-identical to the naive groupMVN+Conditional oracle
+// (pinned by the differential tests).
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -28,7 +29,7 @@ type groupKernel struct {
 	group   int   // index into Plan.Groups
 	known   []int // global tested path ids, in group order
 	unknown []int // global predicted path ids, in group order
-	// pred is nil when the group has no measured path; PredictBounds then
+	// pred is nil when the group has no measured path; prediction then
 	// keeps the prior ±3σ windows and sigma holds the marginal prior σ.
 	pred *stats.CondPredictor
 	// sigma is the conditional σ′ per unknown path (Eq. 5) — it depends
@@ -40,7 +41,7 @@ type groupKernel struct {
 // predictKernels is the baked prediction state of one Plan.
 type predictKernels struct {
 	groups     []groupKernel
-	scratchLen int // workspace floats predictBounds takes for its largest group
+	scratchLen int // workspace floats one chip's prediction takes for its largest group
 	predGroups int // groups with at least one measured path
 	predPaths  int // untested paths predicted per chip
 }
@@ -77,8 +78,7 @@ func bakePredictKernels(ctx context.Context, c *circuit.Circuit, groups []Group,
 		localUnknown := localIndices(g.Paths, unknown)
 		if len(known) == 0 {
 			// No measured path: σ′ degrades to the marginal prior sigma —
-			// the same values the naive PredictSigmas reports through
-			// Conditional's zero-known arm.
+			// the same values MVN.Conditional's zero-known arm reports.
 			sub := mvn.Sigma.Submatrix(localUnknown, localUnknown)
 			for i := range unknown {
 				gk.sigma[i] = math.Sqrt(math.Max(sub.At(i, i), 0))
@@ -179,74 +179,26 @@ func (gk *groupKernel) predictMulti(bs []*Bounds, ws *la.Workspace) {
 	}
 }
 
-// predictBounds is the per-chip fast path of PredictBounds: apply every
-// baked group predictor to the measured upper bounds in b and write the
-// μ′ ± 3σ′ windows back. Bit-identical to the naive path; allocation-free
-// once ws is warm (Require(scratchLen)).
-func (ks *predictKernels) predictBounds(b *Bounds, ws *la.Workspace) {
-	for i := range ks.groups {
-		gk := &ks.groups[i]
-		if gk.pred == nil {
-			// No measurement available: keep the prior ±3σ windows, exactly
-			// like the naive path's degraded-group fallback.
-			continue
-		}
-		gk.predictOne(b, ws)
-	}
-}
-
-// predictInto runs §3.4 prediction for a batch of chips' bounds, fanning
-// across groups when workers > 1. Groups partition the path set, so two
-// groups never write the same Bounds entry: the parallel sweep is race-free
-// and — because each group's arithmetic is untouched — bit-identical to the
-// sequential one at any worker count. Each subworker predicts over its own
-// workspace from scr.sub; the sequential path uses scr.ws and stays
-// allocation-free once warm.
-func (ks *predictKernels) predictInto(bs []*Bounds, scr *chipScratch, workers int) {
+// predictInto runs §3.4 prediction for a batch of chips' bounds: every
+// baked group predictor, applied to all chips at once, writes the μ′ ± 3σ′
+// windows back. Groups without a measured path keep their prior ±3σ
+// windows. Allocation-free once ws is warm (Require(scratchLen) for one
+// chip; the first batch grows it to the batch's high-water mark).
+func (ks *predictKernels) predictInto(bs []*Bounds, ws *la.Workspace) {
 	if len(bs) == 0 {
 		return
 	}
-	if workers > ks.predGroups {
-		workers = ks.predGroups
-	}
-	if workers <= 1 {
-		for i := range ks.groups {
-			gk := &ks.groups[i]
-			if gk.pred == nil {
-				continue
-			}
-			gk.predictMulti(bs, &scr.ws)
+	for i := range ks.groups {
+		gk := &ks.groups[i]
+		if gk.pred == nil {
+			continue
 		}
-		return
+		gk.predictMulti(bs, ws)
 	}
-	sub := scr.requireSub(workers)
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		ws := &sub[w]
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(ks.groups) {
-					return
-				}
-				gk := &ks.groups[i]
-				if gk.pred == nil {
-					continue
-				}
-				gk.predictMulti(bs, ws)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
-// predictSigmas scatters the baked σ′ into a per-path slice — the kernel
-// counterpart of PredictSigmas evaluated at the plan's own tested set
-// (tested paths get NaN).
+// predictSigmas scatters the baked σ′ into a per-path slice (tested paths
+// get NaN) — what PredictSigmas reports for the kernels' tested set.
 func (ks *predictKernels) predictSigmas(numPaths int) []float64 {
 	out := make([]float64, numPaths)
 	for i := range out {
@@ -261,47 +213,42 @@ func (ks *predictKernels) predictSigmas(numPaths int) []float64 {
 	return out
 }
 
-// bakeKernels prefactorizes the per-group conditional predictors and sets
-// up the per-worker scratch pool. Prepare calls it eagerly: the kernels are
-// derived state — recomputed, never serialized — so plan artifacts stay
-// compact and version-independent of the kernel layout. Bind instead
-// defers the bake behind a lazyKernels (see below).
-func (pl *Plan) bakeKernels(ctx context.Context) error {
-	ks, err := bakePredictKernels(ctx, pl.Circuit, pl.Groups, pl.Tested, pl.Cfg.Workers)
-	if err != nil {
-		return err
+// installKernels sets up the plan's kernel holder — holding ks, or empty
+// to bake on first use when ks is nil — and its per-worker scratch pool.
+func (pl *Plan) installKernels(ks *predictKernels) {
+	pl.kernels = &lazyKernels{}
+	if ks != nil {
+		pl.kernels.ks.Store(ks)
 	}
-	pl.kernels = ks
 	pl.scratch = &sync.Pool{New: func() any { return pl.newChipScratch() }}
-	return nil
 }
 
 // lazyKernels defers bakePredictKernels to the first chip that needs it.
 // Baking is the expensive tail of a warm plan-cache load — one ridged
 // Cholesky per group — and a process that loads a plan only to inspect or
-// re-serve it should not pay it, so Bind installs this instead of baking
-// eagerly. The state is held behind a pointer shared by every shallow copy
-// of the plan (resolvePlan and WithoutPredictorKernels copy Plan by value),
-// so the bake happens once no matter which copy runs the first chip.
+// re-serve it should not pay it, so Bind installs an empty holder instead
+// of baking eagerly; Prepare stores its eager bake in the same holder. The
+// state is held behind a pointer shared by every shallow copy of the plan
+// (resolvePlan copies Plan by value), so the bake happens once no matter
+// which copy runs the first chip.
 type lazyKernels struct {
 	mu  sync.Mutex
 	ks  atomic.Pointer[predictKernels]
 	err error // sticky bake failure (never a caller's context error)
 }
 
+// errNoKernels is returned for a plan built by neither Prepare nor Bind (a
+// hand-assembled literal): it has no kernel holder to predict with.
+var errNoKernels = errors.New("core: plan has no prediction kernels (build it with Prepare or Bind)")
+
 // predictorKernels resolves the plan's baked kernels, baking them on first
-// use for lazily-bound plans. It returns (nil, nil) for plans deliberately
-// built without kernels (hand-assembled literals, WithoutPredictorKernels) —
-// callers then take the naive prediction path. A bake failure is sticky and
-// returned to every subsequent chip; a context cancellation during the bake
-// is returned to that caller only, leaving the plan bakeable.
+// use for lazily-bound plans. A bake failure is sticky and returned to
+// every subsequent chip; a context cancellation during the bake is returned
+// to that caller only, leaving the plan bakeable.
 func (pl *Plan) predictorKernels(ctx context.Context) (*predictKernels, error) {
-	if pl.kernels != nil {
-		return pl.kernels, nil
-	}
-	lz := pl.lazy
+	lz := pl.kernels
 	if lz == nil {
-		return nil, nil
+		return nil, errNoKernels
 	}
 	if ks := lz.ks.Load(); ks != nil {
 		return ks, nil
@@ -325,39 +272,26 @@ func (pl *Plan) predictorKernels(ctx context.Context) (*predictKernels, error) {
 	return ks, nil
 }
 
-// bakedKernels returns the kernels if they exist right now — eager or
+// bakedKernels returns the kernels if they exist right now — eagerly or
 // already lazily baked — without triggering a bake.
 func (pl *Plan) bakedKernels() *predictKernels {
-	if pl.kernels != nil {
-		return pl.kernels
+	if pl.kernels == nil {
+		return nil
 	}
-	if pl.lazy != nil {
-		return pl.lazy.ks.Load()
-	}
-	return nil
+	return pl.kernels.ks.Load()
 }
 
 // PredictorSigmas returns the baked conditional σ′ per path for the plan's
 // tested set (baking lazily-bound plans on demand), or nil when the plan
 // has no kernels at all (a hand-assembled literal or a kernel bake
-// failure). The differential tests pin it bitwise against PredictSigmas.
+// failure). The differential tests pin it bitwise against an independent
+// MVN.Conditional oracle.
 func (pl *Plan) PredictorSigmas() []float64 {
 	ks, err := pl.predictorKernels(context.Background())
-	if err != nil || ks == nil {
+	if err != nil {
 		return nil
 	}
 	return ks.predictSigmas(pl.Circuit.NumPaths())
-}
-
-// WithoutPredictorKernels returns a shallow copy of the plan with the baked
-// predictors dropped, forcing chip execution onto the naive per-chip
-// groupMVN+Conditional path. It exists so the differential tests can pin
-// the two paths bit-identical; production code never needs it.
-func (pl *Plan) WithoutPredictorKernels() *Plan {
-	cp := *pl
-	cp.kernels = nil
-	cp.lazy = nil
-	return &cp
 }
 
 // chipScratch is the reusable per-worker state of the online flow: the
@@ -365,22 +299,13 @@ func (pl *Plan) WithoutPredictorKernels() *Plan {
 // runBatchTest refills on every frequency step.
 type chipScratch struct {
 	ws     la.Workspace
-	sub    []la.Workspace // per-subworker arenas for within-chip group parallelism
-	bounds []*Bounds      // gather buffer for the batched prediction phase
+	res    []ChipResult // runChipBatch's result buffer
+	bs     []*Bounds    // runChipBatch's per-chip measured bounds
+	bounds []*Bounds    // gather buffer for the batched prediction phase
 	items  []alignItem
 	order  []int // assignWeights rank buffer
 	active []int
 	al     alignScratch
-}
-
-// requireSub hands out n independent workspaces for the within-chip
-// parallel predict sweep, growing (and keeping) them across chips so the
-// arenas warm up once per worker.
-func (scr *chipScratch) requireSub(n int) []la.Workspace {
-	for len(scr.sub) < n {
-		scr.sub = append(scr.sub, la.Workspace{})
-	}
-	return scr.sub
 }
 
 // newChipScratch sizes a scratch for this plan: the kernel workspace at its
@@ -403,8 +328,8 @@ func (pl *Plan) newChipScratch() *chipScratch {
 }
 
 // getScratch hands out a pooled scratch (workers hold one across many
-// chips); a plan built without bakeKernels — a hand-assembled literal in a
-// test — degrades to a fresh scratch per call.
+// chips); a plan built by neither Prepare nor Bind — a hand-assembled
+// literal — degrades to a fresh scratch per call.
 func (pl *Plan) getScratch() *chipScratch {
 	if pl.scratch == nil {
 		return pl.newChipScratch()

@@ -43,14 +43,13 @@ func NewPlanCache(dir string) (*PlanCache, error) {
 func (pc *PlanCache) Dir() string { return pc.dir }
 
 // ConfigFingerprint hashes every Prepare-relevant configuration field.
-// Workers and PredictBatch are deliberately excluded: they only shape
-// online parallelism and kernel batching, never the plan, so fleets running
-// the same flow at different widths share cache entries.
+// Workers is deliberately excluded: it only shapes online parallelism,
+// never the plan, so fleets running the same flow at different widths
+// share cache entries.
 func ConfigFingerprint(cfg Config) string {
 	h := sha256.New()
 	key := cfg
 	key.Workers = 0
-	key.PredictBatch = 0
 	// %#v prints field names too, so reordering or renaming Config fields
 	// changes the fingerprint — exactly the conservative behaviour a cache
 	// key wants.

@@ -89,7 +89,7 @@ func TestPlanCacheSelfHealsAcrossVersions(t *testing.T) {
 	if hit {
 		t.Fatal("stale entry must not count as a cache hit")
 	}
-	if pl.kernels == nil {
+	if pl.bakedKernels() == nil {
 		t.Fatal("re-prepared plan has no baked kernels")
 	}
 	// The overwritten entry now loads — kernels defer to first use.
@@ -97,8 +97,8 @@ func TestPlanCacheSelfHealsAcrossVersions(t *testing.T) {
 	if err != nil || warm == nil {
 		t.Fatalf("self-healed entry should hit, got plan=%v err=%v", warm, err)
 	}
-	if warm.lazy == nil {
-		t.Fatal("cache-loaded plan has no lazy kernel state")
+	if warm.kernels == nil {
+		t.Fatal("cache-loaded plan has no kernel holder")
 	}
 	if ks, err := warm.predictorKernels(context.Background()); err != nil || ks == nil {
 		t.Fatalf("cache-loaded plan could not bake kernels on demand: ks=%v err=%v", ks, err)

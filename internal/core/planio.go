@@ -22,7 +22,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"effitest/internal/circuit"
@@ -195,10 +194,7 @@ func (d *planDecoder) ints() ([]int, error) {
 
 // encodeConfig writes every Config field in fixed order; decodeConfig is
 // its exact mirror. Adding a Config field requires extending both and
-// bumping PlanFormatVersion. PredictBatch is deliberately not serialized:
-// like Workers it never shapes the plan, and a loaded plan adopts the live
-// request's value (the plan cache and the engine both overwrite Cfg before
-// running chips), so decoded artifacts default to automatic batching.
+// bumping PlanFormatVersion.
 func encodeConfig(e *planEncoder, cfg Config) {
 	e.varint(cfg.Seed)
 	e.float(cfg.Eps)
@@ -608,8 +604,7 @@ func (pl *Plan) bindWithFingerprint(ctx context.Context, c *circuit.Circuit, has
 	// process that binds a plan to inspect or re-serve it never needs them.
 	// Defer the bake to first use: the first chip executed on this plan
 	// pays it once, under the plan's Workers fan-out.
-	pl.lazy = &lazyKernels{}
-	pl.scratch = &sync.Pool{New: func() any { return pl.newChipScratch() }}
+	pl.installKernels(nil)
 	return nil
 }
 

@@ -108,11 +108,11 @@ func TestPlanSaveLoadRunsIdentically(t *testing.T) {
 		td := 1.05 * c.TNominal
 		for i := 0; i < 4; i++ {
 			ch := tester.SampleChip(c, 21, i)
-			a, err := pl.RunChip(ch, td)
+			a, err := pl.RunChip(t.Context(), ch, td, RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := loaded.RunChip(ch, td)
+			b, err := loaded.RunChip(t.Context(), ch, td, RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,11 +226,11 @@ func TestPlanCacheHitSkipsPrepare(t *testing.T) {
 	}
 	td := 1.05 * c.TNominal
 	ch := tester.SampleChip(c, 5, 0)
-	a, err := pl.RunChip(ch, td)
+	a, err := pl.RunChip(t.Context(), ch, td, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := warm.RunChip(ch, td)
+	b, err := warm.RunChip(t.Context(), ch, td, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"math"
 
 	"effitest/internal/circuit"
 	"effitest/internal/la"
@@ -14,90 +14,16 @@ import (
 // (Eq. 5). Tested paths get NaN. Because σ' does not depend on the measured
 // values (only on the covariance), this is computable before any testing —
 // that is what §3.2 exploits to pick slot-filler paths.
+//
+// It is the kernel bake of kernels.go evaluated at the given tested set, so
+// slot filling and per-chip prediction share one conditional-Gaussian
+// implementation.
 func PredictSigmas(c *circuit.Circuit, groups []Group, tested []int) ([]float64, error) {
-	testedSet := make(map[int]bool, len(tested))
-	for _, p := range tested {
-		testedSet[p] = true
+	ks, err := bakePredictKernels(context.Background(), c, groups, tested, 1)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]float64, c.NumPaths())
-	for i := range out {
-		out[i] = math.NaN()
-	}
-	for _, g := range groups {
-		known, unknown := splitGroup(g, testedSet)
-		if len(unknown) == 0 {
-			continue
-		}
-		mvn, err := groupMVN(c, g)
-		if err != nil {
-			return nil, err
-		}
-		localKnown := localIndices(g.Paths, known)
-		localUnknown := localIndices(g.Paths, unknown)
-		// Observed values do not matter for σ'; use the means.
-		obs := make([]float64, len(localKnown))
-		for i, k := range known {
-			obs[i] = c.Paths[k].Max.Mean
-		}
-		cond, err := mvn.Conditional(localUnknown, localKnown, obs)
-		if err != nil {
-			return nil, err
-		}
-		for i, p := range unknown {
-			out[p] = math.Sqrt(math.Max(cond.Sigma.At(i, i), 0))
-		}
-	}
-	return out, nil
-}
-
-// PredictBounds runs §3.4's conditional estimation: for every untested path,
-// the conditional mean (Eq. 4) is computed from the *upper* bounds of the
-// tested delays (conservative per the paper), the conditional sigma from
-// Eq. 5, and the path's window is set to μ' ± 3σ'. Tested paths keep their
-// measured windows. The bounds struct is updated in place.
-func PredictBounds(c *circuit.Circuit, groups []Group, tested []int, b *Bounds) error {
-	testedSet := make(map[int]bool, len(tested))
-	for _, p := range tested {
-		testedSet[p] = true
-	}
-	for _, g := range groups {
-		known, unknown := splitGroup(g, testedSet)
-		if len(unknown) == 0 {
-			continue
-		}
-		if len(known) == 0 {
-			// No measurement available: fall back to the prior ±3σ window
-			// (already in b). This only happens for groups whose selected
-			// paths were all unresolvable, which the flow treats as a
-			// degraded but legal outcome.
-			continue
-		}
-		mvn, err := groupMVN(c, g)
-		if err != nil {
-			return err
-		}
-		localKnown := localIndices(g.Paths, known)
-		localUnknown := localIndices(g.Paths, unknown)
-		obs := make([]float64, len(known))
-		for i, k := range known {
-			obs[i] = b.Hi[k] // conservative: measured upper bounds
-		}
-		cond, err := mvn.Conditional(localUnknown, localKnown, obs)
-		if err != nil {
-			return err
-		}
-		for i, p := range unknown {
-			sigma := math.Sqrt(math.Max(cond.Sigma.At(i, i), 0))
-			mu := cond.Mu[i]
-			lo := mu - 3*sigma
-			if lo < 0 {
-				lo = 0
-			}
-			b.Lo[p] = lo
-			b.Hi[p] = mu + 3*sigma
-		}
-	}
-	return nil
+	return ks.predictSigmas(c.NumPaths()), nil
 }
 
 func splitGroup(g Group, testedSet map[int]bool) (known, unknown []int) {

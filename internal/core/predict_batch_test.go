@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"effitest/internal/tester"
@@ -20,7 +22,7 @@ func measuredBounds(t *testing.T, pl *Plan, n int) []*Bounds {
 	for i := range chips {
 		chips[i] = tester.SampleChip(c, 31, i)
 	}
-	outs, err := pl.RunChipsAll(context.Background(), chips, c.TNominal, 0)
+	outs, err := pl.RunChipsAll(context.Background(), chips, c.TNominal, 0, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +49,7 @@ func cloneBounds(c *Bounds, pl *Plan) *Bounds {
 // auto default.
 func TestPredictIntoBatchMatchesSequential(t *testing.T) {
 	_, pl := kernelTestPlan(t)
+	ks := pl.bakedKernels()
 	maxK := batchTestWidths[len(batchTestWidths)-1]
 	src := measuredBounds(t, pl, maxK)
 
@@ -56,50 +59,18 @@ func TestPredictIntoBatchMatchesSequential(t *testing.T) {
 		want := make([]*Bounds, k)
 		for i := 0; i < k; i++ {
 			want[i] = cloneBounds(src[i], pl)
-			pl.kernels.predictBounds(want[i], &scr.ws)
+			ks.predictInto(want[i:i+1], &scr.ws)
 		}
 		got := make([]*Bounds, k)
 		for i := 0; i < k; i++ {
 			got[i] = cloneBounds(src[i], pl)
 		}
-		pl.kernels.predictInto(got, scr, 1)
+		ks.predictInto(got, &scr.ws)
 		for i := 0; i < k; i++ {
 			for p := range want[i].Lo {
 				if got[i].Lo[p] != want[i].Lo[p] || got[i].Hi[p] != want[i].Hi[p] {
 					t.Fatalf("k=%d chip %d path %d: batch [%v, %v] != sequential [%v, %v]",
 						k, i, p, got[i].Lo[p], got[i].Hi[p], want[i].Lo[p], want[i].Hi[p])
-				}
-			}
-		}
-	}
-}
-
-// TestPredictIntoParallelMatchesSequential pins the within-chip
-// group-parallel sweep bitwise against the sequential one: groups partition
-// the path set, so fan-out must never change a bit, at any worker count.
-func TestPredictIntoParallelMatchesSequential(t *testing.T) {
-	_, pl := kernelTestPlan(t)
-	src := measuredBounds(t, pl, 7)
-
-	scr := pl.getScratch()
-	defer pl.putScratch(scr)
-	want := make([]*Bounds, len(src))
-	for i := range src {
-		want[i] = cloneBounds(src[i], pl)
-	}
-	pl.kernels.predictInto(want, scr, 1)
-
-	for _, workers := range []int{2, 8} {
-		got := make([]*Bounds, len(src))
-		for i := range src {
-			got[i] = cloneBounds(src[i], pl)
-		}
-		pl.kernels.predictInto(got, scr, workers)
-		for i := range got {
-			for p := range want[i].Lo {
-				if got[i].Lo[p] != want[i].Lo[p] || got[i].Hi[p] != want[i].Hi[p] {
-					t.Fatalf("workers=%d chip %d path %d: parallel [%v, %v] != sequential [%v, %v]",
-						workers, i, p, got[i].Lo[p], got[i].Hi[p], want[i].Lo[p], want[i].Hi[p])
 				}
 			}
 		}
@@ -115,9 +86,10 @@ func TestPredictIntoBatchZeroAlloc(t *testing.T) {
 
 	scr := pl.getScratch()
 	defer pl.putScratch(scr)
-	pl.kernels.predictInto(bs, scr, 1) // warm-up: grows the arena to the batch high-water mark
+	ks := pl.bakedKernels()
+	ks.predictInto(bs, &scr.ws) // warm-up: grows the arena to the batch high-water mark
 	allocs := testing.AllocsPerRun(100, func() {
-		pl.kernels.predictInto(bs, scr, 1)
+		ks.predictInto(bs, &scr.ws)
 	})
 	if allocs != 0 {
 		t.Fatalf("batched prediction allocated %.1f times per run after warm-up", allocs)
@@ -141,19 +113,19 @@ func TestBindLazyKernelBake(t *testing.T) {
 	if err := pl.Bind(c); err != nil {
 		t.Fatal(err)
 	}
-	if pl.kernels != nil || pl.bakedKernels() != nil {
+	if pl.bakedKernels() != nil {
 		t.Fatal("Bind baked prediction kernels eagerly; the bake must defer to first use")
 	}
-	if pl.lazy == nil {
-		t.Fatal("Bind installed no lazy kernel state")
+	if pl.kernels == nil {
+		t.Fatal("Bind installed no kernel holder")
 	}
 
 	ch := tester.SampleChip(c, 9, 4)
-	want, err := eager.RunChip(ch, c.TNominal)
+	want, err := eager.RunChip(t.Context(), ch, c.TNominal, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pl.RunChip(ch, c.TNominal)
+	got, err := pl.RunChip(t.Context(), ch, c.TNominal, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,28 +143,57 @@ func TestBindLazyKernelBake(t *testing.T) {
 	}
 }
 
-// TestResolvePredictBatch pins the auto batch-width policy.
-func TestResolvePredictBatch(t *testing.T) {
-	pl := &Plan{}
+// TestBatchWidth pins RunChips' batch-width policy.
+func TestBatchWidth(t *testing.T) {
 	cases := []struct {
-		cfg  int // Cfg.PredictBatch
-		n, w int // population (−1 = unbounded), workers
+		n, w int // population, workers
 		want int
 	}{
-		{0, 100, 4, defaultPredictBatch}, // auto, plenty of chips
-		{0, 100, 100, 1},                 // one chip per worker: nothing to batch
-		{0, 6, 4, 2},                     // small fleet: even share caps the width
-		{0, -1, 4, 1},                    // unbounded source: auto never batches
-		{3, -1, 4, 3},                    // unbounded source: explicit width honored
-		{1, 100, 4, 1},                   // explicitly disabled
-		{16, 100, 4, 16},                 // explicit width beyond auto
-		{16, 8, 4, 2},                    // explicit width still capped by the share
+		{100, 4, defaultBatchWidth}, // plenty of chips
+		{100, 100, 1},               // one chip per worker: nothing to batch
+		{6, 4, 2},                   // small fleet: even share caps the width
+		{1, 1, 1},                   // a lone chip
 	}
 	for _, tc := range cases {
-		pl.Cfg.PredictBatch = tc.cfg
-		if got := pl.resolvePredictBatch(tc.n, tc.w); got != tc.want {
-			t.Errorf("resolvePredictBatch(cfg=%d, n=%d, w=%d) = %d, want %d",
-				tc.cfg, tc.n, tc.w, got, tc.want)
+		if got := batchWidth(tc.n, tc.w); got != tc.want {
+			t.Errorf("batchWidth(n=%d, w=%d) = %d, want %d", tc.n, tc.w, got, tc.want)
+		}
+	}
+}
+
+// TestBatchedPredictionMatchesUnbatched runs a deliberately ragged fleet
+// (17 chips: not a multiple of any tested width, so the final batch is
+// always partial) through the stream scheduler at batch widths 1, 2, 7 and
+// 64 and worker counts 1, 2 and 8, pinning every outcome bitwise against
+// the whole-chip naive oracle.
+func TestBatchedPredictionMatchesUnbatched(t *testing.T) {
+	c, pl := kernelTestPlan(t)
+	chips := tester.SampleChips(c, 13, 17)
+	want := make([]*ChipOutcome, len(chips))
+	for i, ch := range chips {
+		out, err := pl.runChipNaive(t.Context(), ch, c.TNominal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = out
+	}
+	for _, kb := range batchTestWidths {
+		for _, workers := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("k%d_w%d", kb, workers), func(t *testing.T) {
+				n := 0
+				for r := range pl.stream(t.Context(), slices.Values(chips), c.TNominal, workers, kb, RunOptions{}, true) {
+					if r.Err != nil {
+						t.Fatalf("chip %d: %v", r.Index, r.Err)
+					}
+					if !sameOutcome(r.Outcome, want[r.Index]) {
+						t.Fatalf("chip %d: outcome at k=%d, workers=%d differs from the naive oracle", r.Index, kb, workers)
+					}
+					n++
+				}
+				if n != len(chips) {
+					t.Fatalf("stream yielded %d results, want %d", n, len(chips))
+				}
+			})
 		}
 	}
 }

@@ -15,9 +15,7 @@ func TestPredictBoundsNoMeasurementsFallsBack(t *testing.T) {
 	b := InitBounds(c)
 	prior := InitBounds(c)
 	// Claim nothing was tested at all.
-	if err := PredictBounds(c, groups, nil, b); err != nil {
-		t.Fatal(err)
-	}
+	kernelPredict(t, c, groups, nil, b)
 	for p := 0; p < c.NumPaths(); p++ {
 		if b.Lo[p] != prior.Lo[p] || b.Hi[p] != prior.Hi[p] {
 			t.Fatalf("path %d: windows changed without measurements", p)
@@ -48,9 +46,7 @@ func TestPredictBoundsConservativeBias(t *testing.T) {
 		bUpper.Lo[p] = mu - w
 		bUpper.Hi[p] = mu + w
 	}
-	if err := PredictBounds(c, groups, tested, bUpper); err != nil {
-		t.Fatal(err)
-	}
+	kernelPredict(t, c, groups, tested, bUpper)
 	// Conditioning on exact means (zero-width windows) gives the unbiased
 	// reference.
 	bMid := InitBounds(c)
@@ -59,9 +55,7 @@ func TestPredictBoundsConservativeBias(t *testing.T) {
 		bMid.Lo[p] = mu
 		bMid.Hi[p] = mu
 	}
-	if err := PredictBounds(c, groups, tested, bMid); err != nil {
-		t.Fatal(err)
-	}
+	kernelPredict(t, c, groups, tested, bMid)
 	for p := 0; p < c.NumPaths(); p++ {
 		if testedSet[p] {
 			continue

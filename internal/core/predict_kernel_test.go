@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -24,17 +25,18 @@ func kernelTestPlan(t *testing.T) (*circuit.Circuit, *Plan) {
 }
 
 // TestBakedKernelsMatchNaivePredict pins the baked fast path bitwise
-// against PredictBounds/PredictSigmas on measured bounds from a real chip
-// run (the root-level differential suite covers the full conformance
-// matrix; this is the white-box core variant).
+// against the PredictBounds/naiveSigmas oracles on measured bounds from a
+// real chip run (the root-level differential suite covers the full
+// conformance matrix; this is the white-box core variant).
 func TestBakedKernelsMatchNaivePredict(t *testing.T) {
 	c, pl := kernelTestPlan(t)
-	if pl.kernels == nil {
+	ks := pl.bakedKernels()
+	if ks == nil {
 		t.Fatal("Prepare left no baked kernels")
 	}
 
 	ch := tester.SampleChip(c, 9, 0)
-	out, err := pl.RunChip(ch, c.TNominal)
+	out, err := pl.RunChip(t.Context(), ch, c.TNominal, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func TestBakedKernelsMatchNaivePredict(t *testing.T) {
 	fast := mk()
 	scr := pl.getScratch()
 	defer pl.putScratch(scr)
-	pl.kernels.predictBounds(fast, &scr.ws)
+	ks.predictInto([]*Bounds{fast}, &scr.ws)
 	for p := range naive.Lo {
 		if naive.Lo[p] != fast.Lo[p] || naive.Hi[p] != fast.Hi[p] {
 			t.Fatalf("path %d: naive [%v, %v] != kernel [%v, %v]",
@@ -61,7 +63,7 @@ func TestBakedKernelsMatchNaivePredict(t *testing.T) {
 		}
 	}
 
-	sigNaive, err := PredictSigmas(c, pl.Groups, pl.Tested)
+	sigNaive, err := naiveSigmas(c, pl.Groups, pl.Tested)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,13 +78,13 @@ func TestBakedKernelsMatchNaivePredict(t *testing.T) {
 	}
 }
 
-// TestPredictBoundsKernelZeroAlloc asserts the per-chip prediction fast
-// path performs zero heap allocations once the worker scratch is warm —
-// the contract that keeps fleet throughput off the garbage collector.
+// TestPredictBoundsKernelZeroAlloc asserts prediction on one chip's bounds
+// performs zero heap allocations once the worker scratch is warm — the
+// contract that keeps fleet throughput off the garbage collector.
 func TestPredictBoundsKernelZeroAlloc(t *testing.T) {
 	c, pl := kernelTestPlan(t)
 	ch := tester.SampleChip(c, 9, 1)
-	out, err := pl.RunChip(ch, c.TNominal)
+	out, err := pl.RunChip(t.Context(), ch, c.TNominal, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,38 +94,27 @@ func TestPredictBoundsKernelZeroAlloc(t *testing.T) {
 
 	scr := pl.getScratch()
 	defer pl.putScratch(scr)
-	pl.kernels.predictBounds(b, &scr.ws) // warm-up
+	ks, one := pl.bakedKernels(), []*Bounds{b}
+	ks.predictInto(one, &scr.ws) // warm-up
 	allocs := testing.AllocsPerRun(100, func() {
-		pl.kernels.predictBounds(b, &scr.ws)
+		ks.predictInto(one, &scr.ws)
 	})
 	if allocs != 0 {
 		t.Fatalf("per-chip prediction allocated %.1f times per run after warm-up", allocs)
 	}
 }
 
-// TestWithoutPredictorKernelsFallsBack covers the naive fallback used by
-// the differential suite: a plan stripped of its kernels must still run
-// chips (through PredictBounds) and produce an outcome.
-func TestWithoutPredictorKernelsFallsBack(t *testing.T) {
+// TestPlanWithoutKernelsFails pins the one-path contract: a plan built by
+// neither Prepare nor Bind has no kernel holder, so running a chip on it is
+// an error rather than a detour through a second predictor.
+func TestPlanWithoutKernelsFails(t *testing.T) {
 	c, pl := kernelTestPlan(t)
-	naive := pl.WithoutPredictorKernels()
-	if naive.kernels != nil {
-		t.Fatal("WithoutPredictorKernels kept the kernels")
-	}
-	if pl.kernels == nil {
-		t.Fatal("WithoutPredictorKernels mutated the original plan")
-	}
+	literal := &Plan{Circuit: c, Cfg: pl.Cfg, Groups: pl.Groups, Tested: pl.Tested, Batches: pl.Batches, Hold: pl.Hold}
 	ch := tester.SampleChip(c, 9, 2)
-	want, err := pl.RunChip(ch, c.TNominal)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := literal.RunChip(t.Context(), ch, c.TNominal, RunOptions{}); !errors.Is(err, errNoKernels) {
+		t.Fatalf("RunChip on a kernel-less plan: err = %v, want errNoKernels", err)
 	}
-	got, err := naive.RunChip(ch, c.TNominal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Iterations != want.Iterations || got.Passed != want.Passed || got.Xi != want.Xi {
-		t.Fatalf("naive fallback diverges: (%d, %v, %v) vs (%d, %v, %v)",
-			got.Iterations, got.Passed, got.Xi, want.Iterations, want.Passed, want.Xi)
+	if literal.PredictorSigmas() != nil {
+		t.Fatal("PredictorSigmas on a kernel-less plan returned sigmas")
 	}
 }

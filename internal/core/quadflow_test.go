@@ -30,7 +30,7 @@ func TestFlowOnQuadTreeModel(t *testing.T) {
 	}
 	ch := tester.SampleChip(c, 7, 0)
 	td := chipQuantile(c, 0.9)
-	out, err := plan.RunChip(ch, td)
+	out, err := plan.RunChip(t.Context(), ch, td, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

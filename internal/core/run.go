@@ -25,9 +25,11 @@ type ChipResult struct {
 // RunChips executes the online flow on every chip at period Td, fanning the
 // chips across a bounded worker pool (`workers` as in Config.Workers: 0 =
 // all CPUs, 1 = sequential) and streaming one ChipResult per chip, strictly
-// in input order. Outcomes are bit-identical to a sequential loop of
-// RunChip calls at any worker count: chips never share mutable state, and a
-// reorder buffer restores input order.
+// in input order. opts selects the measurement backend and the event
+// observer (which must then be safe for concurrent use). Outcomes are
+// bit-identical to a sequential loop of RunChip calls at any worker count:
+// chips never share mutable state, and a reorder buffer restores input
+// order.
 //
 // The returned sequence is single-use. Breaking out of the range stops the
 // remaining chips and releases every worker — no cancellation needed for
@@ -36,30 +38,18 @@ type ChipResult struct {
 // stream always yields exactly len(chips) results unless the consumer
 // breaks first.
 //
-// RunChips is a slice adapter over the streaming core (see Stream).
-func (pl *Plan) RunChips(ctx context.Context, chips []*tester.Chip, Td float64, workers int) iter.Seq[ChipResult] {
-	return pl.RunChipsOpts(ctx, chips, Td, workers, RunOptions{})
-}
-
-// RunChipsOpts is RunChips with a pluggable measurement backend and event
-// observer.
-func (pl *Plan) RunChipsOpts(ctx context.Context, chips []*tester.Chip, Td float64, workers int, opts RunOptions) iter.Seq[ChipResult] {
+// RunChips is a slice adapter over the streaming core (see Stream). Each
+// worker claims up to batchWidth consecutive chips at a time, so their
+// §3.4 prediction runs as one multi-RHS kernel call per correlation group.
+func (pl *Plan) RunChips(ctx context.Context, chips []*tester.Chip, Td float64, workers int, opts RunOptions) iter.Seq[ChipResult] {
 	if len(chips) == 0 {
 		return func(func(ChipResult) bool) {}
 	}
-	total := pool.Resolve(workers)
-	w := total
-	if w > len(chips) {
-		w = len(chips)
-	}
-	// Leftover worker budget goes into the chips: when fewer chips than
-	// workers are in flight, each chip's prediction phase fans its
-	// correlation groups across the idle share of the pool.
-	pw := total / w
+	w := min(pool.Resolve(workers), len(chips))
 	// drainAll: a slice's population is already materialized, so under
 	// cancellation every chip still gets its (error-tagged) result and the
 	// stream length stays len(chips).
-	return pl.stream(ctx, slices.Values(chips), Td, w, pl.resolvePredictBatch(len(chips), w), pw, opts, true)
+	return pl.stream(ctx, slices.Values(chips), Td, w, batchWidth(len(chips), w), opts, true)
 }
 
 // Stream executes the online flow over an unbounded chip source: chips are
@@ -76,67 +66,35 @@ func (pl *Plan) RunChipsOpts(ctx context.Context, chips []*tester.Chip, Td float
 // chips queued but not yet picked up by a worker are dropped. Breaking out
 // of the range likewise stops the source and releases the workers.
 //
-// Prediction batching is opt-in here, unlike RunChips: Config.PredictBatch
-// = 0 (auto) streams chip by chip, because a batch only dispatches once
-// full and a stalling generator would strand a partial batch for as long
-// as it stalls. Setting PredictBatch = K > 1 explicitly accepts that
-// latency (and a 3×workers×K in-flight window) in exchange for the batched
-// prediction kernels.
+// Stream runs chip by chip (batch width 1): a batch only dispatches once
+// full, and a stalling generator would strand a partial batch for as long
+// as it stalls.
 func (pl *Plan) Stream(ctx context.Context, chips iter.Seq[*tester.Chip], Td float64, workers int, opts RunOptions) iter.Seq[ChipResult] {
-	w := pool.Resolve(workers)
-	return pl.stream(ctx, chips, Td, w, pl.resolvePredictBatch(-1, w), 1, opts, false)
+	return pl.stream(ctx, chips, Td, pool.Resolve(workers), 1, opts, false)
 }
 
-// defaultPredictBatch is the auto batch width (Config.PredictBatch = 0):
-// wide enough that a group's Cholesky factor amortizes over several chips,
-// narrow enough that batching adds at most K-1 chips of latency before a
-// result can stream out.
-const defaultPredictBatch = 8
+// defaultBatchWidth caps RunChips' chips per job: wide enough that a
+// group's Cholesky factor amortizes over several chips, narrow enough that
+// batching adds at most a few chips of latency before a result can stream
+// out.
+const defaultBatchWidth = 8
 
-// resolvePredictBatch maps Cfg.PredictBatch to the effective chips-per-job
-// count for a population of n chips (n < 0: unknown/unbounded) on w
-// workers. Batches never exceed an even share of a known population, so a
-// small fleet still spreads across every worker. An unbounded source only
-// batches on explicit request: a generator may stall mid-pull for
-// arbitrarily long, and chips held in a partially filled batch would sit
-// unexecuted for exactly that long — automatic batching must not trade
-// that latency (and the wider in-flight window) silently, so auto resolves
-// to 1 there.
-func (pl *Plan) resolvePredictBatch(n, w int) int {
-	k := pl.Cfg.PredictBatch
-	if k <= 0 {
-		if n < 0 {
-			return 1
-		}
-		k = defaultPredictBatch
-	}
-	if n >= 0 {
-		if share := (n + w - 1) / w; k > share {
-			k = share
-		}
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
+// batchWidth is RunChips' chips-per-job count for a population of n chips
+// on w workers: defaultBatchWidth, capped at an even per-worker share so a
+// small fleet still spreads across every worker.
+func batchWidth(n, w int) int {
+	return max(1, min(defaultBatchWidth, (n+w-1)/w))
 }
 
 // stream is the shared fan-out core: one producer goroutine pulls chips
-// from src and hands jobs of up to kb consecutive chips to w workers; a
-// reorder buffer re-establishes input order on the way out. kb > 1 engages
-// the batched prediction path (runChipBatch) — per-chip results, order and
-// the in-flight window are unchanged, only the §3.4 kernel calls fuse. pw
-// is the within-chip prediction fan-out each worker may use. drainAll
-// selects the cancellation contract: true keeps producing after ctx
-// cancellation (slice semantics — every chip gets a result), false stops
-// the producer (unbounded-source semantics).
-func (pl *Plan) stream(ctx context.Context, src iter.Seq[*tester.Chip], Td float64, w, kb, pw int, opts RunOptions, drainAll bool) iter.Seq[ChipResult] {
-	if kb < 1 {
-		kb = 1
-	}
-	if pw < 1 {
-		pw = 1
-	}
+// from src and hands jobs of up to kb consecutive chips to w workers, each
+// job one runChipBatch call; a reorder buffer re-establishes input order on
+// the way out. The width kb only fuses the §3.4 kernel calls — per-chip
+// results and order are identical at any width. drainAll selects the
+// cancellation contract: true keeps producing after ctx cancellation (slice
+// semantics — every chip gets a result), false stops the producer
+// (unbounded-source semantics).
+func (pl *Plan) stream(ctx context.Context, src iter.Seq[*tester.Chip], Td float64, w, kb int, opts RunOptions, drainAll bool) iter.Seq[ChipResult] {
 	return func(yield func(ChipResult) bool) {
 		runCtx, cancelRun := context.WithCancel(ctx)
 		defer cancelRun()
@@ -260,20 +218,7 @@ func (pl *Plan) stream(ctx context.Context, src iter.Seq[*tester.Chip], Td float
 					if !ok {
 						return
 					}
-					if len(j.chips) == 1 {
-						// Single chip: the exact pre-batching code path.
-						r := ChipResult{Index: j.first, Chip: j.chips[0]}
-						if r.Err = runCtx.Err(); r.Err == nil {
-							r.Outcome, r.Err = pl.runChipScratch(runCtx, j.chips[0], Td, opts, scr, pw)
-						}
-						select {
-						case inner <- r:
-						case <-abort:
-							return
-						}
-						continue
-					}
-					for _, r := range pl.runChipBatch(runCtx, j.first, j.chips, Td, opts, scr, pw) {
+					for _, r := range pl.runChipBatch(runCtx, j.first, j.chips, Td, opts, scr) {
 						select {
 						case inner <- r:
 						case <-abort:
@@ -316,15 +261,9 @@ func (pl *Plan) stream(ctx context.Context, src iter.Seq[*tester.Chip], Td float
 // RunChipsAll runs RunChips and collects every outcome, returning the
 // lowest-index per-chip error (exactly what a sequential loop would have
 // hit first) if any chip failed. The outcome slice is parallel to chips.
-func (pl *Plan) RunChipsAll(ctx context.Context, chips []*tester.Chip, Td float64, workers int) ([]*ChipOutcome, error) {
-	return pl.RunChipsAllOpts(ctx, chips, Td, workers, RunOptions{})
-}
-
-// RunChipsAllOpts is RunChipsAll with a pluggable measurement backend and
-// event observer.
-func (pl *Plan) RunChipsAllOpts(ctx context.Context, chips []*tester.Chip, Td float64, workers int, opts RunOptions) ([]*ChipOutcome, error) {
+func (pl *Plan) RunChipsAll(ctx context.Context, chips []*tester.Chip, Td float64, workers int, opts RunOptions) ([]*ChipOutcome, error) {
 	outs := make([]*ChipOutcome, len(chips))
-	for r := range pl.RunChipsOpts(ctx, chips, Td, workers, opts) {
+	for r := range pl.RunChips(ctx, chips, Td, workers, opts) {
 		if r.Err != nil {
 			// Results stream in index order, so the first error seen is the
 			// lowest-index one; breaking stops the remaining chips.

@@ -47,7 +47,7 @@ func TestRunChipsParallelMatchesSequential(t *testing.T) {
 	// Ground truth: plain sequential RunChip loop.
 	want := make([]*ChipOutcome, len(chips))
 	for i, ch := range chips {
-		out, err := pl.RunChip(ch, td)
+		out, err := pl.RunChip(t.Context(), ch, td, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestRunChipsParallelMatchesSequential(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 8} {
-		outs, err := pl.RunChipsAll(ctx, chips, td, workers)
+		outs, err := pl.RunChipsAll(ctx, chips, td, workers, RunOptions{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -70,7 +70,7 @@ func TestRunChipsParallelMatchesSequential(t *testing.T) {
 func TestRunChipsStreamsInOrder(t *testing.T) {
 	pl, chips, td := runTestPlan(t)
 	next := 0
-	for r := range pl.RunChips(context.Background(), chips, td, 4) {
+	for r := range pl.RunChips(context.Background(), chips, td, 4, RunOptions{}) {
 		if r.Err != nil {
 			t.Fatalf("chip %d: %v", r.Index, r.Err)
 		}
@@ -92,11 +92,11 @@ func TestRunChipsCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := pl.RunChipsAll(ctx, chips, td, 4); !errors.Is(err, context.Canceled) {
+	if _, err := pl.RunChipsAll(ctx, chips, td, 4, RunOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunChipsAll error = %v, want context.Canceled", err)
 	}
-	if _, err := pl.RunChipCtx(ctx, chips[0], td); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunChipCtx error = %v, want context.Canceled", err)
+	if _, err := pl.RunChip(ctx, chips[0], td, RunOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunChip error = %v, want context.Canceled", err)
 	}
 }
 
@@ -107,7 +107,7 @@ func TestRunChipCircuitMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := tester.SampleChip(other, 1, 0)
-	if _, err := pl.RunChip(ch, td); !errors.Is(err, ErrChipCircuitMismatch) {
+	if _, err := pl.RunChip(t.Context(), ch, td, RunOptions{}); !errors.Is(err, ErrChipCircuitMismatch) {
 		t.Fatalf("error = %v, want ErrChipCircuitMismatch", err)
 	}
 }

@@ -139,7 +139,7 @@ func Table1(ctx context.Context, p circuit.Profile, cfg Config) (Table1Row, erro
 	costs := make([]chipCost, cfg.CostChips)
 	err = pool.ForEach(ctx, cfg.CostChips, cfg.Core.Workers, func(i int) error {
 		ch := tester.SampleChip(c, seed, i)
-		out, err := plan.RunChipOpts(ctx, ch, td, cfg.runOpts())
+		out, err := plan.RunChip(ctx, ch, td, cfg.runOpts())
 		if err != nil {
 			return err
 		}

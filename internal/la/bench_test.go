@@ -20,16 +20,6 @@ func BenchmarkCholesky64(b *testing.B) {
 	}
 }
 
-func BenchmarkSPDInverse64(b *testing.B) {
-	a := benchSPD(64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SPDInverse(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkEigenSym64(b *testing.B) {
 	a := benchSPD(64)
 	b.ResetTimer()

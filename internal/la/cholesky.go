@@ -99,33 +99,3 @@ func SolveUpperT(l *Matrix, y []float64) []float64 {
 func CholSolve(l *Matrix, b []float64) []float64 {
 	return SolveUpperT(l, SolveLower(l, b))
 }
-
-// SPDInverse inverts a symmetric positive definite matrix via Cholesky.
-func SPDInverse(a *Matrix) (*Matrix, error) {
-	l, err := Cholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for c := 0; c < n; c++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[c] = 1
-		x := CholSolve(l, e)
-		for r := 0; r < n; r++ {
-			inv.Set(r, c, x[r])
-		}
-	}
-	// Symmetrize to wash out round-off.
-	for r := 0; r < n; r++ {
-		for c := r + 1; c < n; c++ {
-			v := 0.5 * (inv.At(r, c) + inv.At(c, r))
-			inv.Set(r, c, v)
-			inv.Set(c, r, v)
-		}
-	}
-	return inv, nil
-}

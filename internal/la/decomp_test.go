@@ -72,89 +72,6 @@ func TestCholSolve(t *testing.T) {
 	}
 }
 
-func TestSPDInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for n := 1; n <= 10; n++ {
-		a := randomSPD(rng, n)
-		inv, err := SPDInverse(a)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if d := a.Mul(inv).MaxAbsDiff(Identity(n)); d > 1e-8 {
-			t.Fatalf("n=%d: A*A⁻¹ deviates from I by %g", n, d)
-		}
-	}
-}
-
-func TestLUSolveRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(8)
-		a := randomMatrix(rng, n, n)
-		for i := 0; i < n; i++ {
-			a.Add(i, i, float64(n)) // diagonally dominant => nonsingular
-		}
-		x := randomVec(rng, n)
-		b := a.MulVec(x)
-		f64, err := FactorLU(a)
-		if err != nil {
-			return false
-		}
-		got := f64.Solve(b)
-		for i := range got {
-			if !almostEq(got[i], x[i], 1e-7) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLUDet(t *testing.T) {
-	a := NewMatrixFrom([][]float64{{2, 0}, {0, 3}})
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(f.Det(), 6, 1e-12) {
-		t.Fatalf("Det = %v, want 6", f.Det())
-	}
-	// Permutation sign: swap rows of identity has det -1.
-	p := NewMatrixFrom([][]float64{{0, 1}, {1, 0}})
-	f2, err := FactorLU(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(f2.Det(), -1, 1e-12) {
-		t.Fatalf("Det = %v, want -1", f2.Det())
-	}
-}
-
-func TestLUSingular(t *testing.T) {
-	a := NewMatrixFrom([][]float64{{1, 2}, {2, 4}})
-	if _, err := FactorLU(a); err == nil {
-		t.Fatal("expected ErrSingular")
-	}
-}
-
-func TestInverseGeneral(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := randomMatrix(rng, 6, 6)
-	for i := 0; i < 6; i++ {
-		a.Add(i, i, 6)
-	}
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := a.Mul(inv).MaxAbsDiff(Identity(6)); d > 1e-9 {
-		t.Fatalf("A*A⁻¹ deviates from I by %g", d)
-	}
-}
-
 func TestEigenSymReconstructs(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

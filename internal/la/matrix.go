@@ -1,6 +1,7 @@
 // Package la provides the dense linear algebra kernels used throughout the
-// EffiTest reproduction: matrices, Cholesky and LU factorizations, SPD
-// inversion and a Jacobi eigensolver for symmetric matrices.
+// EffiTest reproduction: matrices, the Cholesky factorization with its
+// triangular solves (vector and multi-RHS) and a Jacobi eigensolver for
+// symmetric matrices.
 //
 // The package is deliberately small and allocation-conscious: all matrices
 // are dense, row-major float64, and the sizes that occur in EffiTest
