@@ -232,8 +232,8 @@ func BenchmarkFlowChipBatched(b *testing.B) {
 		f := fixture(b, name, effitest.DefaultConfig())
 		chips := effitest.SampleChips(f.circuit, 3, 32)
 		for _, kb := range []int{1, 8} {
-			// kN, not batch-N: benchjson strips a trailing -<digits> as the
-			// GOMAXPROCS suffix, so a dash here would corrupt the name.
+			// kN, not batch-N: `go test -bench` appends -<GOMAXPROCS> to
+			// every name, so a trailing -<digits> here would read as it.
 			b.Run(fmt.Sprintf("%s/k%d", name, kb), func(b *testing.B) {
 				eng := f.withWorkers(b, 1)
 				ctx := context.Background()

@@ -13,7 +13,6 @@
 //	effcheck -filter tiny64   # run matching scenarios only
 //	effcheck -update          # regenerate the golden corpus
 //	effcheck -v               # print every out-of-tolerance field
-//	effcheck -manifest s.json # scenario matrix derived from a suite manifest
 //
 // Run it from the repository root (or point -golden at the corpus).
 package main
@@ -65,24 +64,14 @@ func (tc *timingCollector) cols() (string, string) {
 
 func main() {
 	var (
-		goldenDir    = flag.String("golden", "testdata/golden", "golden corpus directory")
-		update       = flag.Bool("update", false, "regenerate golden files instead of diffing")
-		short        = flag.Bool("short", false, "skip heavy scenarios (Table-1 circuits, experiment runners)")
-		filter       = flag.String("filter", "", "run only scenarios whose name contains this substring")
-		verbose      = flag.Bool("v", false, "print every out-of-tolerance field (default: first 8 per scenario)")
-		planCache    = flag.String("plan-cache", "", "plan cache directory for pipeline scenarios (2nd invocation skips Prepare)")
-		manifestPath = flag.String("manifest", "", "derive the scenario matrix from a suite manifest (see manifest package) instead of the built-in matrix")
+		goldenDir = flag.String("golden", "testdata/golden", "golden corpus directory")
+		update    = flag.Bool("update", false, "regenerate golden files instead of diffing")
+		short     = flag.Bool("short", false, "skip heavy scenarios (Table-1 circuits, experiment runners)")
+		filter    = flag.String("filter", "", "run only scenarios whose name contains this substring")
+		verbose   = flag.Bool("v", false, "print every out-of-tolerance field (default: first 8 per scenario)")
+		planCache = flag.String("plan-cache", "", "plan cache directory for pipeline scenarios (2nd invocation skips Prepare)")
 	)
 	flag.Parse()
-
-	matrix := conformance.DefaultMatrix()
-	if *manifestPath != "" {
-		var err error
-		if matrix, err = manifestScenarios(*manifestPath); err != nil {
-			fmt.Fprintln(os.Stderr, "effcheck:", err)
-			os.Exit(1)
-		}
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -94,7 +83,7 @@ func main() {
 	// Tt/Tp are the paper's per-chip solver runtime components, summed over
 	// the scenario's fleet: alignment solves and statistical prediction.
 	fmt.Printf("%-45s %-8s %9s %9s  %s\n", "SCENARIO", "STATUS", "Tt(ms)", "Tp(ms)", "NOTE")
-	for _, sc := range matrix {
+	for _, sc := range conformance.DefaultMatrix() {
 		name := sc.Name()
 		if *filter != "" && !strings.Contains(name, *filter) {
 			continue

@@ -46,14 +46,12 @@
 //		fmt.Println(res.Index, res.Outcome.Passed)
 //	}
 //
-// One chip at a time, collected or aggregated over a population, or
-// streamed from an unbounded source without materializing it — one entry
-// point per shape, all at the engine's test period:
+// One chip at a time, or collected or aggregated over a population — one
+// entry point per shape, all at the engine's test period:
 //
 //	out, _ := eng.RunChip(ctx, chips[0])
 //	outs, _ := eng.RunChipsAll(ctx, chips)   // input order, first error
 //	stats, _ := eng.Yield(ctx, chips)        // yield + average tester cost
-//	for res := range eng.Stream(ctx, nextChip) { ... } // iter.Seq[*Chip]
 //
 // To test the same plan at another period, build a second engine around
 // it: New(c, WithPlan(eng.Plan()), WithPeriod(T)).

@@ -443,24 +443,6 @@ func (e *Engine) RunChips(ctx context.Context, chips []*Chip) iter.Seq[ChipResul
 	return e.plan.RunChips(ctx, chips, e.period, e.plan.Cfg.Workers, e.runOpts())
 }
 
-// Stream executes the online flow over an unbounded chip source — a
-// generator, a socket feed, a directory walk — pulling chips on demand,
-// fanning them across the worker pool and streaming results in input
-// order. The population is never materialized: memory stays bounded by a
-// hard window of 3× the worker count regardless of how many chips flow
-// through.
-//
-// Breaking out of the range stops the source and releases the workers.
-// Cancelling the context stops pulling new chips (an unbounded source can
-// never be drained), so the stream ends after the chips already being
-// executed finish — promptly even when the source itself is blocked
-// mid-pull. RunChips is the slice adapter over this core, with the one
-// extra guarantee a finite population affords: exactly len(chips) results
-// even under cancellation.
-func (e *Engine) Stream(ctx context.Context, chips iter.Seq[*Chip]) iter.Seq[ChipResult] {
-	return e.plan.Stream(ctx, chips, e.period, e.plan.Cfg.Workers, e.runOpts())
-}
-
 // RunChipsAll collects the full stream, returning one outcome per chip (in
 // input order) or the lowest-index per-chip error.
 func (e *Engine) RunChipsAll(ctx context.Context, chips []*Chip) ([]*ChipOutcome, error) {

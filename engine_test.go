@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -146,6 +148,106 @@ func TestEngineCancellation(t *testing.T) {
 	}
 	if broke != 1 {
 		t.Fatalf("break consumed %d results", broke)
+	}
+}
+
+// slowFirstChip holds chip 0 at the tester, so the reorder buffer waits for
+// it while the other workers run as far ahead as the in-flight window lets
+// them.
+type slowFirstChip struct{ effitest.SimBackend }
+
+func (s slowFirstChip) Open(ch *effitest.Chip, resolution float64) (effitest.Session, error) {
+	if ch.Index == 0 {
+		time.Sleep(100 * time.Millisecond)
+	}
+	return s.SimBackend.Open(ch, resolution)
+}
+
+// TestRunChipsBreakBoundsWindow breaks out of a long RunChips stream early:
+// the chips executed stay within the in-flight window (3×workers×batch
+// width chips claimed but not yet yielded) past the consumed ones, and the
+// break releases every worker.
+func TestRunChipsBreakBoundsWindow(t *testing.T) {
+	const workers, n, consumed = 4, 1000, 25
+	const kb = 8 // RunChips' batch width for n chips on 4 workers
+	c, err := effitest.Generate(effitest.NewProfile("windowed", 16, 120, 2, 14), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var executed atomic.Int64
+	eng, err := effitest.New(c,
+		effitest.WithWorkers(workers),
+		effitest.WithPeriodQuantile(0.8413, 200),
+		effitest.WithBackend(slowFirstChip{}),
+		effitest.WithObserver(effitest.ObserverFunc(func(e effitest.Event) {
+			if _, ok := e.(effitest.ChipDoneEvent); ok {
+				executed.Add(1)
+			}
+		})),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chips := effitest.SampleChips(c, 3, n)
+	before := runtime.NumGoroutine()
+
+	got := 0
+	for r := range eng.RunChips(context.Background(), chips) {
+		if r.Err != nil {
+			t.Fatalf("chip %d: %v", r.Index, r.Err)
+		}
+		if got++; got == consumed {
+			break
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if now := runtime.NumGoroutine(); now > before {
+		t.Fatalf("goroutines leaked after break: %d -> %d", before, now)
+	}
+	if e := executed.Load(); e > consumed+3*workers*kb {
+		t.Fatalf("%d chips executed for %d consumed (window is 3×%d×%d)", e, consumed, workers, kb)
+	}
+}
+
+// runChipAllocCeiling is the allocation count of one warm s9234 chip run
+// (BenchmarkFlowChip/s9234's allocs/op). The count is independent of the
+// hardware, so an exact ceiling catches any change that adds per-chip
+// allocation.
+const runChipAllocCeiling = 259
+
+// TestRunChipAllocCeiling holds warm Plan.RunChip (through Engine.RunChip,
+// which adds nothing) on s9234 at or below runChipAllocCeiling.
+func TestRunChipAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		// The race job runs -short, and the race detector randomly drops
+		// sync.Pool puts, so the pooled scratch makes the count inexact.
+		t.Skip("allocation ceiling skipped in -short mode")
+	}
+	profile, ok := effitest.ProfileByName("s9234")
+	if !ok {
+		t.Fatal("s9234 profile missing")
+	}
+	c, err := effitest.Generate(profile, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := effitest.New(c, effitest.WithPeriod(effitest.PeriodQuantile(c, 2, 400, 0.8413)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chip := effitest.SampleChip(c, 3, 0)
+	ctx := context.Background()
+	run := func() {
+		if _, err := eng.RunChip(ctx, chip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the scratch pool and the lazily baked prediction kernels
+	if allocs := testing.AllocsPerRun(20, run); allocs > runChipAllocCeiling {
+		t.Fatalf("warm RunChip makes %v allocations, ceiling %d", allocs, runChipAllocCeiling)
 	}
 }
 

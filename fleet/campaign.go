@@ -368,7 +368,7 @@ func (c *Campaign) Wait(ctx context.Context) (Status, error) {
 
 // prepare resolves the campaign's engine (through the registry unless the
 // spec carries a plan) and population, then hands the campaign to the
-// dispatcher. Runs once, asynchronously, per Submit.
+// worker pool. Runs once, asynchronously, per Submit.
 func (c *Campaign) prepare(spec CampaignSpec) {
 	defer c.m.prepWG.Done()
 	var eng *effitest.Engine
@@ -571,16 +571,16 @@ type Manager struct {
 	recovered     atomic.Int64 // campaigns rebuilt from the journal at boot
 	replayed      atomic.Int64 // chip results replayed from the journal
 
-	jobs           chan job
-	wake           chan struct{}
-	stop           chan struct{}
-	dispatcherDone chan struct{}
-	workerWG       sync.WaitGroup
-	prepWG         sync.WaitGroup
-	shutdownOnce   sync.Once
-	drained        chan struct{} // closed once the first Shutdown finishes draining
+	stop         chan struct{}
+	workerWG     sync.WaitGroup
+	prepWG       sync.WaitGroup
+	shutdownOnce sync.Once
+	drained      chan struct{} // closed once the first Shutdown finishes draining
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// ready wakes idle workers: signalled when a campaign joins the
+	// round-robin set and when Shutdown closes the manager.
+	ready     *sync.Cond
 	closed    bool
 	nextID    int
 	campaigns map[string]*Campaign
@@ -655,18 +655,17 @@ func WithManagerPlanCache(dir string) ManagerOption {
 	}
 }
 
-// NewManager builds a campaign manager and starts its dispatcher and
-// worker pool. Shut it down with Shutdown.
+// NewManager builds a campaign manager and starts its worker pool. Shut it
+// down with Shutdown.
 func NewManager(opts ...ManagerOption) (*Manager, error) {
 	m := &Manager{
-		plans:          NewPlanStore(),
-		wake:           make(chan struct{}, 1),
-		stop:           make(chan struct{}),
-		dispatcherDone: make(chan struct{}),
-		drained:        make(chan struct{}),
-		campaigns:      map[string]*Campaign{},
-		byKey:          map[string]*Campaign{},
+		plans:     NewPlanStore(),
+		stop:      make(chan struct{}),
+		drained:   make(chan struct{}),
+		campaigns: map[string]*Campaign{},
+		byKey:     map[string]*Campaign{},
 	}
+	m.ready = sync.NewCond(&m.mu)
 	for _, o := range opts {
 		if err := o(m); err != nil {
 			return nil, err
@@ -681,12 +680,10 @@ func NewManager(opts ...ManagerOption) (*Manager, error) {
 	}
 	w := pool.Resolve(m.workers)
 	m.workers = w
-	m.jobs = make(chan job, w)
 	m.workerWG.Add(w)
 	for i := 0; i < w; i++ {
 		go m.worker()
 	}
-	go m.dispatch()
 	return m, nil
 }
 
@@ -732,6 +729,54 @@ func (m *Manager) Submit(spec CampaignSpec) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
+	c := m.newCampaign(spec)
+
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		c.cancel()
+		return nil, ErrManagerClosed
+	}
+	if spec.Key != "" {
+		if prior, ok := m.byKey[spec.Key]; ok {
+			m.mu.Unlock()
+			c.cancel()
+			return prior, nil
+		}
+	}
+	// Admission control: bound the non-terminal backlog. Checked under m.mu
+	// so concurrent submits serialize against the increment; the slot is
+	// released (via noteTerminalLocked) when the campaign settles.
+	if m.maxQueued > 0 && m.backlog.Load() >= int64(m.maxQueued) {
+		m.rejected.Add(1)
+		m.mu.Unlock()
+		c.cancel()
+		return nil, fmt.Errorf("%w: %d campaigns already queued or running (bound %d)",
+			ErrQueueFull, m.backlog.Load(), m.maxQueued)
+	}
+	m.backlog.Add(1)
+	m.nextID++
+	c.id = fmt.Sprintf("c%06d", m.nextID)
+	if m.journal != nil {
+		jspec.ID = c.id
+		if err := m.journal.Begin(jspec); err != nil {
+			m.backlog.Add(-1)
+			m.mu.Unlock()
+			c.cancel()
+			return nil, fmt.Errorf("fleet: journaling campaign: %w", err)
+		}
+		c.journaled = true
+	}
+	m.registerLocked(c)
+	m.mu.Unlock()
+
+	go c.prepare(spec)
+	return c, nil
+}
+
+// newCampaign builds a queued, unregistered campaign for spec, with its own
+// cancellable context and, for clock-binning campaigns, an empty histogram.
+func (m *Manager) newCampaign(spec CampaignSpec) *Campaign {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Campaign{
 		name:      spec.Name,
@@ -747,48 +792,7 @@ func (m *Manager) Submit(spec CampaignSpec) (*Campaign, error) {
 		c.bins = workload.NewBinAgg(spec.BinEdges)
 	}
 	c.cond = sync.NewCond(&c.mu)
-
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		cancel()
-		return nil, ErrManagerClosed
-	}
-	if spec.Key != "" {
-		if prior, ok := m.byKey[spec.Key]; ok {
-			m.mu.Unlock()
-			cancel()
-			return prior, nil
-		}
-	}
-	// Admission control: bound the non-terminal backlog. Checked under m.mu
-	// so concurrent submits serialize against the increment; the slot is
-	// released (via noteTerminalLocked) when the campaign settles.
-	if m.maxQueued > 0 && m.backlog.Load() >= int64(m.maxQueued) {
-		m.rejected.Add(1)
-		m.mu.Unlock()
-		cancel()
-		return nil, fmt.Errorf("%w: %d campaigns already queued or running (bound %d)",
-			ErrQueueFull, m.backlog.Load(), m.maxQueued)
-	}
-	m.backlog.Add(1)
-	m.nextID++
-	c.id = fmt.Sprintf("c%06d", m.nextID)
-	if m.journal != nil {
-		jspec.ID = c.id
-		if err := m.journal.Begin(jspec); err != nil {
-			m.backlog.Add(-1)
-			m.mu.Unlock()
-			cancel()
-			return nil, fmt.Errorf("fleet: journaling campaign: %w", err)
-		}
-		c.journaled = true
-	}
-	m.registerLocked(c)
-	m.mu.Unlock()
-
-	go c.prepare(spec)
-	return c, nil
+	return c
 }
 
 // registerLocked inserts a campaign into the manager's tables and reserves
@@ -830,9 +834,9 @@ type ManagerStats struct {
 	// ChipsExecuted counts chips run on the pool since start (including
 	// chips whose campaign context was already cancelled when they ran).
 	ChipsExecuted int64
-	// ChipsPending counts resolved chips not yet handed to the pool;
-	// ChipsInFlight counts dispatched chips without a result yet. Together
-	// they are the backlog a new shard would queue behind.
+	// ChipsPending counts resolved chips not yet claimed by a worker;
+	// ChipsInFlight counts chips running on a worker (at most Workers).
+	// Together they are the backlog a new shard would queue behind.
 	ChipsPending  int
 	ChipsInFlight int
 	// QueueLimit is the admission bound (WithMaxQueuedCampaigns; 0 =
@@ -932,7 +936,7 @@ func (m *Manager) Campaigns() []*Campaign {
 	return slices.Clone(m.order)
 }
 
-// enqueue hands a prepared campaign to the dispatcher.
+// enqueue hands a prepared campaign to the worker pool.
 func (m *Manager) enqueue(c *Campaign) {
 	m.mu.Lock()
 	if m.closed {
@@ -943,15 +947,9 @@ func (m *Manager) enqueue(c *Campaign) {
 		return
 	}
 	m.active = append(m.active, c)
+	// Every idle worker may claim one of the new campaign's chips.
+	m.ready.Broadcast()
 	m.mu.Unlock()
-	m.wakeDispatcher()
-}
-
-func (m *Manager) wakeDispatcher() {
-	select {
-	case m.wake <- struct{}{}:
-	default:
-	}
 }
 
 // dropActiveLocked removes c from the round-robin set. Caller holds m.mu.
@@ -967,12 +965,10 @@ func (m *Manager) dropActiveLocked(c *Campaign) {
 	}
 }
 
-// nextJob picks the next (campaign, chip) pair round-robin across active
-// campaigns — one chip per campaign per turn, so campaigns share the pool
-// fairly regardless of size.
-func (m *Manager) nextJob() (job, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// nextJobLocked picks the next (campaign, chip) pair round-robin across
+// active campaigns — one chip per campaign per turn, so campaigns share the
+// pool fairly regardless of size. Caller holds m.mu.
+func (m *Manager) nextJobLocked() (job, bool) {
 	for len(m.active) > 0 {
 		if m.rr >= len(m.active) {
 			m.rr = 0
@@ -1002,44 +998,37 @@ func (m *Manager) nextJob() (job, bool) {
 	return job{}, false
 }
 
-// dispatch is the scheduling loop: it feeds the shared pool one fairly
-// chosen job at a time and parks when no campaign has undispatched chips.
-func (m *Manager) dispatch() {
-	defer close(m.dispatcherDone)
-	for {
-		j, ok := m.nextJob()
-		if !ok {
-			select {
-			case <-m.wake:
-				continue
-			case <-m.stop:
-				return
-			}
+// claim blocks until a chip is ready for the calling worker and dispatches
+// it, or returns false once Shutdown closed the manager. Picking and the
+// closed check share m.mu, so no chip is dispatched after Shutdown has
+// frozen the dispatch counters.
+func (m *Manager) claim() (job, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for !m.closed {
+		if j, ok := m.nextJobLocked(); ok {
+			return j, true
 		}
-		select {
-		case m.jobs <- j:
-		case <-m.stop:
-			// The picked job never reached a worker; resolve it here so the
-			// campaign still settles with a full result set.
-			j.c.mu.Lock()
-			ch := j.c.chips[j.idx]
-			j.c.mu.Unlock()
-			j.c.deliver(effitest.ChipResult{Index: j.idx, Chip: ch, Err: ErrManagerClosed})
-			return
-		}
+		m.ready.Wait()
 	}
+	return job{}, false
 }
 
 func (m *Manager) worker() {
 	defer m.workerWG.Done()
-	for j := range m.jobs {
+	for {
+		j, ok := m.claim()
+		if !ok {
+			return
+		}
 		j.c.run(j.idx)
 	}
 }
 
 // Shutdown drains the manager: no new campaigns are accepted, undispatched
 // chips across all campaigns resolve to ErrManagerClosed results, and the
-// call blocks until in-flight chips finish and every pool goroutine exits.
+// call blocks until the chips running on workers finish and every pool
+// goroutine exits.
 // If ctx expires first, the in-flight chips are hard-cancelled through
 // their campaign contexts (they abort within one tester iteration) and
 // Shutdown keeps waiting for the goroutines, returning the context's
@@ -1074,13 +1063,13 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 
 	m.mu.Lock()
 	m.closed = true
+	m.ready.Broadcast()
 	actives := slices.Clone(m.order)
 	m.mu.Unlock()
 
-	<-m.dispatcherDone
-
-	// The dispatcher has stopped: nextDispatch values are frozen, so tag
-	// everything undispatched and cancel campaigns that never got chips.
+	// Workers claim nothing once closed is set: nextDispatch values are
+	// frozen, so tag everything undispatched and cancel campaigns that never
+	// got chips.
 	for _, c := range actives {
 		m.mu.Lock()
 		start := c.nextDispatch
@@ -1100,15 +1089,10 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		case start < len(c.results):
 			c.settleLocked(start, ErrManagerClosed)
 		}
-		// Fully dispatched campaigns are left to finish: their in-flight
+		// Fully dispatched campaigns are left to finish: their running
 		// chips are exactly what the drain waits for.
 		c.mu.Unlock()
 	}
-
-	// One worker may be parked on the jobs channel; it drains queued jobs
-	// (they execute — those chips were already dispatched) and exits on
-	// close. The dispatcher was the only sender.
-	close(m.jobs)
 
 	done := make(chan struct{})
 	go func() {

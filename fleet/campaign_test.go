@@ -140,8 +140,8 @@ func TestCampaignsShareOnePrepare(t *testing.T) {
 	}
 }
 
-// The dispatcher's pick order must interleave one chip per campaign per
-// turn — exercised white-box on nextJob, which owns the round-robin.
+// The workers' pick order must interleave one chip per campaign per turn —
+// exercised white-box on nextJobLocked, which owns the round-robin.
 func TestNextJobRoundRobin(t *testing.T) {
 	a := &Campaign{id: "a", chips: make([]*effitest.Chip, 3)}
 	b := &Campaign{id: "b", chips: make([]*effitest.Chip, 5)}
@@ -149,7 +149,7 @@ func TestNextJobRoundRobin(t *testing.T) {
 
 	var order []string
 	for {
-		j, ok := m.nextJob()
+		j, ok := m.nextJobLocked()
 		if !ok {
 			break
 		}
@@ -405,8 +405,8 @@ func TestManagerGoroutineHighWater(t *testing.T) {
 	if err != nil || st.State != StateDone {
 		t.Fatalf("campaign: %v %v", st.State, err)
 	}
-	// The constant covers the dispatcher, the campaign's prepare goroutine
-	// and the sampler itself.
+	// The constant covers the campaign's prepare goroutine and the sampler
+	// itself, with room to spare.
 	const slack = 4
 	if limit := int64(before + workers + slack); peak.Load() > limit {
 		t.Fatalf("goroutine high water %d exceeds baseline %d + %d workers + %d", peak.Load(), before, workers, slack)
@@ -441,6 +441,54 @@ func TestManagerShutdownIdempotent(t *testing.T) {
 	}
 	if st := camp.Status(); !st.State.Terminal() {
 		t.Fatalf("campaign not settled after shutdown: %s", st.State)
+	}
+}
+
+// Shutdown executes only the chips already running on a worker: with every
+// chip held at the tester, the two workers hold one chip each, those two
+// finish once the gate opens, and every other chip resolves to
+// ErrManagerClosed without executing.
+func TestShutdownRunsOnlyWorkerChips(t *testing.T) {
+	const workers, n = 2, 10
+	m, err := NewManager(WithWorkers(workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := tinyCircuit(t, "claimed", 3)
+	gate := &gateBackend{release: make(chan struct{})} // holds every chip
+	camp, err := m.Submit(CampaignSpec{
+		Circuit: c, Options: fastOpts(effitest.WithBackend(gate)),
+		ChipSeed: 5, ChipCount: n,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "workers to hold gated chips", func() bool {
+		return m.Stats().ChipsInFlight >= workers
+	})
+	if got := m.Stats().ChipsInFlight; got > workers {
+		t.Fatalf("%d chips in flight on %d workers", got, workers)
+	}
+	done := make(chan error, 1)
+	go func() { done <- m.Shutdown(context.Background()) }()
+	waitFor(t, "shutdown to cancel the campaign", func() bool {
+		return camp.Status().State == StateCancelled
+	})
+	close(gate.release)
+	if err := <-done; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if got := m.Stats().ChipsExecuted; got != workers {
+		t.Fatalf("ChipsExecuted = %d after shutdown, want %d (the workers' chips only)", got, workers)
+	}
+	closed := 0
+	for res := range camp.Results(context.Background()) {
+		if errors.Is(res.Err, ErrManagerClosed) {
+			closed++
+		}
+	}
+	if closed != n-workers {
+		t.Fatalf("%d chips resolved to ErrManagerClosed, want %d", closed, n-workers)
 	}
 }
 

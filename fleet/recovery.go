@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"effitest"
 	"effitest/fleet/journal"
-	"effitest/workload"
 )
 
 // WithJournal attaches a durable campaign journal: Submit appends each
@@ -112,30 +110,16 @@ func (m *Manager) Recover(decode func([]byte) (CampaignSpec, error)) (RecoverSta
 			rs.Skipped++
 			continue
 		}
-		spec.Key = rec.Spec.Key
-		ctx, cancel := context.WithCancel(context.Background())
-		c := &Campaign{
-			id:        rec.Spec.ID,
-			name:      rec.Spec.Name,
-			key:       rec.Spec.Key,
-			m:         m,
-			ctx:       ctx,
-			cancel:    cancel,
-			state:     StateQueued,
-			submitted: time.Now(),
-			journaled: true,
-			replay:    rec.Chips,
-		}
-		c.workload = workload.Canonical(spec.Workload)
-		if c.workload == workload.TypeClockBinning {
-			c.bins = workload.NewBinAgg(spec.BinEdges)
-		}
-		c.cond = sync.NewCond(&c.mu)
+		spec.Name, spec.Key = rec.Spec.Name, rec.Spec.Key
+		c := m.newCampaign(spec)
+		c.id = rec.Spec.ID
+		c.journaled = true
+		c.replay = rec.Chips
 
 		m.mu.Lock()
 		if m.closed {
 			m.mu.Unlock()
-			cancel()
+			c.cancel()
 			return rs, ErrManagerClosed
 		}
 		m.backlog.Add(1)

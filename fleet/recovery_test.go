@@ -227,11 +227,12 @@ func TestSubmitIdempotencyKey(t *testing.T) {
 // Shutdown writes no settle record, so a drained-but-unfinished campaign
 // recovers on the next boot with its completed chips replayed.
 func TestShutdownLeavesJournalResumable(t *testing.T) {
-	// Large enough that some chips cannot have been dispatched when the
-	// drain begins: with 2 workers, at most 2 in flight + 2 buffered in
-	// the jobs channel + 1 in the dispatcher's hand ride out the drain.
+	// The ungated chips complete, then each worker holds one gated chip
+	// when the drain begins: those two finish during the drain, and the
+	// rest of the population stays undispatched.
 	const n = 10
 	const gated = 2
+	const workers = 2
 	c := tinyCircuit(t, "drain", 3)
 	ctx := context.Background()
 
@@ -241,7 +242,7 @@ func TestShutdownLeavesJournalResumable(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := &gateBackend{allowBelow: gated, release: make(chan struct{})}
-	m1, err := NewManager(WithWorkers(2), WithJournal(j1))
+	m1, err := NewManager(WithWorkers(workers), WithJournal(j1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,23 +256,20 @@ func TestShutdownLeavesJournalResumable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "ungated chips to journal", func() bool {
-		return j1.Stats().Records >= 1+gated
+	// Chips are journaled before they are delivered, so ChipsDone implies
+	// the journal records.
+	waitFor(t, "ungated chips to finish and workers to hold gated chips", func() bool {
+		return camp.Status().ChipsDone == gated && m1.Stats().ChipsInFlight == workers
 	})
 	done := make(chan error, 1)
 	go func() { done <- m1.Shutdown(ctx) }()
-	// Only release the gate once the dispatcher has stopped: from then on
-	// the dispatched set is frozen, so the undispatched tail is guaranteed
-	// to resolve as drain artifacts rather than sneaking onto the pool.
-	waitFor(t, "dispatcher to stop", func() bool {
-		select {
-		case <-m1.dispatcherDone:
-			return true
-		default:
-			return false
-		}
+	// Only release the gate once Shutdown has resolved the undispatched
+	// tail: from then on the dispatched set is frozen, so the tail cannot
+	// sneak onto the pool.
+	waitFor(t, "shutdown to cancel the campaign", func() bool {
+		return camp.Status().State == StateCancelled
 	})
-	close(gate.release) // in-flight chips finish during the drain
+	close(gate.release) // the workers' chips finish during the drain
 	if err := <-done; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
@@ -300,8 +298,8 @@ func TestShutdownLeavesJournalResumable(t *testing.T) {
 	if rs.Campaigns != 1 || rs.Settled != 0 {
 		t.Fatalf("shutdown settled the journal: %+v", rs)
 	}
-	if rs.ChipsReplayed < gated || rs.ChipsReplayed >= n {
-		t.Fatalf("replayed %d chips, want in [%d, %d)", rs.ChipsReplayed, gated, n)
+	if rs.ChipsReplayed != gated+workers {
+		t.Fatalf("replayed %d chips, want %d", rs.ChipsReplayed, gated+workers)
 	}
 	camp2, ok := m2.CampaignByKey("drain-key")
 	if !ok {

@@ -193,7 +193,7 @@ type ChipOutcome struct {
 // after Prepare.
 //
 // A lone chip is a batch of one: RunChip is runChipBatch over a pooled
-// scratch, the same executor RunChips and Stream drive.
+// scratch, the same executor RunChips drives.
 func (pl *Plan) RunChip(ctx context.Context, ch *tester.Chip, Td float64, opts RunOptions) (*ChipOutcome, error) {
 	scr := pl.getScratch()
 	defer pl.putScratch(scr)

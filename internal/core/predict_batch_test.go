@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"testing"
 
 	"effitest/internal/tester"
@@ -163,7 +162,7 @@ func TestBatchWidth(t *testing.T) {
 
 // TestBatchedPredictionMatchesUnbatched runs a deliberately ragged fleet
 // (17 chips: not a multiple of any tested width, so the final batch is
-// always partial) through the stream scheduler at batch widths 1, 2, 7 and
+// always partial) through the RunChips scheduler at batch widths 1, 2, 7 and
 // 64 and worker counts 1, 2 and 8, pinning every outcome bitwise against
 // the whole-chip naive oracle.
 func TestBatchedPredictionMatchesUnbatched(t *testing.T) {
@@ -181,7 +180,7 @@ func TestBatchedPredictionMatchesUnbatched(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("k%d_w%d", kb, workers), func(t *testing.T) {
 				n := 0
-				for r := range pl.stream(t.Context(), slices.Values(chips), c.TNominal, workers, kb, RunOptions{}, true) {
+				for r := range pl.runChips(t.Context(), chips, c.TNominal, workers, kb, RunOptions{}) {
 					if r.Err != nil {
 						t.Fatalf("chip %d: %v", r.Index, r.Err)
 					}
