@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"effitest/internal/tester"
@@ -200,10 +201,24 @@ func BenchmarkAlignSolveHeuristic(b *testing.B) {
 	batches := FormBatches(c, rangeInts(c.NumPaths()), DefaultConfig())
 	items := batchItems(c, batches[0], nil)
 	assignWeights(items, 1000, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		alignHeuristic(c, items, nil, &alignScratch{})
-	}
+	// One warm scratch, as a chip worker holds: the solves measure the
+	// search, not the allocator.
+	var scr alignScratch
+	prev := slices.Clone(alignHeuristic(c, items, nil, &scr).X)
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			alignHeuristic(c, items, nil, &scr)
+		}
+	})
+	// The warm-start re-solve runBatchTest makes after a batch's first
+	// frequency step.
+	b.Run("warm", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			alignHeuristic(c, items, prev, &scr)
+		}
+	})
 }
 
 func BenchmarkAlignSolveFastMILP(b *testing.B) {

@@ -67,9 +67,26 @@ type alignResult struct {
 type alignScratch struct {
 	x, bestX  []float64
 	restart   [3][]float64
-	vals, wts []float64
-	vw        valsWeights // reused sort adapter; repointed per median call
+	ctr, vals []float64 // per-item centers and shifted centers, in item order
+	ord       []int     // item permutation, re-sorted by (vals[i], i) per probe
+	held      []int     // items whose hold bound λ is finite
 	bufs      []int
+}
+
+// begin fills the per-solve item state: centers, the identity permutation
+// and the hold-constrained items.
+func (scr *alignScratch) begin(items []alignItem) {
+	scr.ctr = resizeF(scr.ctr, len(items))
+	scr.vals = resizeF(scr.vals, len(items))
+	scr.ord = slices.Grow(scr.ord[:0], len(items))
+	scr.held = slices.Grow(scr.held[:0], len(items))
+	for i, it := range items {
+		scr.ctr[i] = it.center()
+		scr.ord = append(scr.ord, i)
+		if !math.IsInf(it.lambda, -1) {
+			scr.held = append(scr.held, i)
+		}
+	}
 }
 
 // resizeF returns s with length n, reusing its capacity when possible.
@@ -102,80 +119,43 @@ func alignSolve(c *circuit.Circuit, items []alignItem, prev []float64, cfg Confi
 	}
 }
 
-// valsWeights sorts two parallel slices by value without allocating.
-type valsWeights struct{ v, w []float64 }
-
-func (x valsWeights) Len() int           { return len(x.v) }
-func (x valsWeights) Less(a, b int) bool { return x.v[a] < x.v[b] }
-func (x valsWeights) Swap(a, b int) {
-	x.v[a], x.v[b] = x.v[b], x.v[a]
-	x.w[a], x.w[b] = x.w[b], x.w[a]
-}
-
-// weightedMedian returns the value minimizing Σ w|t - v| — the classical
-// weighted median. It sorts vals and weights in place (callers recompute
-// them before every call).
-func weightedMedian(vals, weights []float64) float64 {
-	return weightedMedianVW(&valsWeights{vals, weights})
-}
-
-// weightedMedianVW is weightedMedian over a reusable adapter: repointing
-// and passing the same *valsWeights every call avoids boxing the slice
-// pair into a sort.Interface on the hot path.
-//
-// Small inputs — every batch under the default MaxBatch — take a direct
-// insertion sort over the parallel slices instead of sort.Sort's interface
-// machinery, which otherwise dominates the whole online flow's CPU. The
-// two sorts may order exact-tie values differently, but the weighted
-// median is invariant to tie order: the prefix sum crosses total/2 at the
-// same value either way (tie groups contribute the same weight sum
-// wherever their members sit within the group).
-func weightedMedianVW(vw *valsWeights) float64 {
-	if len(vw.v) <= 32 {
-		insertionSortVW(vw.v, vw.w)
-	} else {
-		sort.Sort(vw)
+// weightedMedian returns the value minimizing Σ w_i|t - vals[i]| — the
+// classical weighted median, w_i = items[i].weight. ord is a permutation of
+// the item indices, re-sorted in place by insertion on the key
+// (vals[i], i): an ord left by the previous probe is nearly sorted, so the
+// sort runs in close to linear time. The key is the order a stable sort
+// from item order produces, so the weight sums run in one fixed order
+// whatever ord held before.
+func weightedMedian(items []alignItem, vals []float64, ord []int) float64 {
+	for k := 1; k < len(ord); k++ {
+		i, v := ord[k], vals[ord[k]]
+		j := k - 1
+		for ; j >= 0 && (vals[ord[j]] > v || vals[ord[j]] == v && ord[j] > i); j-- {
+			ord[j+1] = ord[j]
+		}
+		ord[j+1] = i
 	}
 	total := 0.0
-	for _, w := range vw.w {
-		total += w
+	for _, i := range ord {
+		total += items[i].weight
 	}
 	acc := 0.0
-	for i, w := range vw.w {
-		acc += w
+	for _, i := range ord {
+		acc += items[i].weight
 		if acc >= total/2 {
-			return vw.v[i]
+			return vals[i]
 		}
 	}
-	return vw.v[len(vw.v)-1]
-}
-
-// insertionSortVW sorts the parallel (value, weight) slices by value.
-func insertionSortVW(v, w []float64) {
-	for i := 1; i < len(v); i++ {
-		vi, wi := v[i], w[i]
-		j := i - 1
-		for j >= 0 && v[j] > vi {
-			v[j+1], w[j+1] = v[j], w[j]
-			j--
-		}
-		v[j+1], w[j+1] = vi, wi
-	}
+	return vals[ord[len(ord)-1]]
 }
 
 // alignOff keeps buffers at zero and picks the weighted median of centers.
 func alignOff(c *circuit.Circuit, items []alignItem, scr *alignScratch) alignResult {
-	scr.vals = resizeF(scr.vals, len(items))
-	scr.wts = resizeF(scr.wts, len(items))
-	for i, it := range items {
-		scr.vals[i] = it.center()
-		scr.wts[i] = it.weight
-	}
+	scr.begin(items)
 	scr.x = resizeF(scr.x, c.NumFF)
 	x := scr.x
 	clear(x)
-	scr.vw.v, scr.vw.w = scr.vals, scr.wts
-	t := weightedMedianVW(&scr.vw)
+	t := weightedMedian(items, scr.ctr, scr.ord)
 	return alignResult{T: t, X: x, Obj: alignObjective(items, t, x)}
 }
 
@@ -186,16 +166,6 @@ func alignObjective(items []alignItem, T float64, x []float64) float64 {
 		s += it.weight * math.Abs(T-(it.center()+x[it.from]-x[it.to]))
 	}
 	return s
-}
-
-// holdViolated reports whether any item's hold bound is violated by x.
-func holdViolated(items []alignItem, x []float64) bool {
-	for _, it := range items {
-		if !math.IsInf(it.lambda, -1) && x[it.from]-x[it.to] < it.lambda-1e-12 {
-			return true
-		}
-	}
-	return false
 }
 
 // alignHeuristic is weighted-median coordinate descent over the buffer
@@ -227,22 +197,34 @@ func alignHeuristic(c *circuit.Circuit, items []alignItem, prev []float64, scr *
 	}
 	repairHolds(c, items, bufs, x)
 
-	scr.vals = resizeF(scr.vals, len(items))
-	scr.wts = resizeF(scr.wts, len(items))
-	vals, ws := scr.vals, scr.wts
+	scr.begin(items)
+	ctr, vals, ord := scr.ctr, scr.vals, scr.ord
 	// evalBestT returns the objective with T re-optimized in closed form
-	// (the weighted median of the shifted centers) for the current x.
+	// (the weighted median of the shifted centers) for the current x. The
+	// shifted centers and the objective sum are alignObjective's float ops
+	// in its order, so the result is bit-identical to a full re-evaluation.
 	evalBestT := func() (float64, float64) {
 		for i, it := range items {
-			vals[i] = it.center() + x[it.from] - x[it.to]
-			ws[i] = it.weight
+			vals[i] = ctr[i] + x[it.from] - x[it.to]
 		}
-		scr.vw.v, scr.vw.w = vals, ws
-		t := weightedMedianVW(&scr.vw)
+		t := weightedMedian(items, vals, ord)
 		if t < 0 {
 			t = 0
 		}
-		return t, alignObjective(items, t, x)
+		obj := 0.0
+		for i, it := range items {
+			obj += it.weight * math.Abs(t-vals[i])
+		}
+		return t, obj
+	}
+	// holdViolated reports whether x violates any item's hold bound.
+	holdViolated := func() bool {
+		for _, i := range scr.held {
+			if it := &items[i]; x[it.from]-x[it.to] < it.lambda-1e-12 {
+				return true
+			}
+		}
+		return false
 	}
 
 	latticeValue := func(f, k int) float64 { return c.Buf.Lo[f] + float64(k)*c.Buf.StepSize(f) }
@@ -258,11 +240,11 @@ func alignHeuristic(c *circuit.Circuit, items []alignItem, prev []float64, scr *
 		bestX := scr.bestX
 		copy(bestX, x)
 		_, best := evalBestT()
-		if holdViolated(items, x) {
+		if holdViolated() {
 			best = math.Inf(1)
 		}
 		scan := func() {
-			if _, obj := evalBestT(); obj < best-1e-12 && !holdViolated(items, x) {
+			if _, obj := evalBestT(); obj < best-1e-12 && !holdViolated() {
 				best = obj
 				copy(bestX, x)
 			}
@@ -303,7 +285,7 @@ func alignHeuristic(c *circuit.Circuit, items []alignItem, prev []float64, scr *
 						continue
 					}
 					x[f] = v
-					if holdViolated(items, x) {
+					if holdViolated() {
 						continue
 					}
 					if _, obj := evalBestT(); obj < bestObj-1e-12 {
@@ -530,11 +512,8 @@ func alignMILP(c *circuit.Circuit, items []alignItem, paperBigM bool) (alignResu
 	for f, bv := range bufOf {
 		x[f] = bv.lo + bv.step*math.Round(sol.X[bv.v])
 	}
-	res := alignResult{T: sol.X[tVar], X: x}
-	its := make([]alignItem, len(items))
-	copy(its, items)
-	res.Obj = alignObjective(its, res.T, x)
-	return res, nil
+	t := sol.X[tVar]
+	return alignResult{T: t, X: x, Obj: alignObjective(items, t, x)}, nil
 }
 
 func cloneTerms(ts []lp.Term) []lp.Term {
