@@ -13,9 +13,6 @@
 //	effitest -circuit s9234 -save-plan s9234.effiplan         # export the artifact
 //	effitest -circuit s9234 -load-plan s9234.effiplan         # run from the artifact
 //
-// (a ".json" extension on -save-plan/-load-plan selects the JSON artifact
-// form.)
-//
 // Profile a run with the standard pprof flags:
 //
 //	effitest -circuit s38584 -chips 50 -cpuprofile cpu.out -memprofile mem.out
@@ -48,7 +45,7 @@ func main() {
 		eps        = flag.Float64("eps", 0, "delay-range termination threshold in ns (0 = default 0.002)")
 		workers    = flag.Int("workers", 0, "worker goroutines for chip execution (0 = all CPUs, 1 = sequential)")
 		cacheDir   = flag.String("plan-cache", "", "content-addressed plan cache directory (skips Prepare on a warm hit)")
-		savePlan   = flag.String("save-plan", "", "write the prepared plan artifact to this path (.json = JSON form)")
+		savePlan   = flag.String("save-plan", "", "write the prepared plan's binary artifact to this path")
 		loadPlan   = flag.String("load-plan", "", "load the plan from this artifact instead of running Prepare")
 		progress   = flag.Bool("progress", false, "print per-chip/batch progress to stderr while the fleet runs")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")

@@ -65,8 +65,7 @@
 // frequency steps, chip completions).
 //
 // The offline plan is a first-class artifact: SavePlan/LoadPlan serialize
-// it (versioned binary or JSON, circuit-fingerprinted and validated on
-// load), WithPlan injects a loaded artifact, and WithPlanCache points the
+// it (versioned binary, circuit-fingerprinted and validated on load), WithPlan injects a loaded artifact, and WithPlanCache points the
 // engine at a content-addressed on-disk cache so Prepare runs once per
 // (circuit, configuration) across every process that shares the
 // directory.
@@ -221,15 +220,15 @@ var (
 	ErrPlanCircuitMismatch = core.ErrPlanCircuitMismatch
 )
 
-// SavePlan writes a prepared plan to disk as a versioned artifact —
-// binary, or JSON when the path ends in ".json" — atomically. The artifact
-// embeds the circuit fingerprint and the full flow configuration, so it
-// can be shipped across processes and machines.
+// SavePlan writes a prepared plan to disk as a versioned binary artifact
+// (the bytes EncodePlan returns), atomically. The artifact embeds the
+// circuit fingerprint and the full flow configuration, so it can be shipped
+// across processes and machines.
 func SavePlan(path string, pl *Plan) error { return core.SavePlan(path, pl) }
 
-// LoadPlan reads a plan artifact (either serialization form) and binds it
-// to the circuit, verifying the embedded circuit fingerprint and
-// range-checking every index. Feed the result to WithPlan to skip Prepare.
+// LoadPlan reads a binary plan artifact and binds it to the circuit,
+// verifying the embedded circuit fingerprint and range-checking every
+// index. Feed the result to WithPlan to skip Prepare.
 func LoadPlan(path string, c *Circuit) (*Plan, error) { return core.LoadPlan(path, c) }
 
 // CircuitFingerprint returns the stable content hash that keys plan
@@ -247,10 +246,9 @@ func ConfigFingerprint(cfg Config) string { return core.ConfigFingerprint(cfg) }
 // files (an HTTP upload, a database blob).
 func EncodePlan(pl *Plan) ([]byte, error) { return pl.MarshalBinary() }
 
-// DecodePlan decodes a plan artifact in either serialization form (binary
-// or JSON, sniffed by content). The result is unbound: hand it to WithPlan,
-// which binds it to the engine's circuit, verifying the embedded circuit
-// fingerprint.
+// DecodePlan decodes a binary plan artifact (the bytes EncodePlan returns).
+// The result is unbound: hand it to WithPlan, which binds it to the
+// engine's circuit, verifying the embedded circuit fingerprint.
 func DecodePlan(data []byte) (*Plan, error) { return core.DecodePlan(data) }
 
 // Alignment and configuration solver modes.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"slices"
 
 	"effitest/internal/circuit"
 	"effitest/internal/core"
@@ -342,13 +341,10 @@ func resolvePlan(ctx context.Context, c *Circuit, s *engineSettings) (*core.Plan
 		// Shallow-copy the supplied plan: the engine owns its plan's Cfg
 		// (the worker count below), and the caller may share one loaded
 		// artifact across several engines. The deep state (groups, batches,
-		// hold bounds) is read-only after Bind, so sharing it is safe.
+		// hold bounds) is never written, by Bind or by a run, so sharing it
+		// is safe.
 		pl := *s.plan
 		if pl.Circuit == nil {
-			// Bind writes the recomputed per-group distributions into the
-			// Groups backing array; clone it so an unbound artifact shared
-			// across engines is never written through.
-			pl.Groups = slices.Clone(pl.Groups)
 			if err := pl.Bind(c); err != nil {
 				return nil, false, err
 			}

@@ -642,19 +642,6 @@ func WithManagerObserver(obs effitest.Observer) ManagerOption {
 	}
 }
 
-// WithManagerPlanCache is shorthand for a default registry backed by the
-// plan-cache directory at dir.
-func WithManagerPlanCache(dir string) ManagerOption {
-	return func(m *Manager) error {
-		r, err := NewRegistry(WithPlanCacheDir(dir))
-		if err != nil {
-			return err
-		}
-		m.reg = r
-		return nil
-	}
-}
-
 // NewManager builds a campaign manager and starts its worker pool. Shut it
 // down with Shutdown.
 func NewManager(opts ...ManagerOption) (*Manager, error) {
@@ -910,10 +897,18 @@ func (m *Manager) Stats() ManagerStats {
 			st.CampaignsFailed++
 		}
 		if c.results != nil && !c.state.Terminal() {
+			// Count unresolved slots, not cursor arithmetic: chips replayed
+			// from the journal hold results anywhere in the list, including
+			// past the dispatch cursor.
 			d := min(dispatched[i], len(c.results))
-			st.ChipsPending += len(c.results) - d
-			if inflight := d - c.completed; inflight > 0 {
-				st.ChipsInFlight += inflight
+			for j, r := range c.results {
+				switch {
+				case r != nil:
+				case j < d:
+					st.ChipsInFlight++
+				default:
+					st.ChipsPending++
+				}
 			}
 		}
 		c.mu.Unlock()

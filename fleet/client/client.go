@@ -266,8 +266,8 @@ func (c *Client) WaitSettled(ctx context.Context, id string) (httpapi.CampaignSt
 	}
 }
 
-// UploadPlan uploads a plan artifact (binary or JSON form) and returns its
-// content address.
+// UploadPlan uploads a binary plan artifact (effitest.EncodePlan's bytes)
+// and returns its content address.
 func (c *Client) UploadPlan(ctx context.Context, artifact []byte) (string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/plans", bytes.NewReader(artifact))
 	if err != nil {

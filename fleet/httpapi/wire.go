@@ -13,7 +13,7 @@
 //	                                     (?from=N resumes mid-stream)
 //	GET    /v1/campaigns/{id}/aggregate  canonical aggregate JSON
 //	DELETE /v1/campaigns/{id}            cancel
-//	POST   /v1/plans                     upload a plan artifact (binary/JSON)
+//	POST   /v1/plans                     upload a binary plan artifact
 //	GET    /v1/plans                     list stored artifact ids
 //	GET    /v1/plans/{id}                download an artifact
 //

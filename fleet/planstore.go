@@ -12,9 +12,9 @@ import (
 
 // PlanStore is a content-addressed in-memory store of plan artifacts, the
 // backing for effitestd's plan upload/download endpoints. Artifacts are
-// validated on Put (both serialization forms decode through the PR-3
-// codecs) and keyed by the SHA-256 of their bytes, so an upload is
-// idempotent and a downloaded artifact is verifiably the uploaded one.
+// validated on Put (they must decode as binary plan artifacts) and keyed by
+// the SHA-256 of their bytes, so an upload is idempotent and a downloaded
+// artifact is verifiably the uploaded one.
 type PlanStore struct {
 	mu    sync.Mutex
 	blobs map[string][]byte
@@ -25,8 +25,8 @@ func NewPlanStore() *PlanStore {
 	return &PlanStore{blobs: map[string][]byte{}}
 }
 
-// Put validates and stores a plan artifact (binary or JSON form) and
-// returns its content address.
+// Put validates and stores a binary plan artifact (effitest.EncodePlan's
+// bytes) and returns its content address.
 func (ps *PlanStore) Put(data []byte) (string, error) {
 	if _, err := effitest.DecodePlan(data); err != nil {
 		return "", fmt.Errorf("fleet: invalid plan artifact: %w", err)

@@ -184,6 +184,101 @@ func TestRecoverBitIdentical(t *testing.T) {
 	}
 }
 
+// holdBackend delegates to the simulated ATE but blocks session opens for
+// the chip indices in hold until release closes, announcing each blocked
+// chip on held (buffered, so announcing never blocks).
+type holdBackend struct {
+	hold    map[int]bool
+	held    chan int
+	release chan struct{}
+	inner   effitest.SimBackend
+}
+
+func newHoldBackend(chips ...int) *holdBackend {
+	h := &holdBackend{hold: map[int]bool{}, held: make(chan int, len(chips)), release: make(chan struct{})}
+	for _, i := range chips {
+		h.hold[i] = true
+	}
+	return h
+}
+
+func (h *holdBackend) Open(ch *effitest.Chip, resolution float64) (effitest.Session, error) {
+	if h.hold[ch.Index] {
+		h.held <- ch.Index
+		<-h.release
+	}
+	return h.inner.Open(ch, resolution)
+}
+
+// TestStatsCountsReplayedChipsBySlot: a recovered campaign whose journaled
+// chips are not a prefix of its chip list ({0,1,3} of 8) must report the
+// dispatched-but-unfinished chip as in flight and only the unresolved tail
+// as pending — replayed chips past the dispatch cursor are neither.
+func TestStatsCountsReplayedChipsBySlot(t *testing.T) {
+	const n = 8
+	c := tinyCircuit(t, "gapped", 3)
+	ctx := context.Background()
+
+	// Crash run: two workers finish chips 0, 1 and 3 while chip 2 and the
+	// tail block in the backend; closing the journal is the crash.
+	dir := t.TempDir()
+	j1, err := journal.Open(dir, journal.WithoutSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate1 := newHoldBackend(2, 4, 5, 6, 7)
+	m1 := newTestManager(t, WithWorkers(2), WithJournal(j1))
+	spec := CampaignSpec{
+		Name: "gapped", Circuit: c, Options: fastOpts(effitest.WithBackend(gate1)),
+		ChipSeed: 5, ChipCount: n, JournalPayload: []byte(`{"campaign":"gapped"}`),
+	}
+	camp1, err := m1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "chips 0, 1 and 3 to journal", func() bool {
+		return j1.Stats().Records >= 1+3
+	})
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(gate1.release)
+	if _, err := camp1.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	m1.Shutdown(ctx)
+
+	// Recovery boot on one worker, which blocks on chip 2.
+	j2, err := journal.Open(dir, journal.WithoutSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate2 := newHoldBackend(2)
+	recovered := spec
+	recovered.Options = fastOpts(effitest.WithBackend(gate2))
+	m2 := newTestManager(t, WithWorkers(1), WithJournal(j2))
+	rs, err := m2.Recover(testDecoder(recovered))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.ChipsReplayed != 3 {
+		t.Fatalf("replayed %d chips, want 3", rs.ChipsReplayed)
+	}
+	<-gate2.held
+	st := m2.Stats()
+	close(gate2.release) // before any Fatal: Shutdown would wait on chip 2
+	if st.ChipsInFlight != 1 || st.ChipsPending != 4 {
+		t.Fatalf("ChipsInFlight = %d, ChipsPending = %d, want 1 and 4", st.ChipsInFlight, st.ChipsPending)
+	}
+	camp2, ok := m2.Campaign(camp1.ID())
+	if !ok {
+		t.Fatal("recovered campaign not found")
+	}
+	if st, err := camp2.Wait(ctx); err != nil || st.State != StateDone {
+		t.Fatalf("recovered campaign: %v, %v", st.State, err)
+	}
+}
+
 // TestSubmitIdempotencyKey: a duplicate key returns the prior campaign —
 // same pointer, no new execution — and key validation lives at the HTTP
 // layer, so the manager accepts any non-empty string.

@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // AlignMode selects how the per-iteration alignment problem (Eqs. 7–14) is
@@ -174,11 +173,4 @@ func (cfg Config) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Durations collects the paper's runtime columns.
-type Durations struct {
-	Prep   time.Duration // Tp: grouping, selection, multiplexing, hold bounds
-	Align  time.Duration // Tt: computing T and buffer values during test
-	Config time.Duration // Ts: final buffer-value determination
 }

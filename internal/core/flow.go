@@ -32,7 +32,7 @@ type Plan struct {
 	PrepDuration time.Duration
 
 	// circuitHash / circuitName identify the circuit a serialized plan was
-	// prepared for (see planio.go); set by Prepare, the codecs and Bind.
+	// prepared for (see planio.go); set by Prepare, the codec and Bind.
 	circuitHash string
 	circuitName string
 
@@ -66,12 +66,6 @@ func PrepareCtx(ctx context.Context, c *circuit.Circuit, cfg Config) (*Plan, err
 	start := time.Now()
 	groups, tested, err := selectPathsCtx(ctx, c, cfg)
 	if err != nil {
-		return nil, err
-	}
-	// Precompute each group's joint distribution once: the per-chip
-	// conditional prediction reuses it across the whole fleet instead of
-	// rebuilding covariance submatrices chip by chip.
-	if err := precomputeGroupMVNs(ctx, c, groups); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -121,27 +115,6 @@ func PrepareCtx(ctx context.Context, c *circuit.Circuit, cfg Config) (*Plan, err
 	pl.installKernels(ks)
 	pl.PrepDuration = time.Since(start)
 	return pl, nil
-}
-
-// precomputeGroupMVNs attaches each multi-path group's joint delay
-// distribution (used by Prepare, and by Bind when a plan is restored from a
-// serialized artifact — the MVN is derived state, recomputed rather than
-// shipped).
-func precomputeGroupMVNs(ctx context.Context, c *circuit.Circuit, groups []Group) error {
-	for i := range groups {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if len(groups[i].Paths) < 2 {
-			continue
-		}
-		mvn, err := groupMVN(c, groups[i])
-		if err != nil {
-			return err
-		}
-		groups[i].mvn = mvn
-	}
-	return nil
 }
 
 // NumTested returns the paper's npt.
@@ -269,11 +242,11 @@ func chipDone(obs Observer, chip int, out *ChipOutcome, err error) {
 // the only chip executor: measurement chip by chip, then §3.4 prediction
 // batched across every chip that measured cleanly — one TRSM-shaped
 // multi-RHS kernel call per correlation group — then configuration chip by
-// chip. Outcomes are bit-identical at any batch width (the batched kernels
-// are column-wise identical to the vector kernels) and a chip's failure
-// stays its own result: the rest of the batch proceeds without it. The
-// returned slice is parallel to chips, entry i carrying Index first+i; it
-// lives in scr and is valid until the scratch's next batch.
+// chip. Outcomes are bit-identical at any batch width (the multi-RHS
+// kernels compute each column independently of the others) and a chip's
+// failure stays its own result: the rest of the batch proceeds without it.
+// The returned slice is parallel to chips, entry i carrying Index first+i;
+// it lives in scr and is valid until the scratch's next batch.
 //
 // The batch's prediction wall time is attributed evenly: each predicted
 // chip's PredictDuration is the batch total divided by the batch's live

@@ -16,11 +16,6 @@ type Group struct {
 	Threshold float64 // correlation threshold at extraction time
 	NumPCs    int     // shared principal components found
 	Selected  []int   // path ids chosen for frequency-stepping test
-
-	// mvn is the group's joint delay distribution, precomputed by Prepare
-	// so the per-chip conditional prediction (a hot, parallel path) does
-	// not rebuild it for every chip. Read-only once set.
-	mvn *stats.MVN
 }
 
 // SelectPaths implements Procedure 1: extract correlation groups with a

@@ -3,12 +3,12 @@ package core
 // This file holds the plan-time prediction kernels: the conditional
 // structure of §3.2/§3.4 — which tested paths condition which untested
 // paths, per correlation group — is fixed the moment the Plan's tested set
-// is final, so Prepare (and Bind, when a plan is restored from an artifact)
-// prefactorizes it once. Per chip, conditional prediction then reduces to
-// one triangular solve + matrix-vector product per group over a pooled
-// scratch workspace: no maps, no matrix allocation, no re-factorization,
-// and results bit-identical to the naive groupMVN+Conditional oracle
-// (pinned by the differential tests).
+// is final, so Prepare (or the first chip on a plan restored from an
+// artifact) prefactorizes it once. Per batch of chips, conditional
+// prediction then reduces to one multi-RHS triangular solve + matrix product
+// per group over a pooled scratch workspace: no maps, no matrix allocation,
+// no re-factorization, and results bit-identical to the naive
+// groupMVN+Conditional oracle (pinned by the differential tests).
 
 import (
 	"context"
@@ -107,7 +107,7 @@ func bakePredictKernels(ctx context.Context, c *circuit.Circuit, groups []Group,
 			continue
 		}
 		if gk.pred != nil {
-			if need := len(gk.known) + len(gk.unknown) + gk.pred.ScratchLen(); need > ks.scratchLen {
+			if need := len(gk.known) + len(gk.unknown) + gk.pred.ScratchLenBatch(1); need > ks.scratchLen {
 				ks.scratchLen = need
 			}
 			ks.predGroups++
@@ -118,42 +118,14 @@ func bakePredictKernels(ctx context.Context, c *circuit.Circuit, groups []Group,
 	return ks, nil
 }
 
-// predictOne applies one baked group predictor to a single chip's bounds:
-// gather the measured upper bounds, one triangular solve + matvec (Eq. 4),
-// scatter the μ′ ± 3σ′ windows back. Allocation-free once ws is warm.
-func (gk *groupKernel) predictOne(b *Bounds, ws *la.Workspace) {
-	ws.Reset()
-	obs := ws.Take(len(gk.known))
-	for j, k := range gk.known {
-		obs[j] = b.Hi[k] // conservative: measured upper bounds
-	}
-	mu := ws.Take(len(gk.unknown))
-	gk.pred.MuTo(mu, obs, ws)
-	for j, p := range gk.unknown {
-		sigma := gk.sigma[j]
-		m := mu[j]
-		lo := m - 3*sigma
-		if lo < 0 {
-			lo = 0
-		}
-		b.Lo[p] = lo
-		b.Hi[p] = m + 3*sigma
-	}
-}
-
 // predictMulti applies one baked group predictor to K chips at once through
-// the TRSM-shaped multi-RHS kernels: the group's Cholesky factor and
+// the TRSM-shaped multi-RHS kernels: gather the measured upper bounds into
+// an observation block whose column j is chip j's, one MuBatchTo (Eq. 4),
+// scatter the μ′ ± 3σ′ windows back. The group's Cholesky factor and
 // cross-covariance stream through the cache once per batch instead of once
-// per chip. Column j of the observation block is chip j's measurements, so
-// each chip's result is bit-identical to predictOne (the multi kernels are
-// column-wise identical to the vector kernels). A single chip takes the
-// vector path — batching buys nothing there and the strided gather would
-// only cost.
+// per chip, and each column's result is independent of the batch width (a
+// lone chip is K = 1). Allocation-free once ws is warm.
 func (gk *groupKernel) predictMulti(bs []*Bounds, ws *la.Workspace) {
-	if len(bs) == 1 {
-		gk.predictOne(bs[0], ws)
-		return
-	}
 	ws.Reset()
 	obs := ws.TakeMatrix(len(gk.known), len(bs))
 	for i, k := range gk.known {

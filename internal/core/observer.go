@@ -62,7 +62,7 @@ type AlignSolveEvent struct {
 // prediction runtime — the component the paper folds into Tp — spent
 // applying the plan's baked predictors (AlignSolveEvent durations are the
 // matching Tt component). Groups and Predicted describe the baked kernel
-// structure and are zero when the plan runs the naive prediction path.
+// structure: they are the same for every chip of a plan.
 type PredictEvent struct {
 	Chip      int
 	Groups    int // correlation groups with at least one measured path

@@ -85,13 +85,6 @@ func (pc *PlanCache) Path(key string) string {
 // Workers, and online parallelism should follow the live request, not
 // whatever width the writing process used.
 func (pc *PlanCache) Get(c *circuit.Circuit, cfg Config) (*Plan, error) {
-	return pc.getCtx(context.Background(), c, cfg)
-}
-
-// getCtx is Get with cancellation of the bind work (the kernel bake is the
-// expensive tail of a warm load). A cancelled context is an error, never a
-// silent miss — a miss would trigger a full re-Prepare.
-func (pc *PlanCache) getCtx(ctx context.Context, c *circuit.Circuit, cfg Config) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -111,13 +104,10 @@ func (pc *PlanCache) getCtx(ctx context.Context, c *circuit.Circuit, cfg Config)
 		return nil, nil // corrupt entry: miss, Put will overwrite
 	}
 	// Adopt the live request's config before binding: the cache key pins
-	// every field except Workers, and the bind-time kernel bake should fan
-	// out at the caller's width, not the writing process's.
+	// every field except Workers, and the first chip's lazy kernel bake
+	// should fan out at the caller's width, not the writing process's.
 	pl.Cfg = cfg
-	if err := pl.bindWithFingerprint(ctx, c, cfp); err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
+	if err := pl.bindWithFingerprint(c, cfp); err != nil {
 		return nil, nil // stale or tampered entry: miss
 	}
 	return pl, nil
@@ -132,7 +122,7 @@ func PrepareCached(ctx context.Context, dir string, c *circuit.Circuit, cfg Conf
 	if err != nil {
 		return nil, false, err
 	}
-	if pl, err := pc.getCtx(ctx, c, cfg); err != nil {
+	if pl, err := pc.Get(c, cfg); err != nil {
 		return nil, false, err
 	} else if pl != nil {
 		return pl, true, nil

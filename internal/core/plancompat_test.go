@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"os"
 	"testing"
@@ -22,33 +20,15 @@ func v1BinaryArtifact(tb testing.TB, bin []byte) []byte {
 	return old
 }
 
-// v1JSONArtifact downgrades a current JSON artifact to format version 1.
-func v1JSONArtifact(tb testing.TB, js []byte) []byte {
-	tb.Helper()
-	var m map[string]any
-	if err := json.Unmarshal(js, &m); err != nil {
-		tb.Fatal(err)
-	}
-	m["format"] = 1
-	out, err := json.Marshal(m)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return out
-}
-
 // TestPlanDecodeRejectsV1Artifacts pins the v1→v2 compatibility contract:
 // artifacts written before the prediction-kernel bake (PR 3/4 plan caches
 // and exports) are rejected with the typed ErrPlanVersion — never decoded
 // into a plan with garbage kernels.
 func TestPlanDecodeRejectsV1Artifacts(t *testing.T) {
-	_, bin, js := fuzzPlanArtifacts(t)
+	_, bin := fuzzPlanArtifacts(t)
 
 	if _, err := DecodePlan(v1BinaryArtifact(t, bin)); !errors.Is(err, ErrPlanVersion) {
 		t.Fatalf("v1 binary artifact: got %v, want ErrPlanVersion", err)
-	}
-	if _, err := DecodePlanJSON(bytes.NewReader(v1JSONArtifact(t, js))); !errors.Is(err, ErrPlanVersion) {
-		t.Fatalf("v1 JSON artifact: got %v, want ErrPlanVersion", err)
 	}
 	// Future versions are rejected the same way — decode never guesses.
 	future := append([]byte{}, bin...)
@@ -63,7 +43,7 @@ func TestPlanDecodeRejectsV1Artifacts(t *testing.T) {
 // (old entries are simply never looked up), and even a v1 artifact planted
 // at a current key reads as a miss that the next Prepare overwrites.
 func TestPlanCacheSelfHealsAcrossVersions(t *testing.T) {
-	c, bin, _ := fuzzPlanArtifacts(t)
+	c, bin := fuzzPlanArtifacts(t)
 	cfg := DefaultConfig()
 	cfg.HoldSamples = 40
 

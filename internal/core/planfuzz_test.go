@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,9 +9,9 @@ import (
 	"effitest/internal/circuit"
 )
 
-// fuzzPlanArtifacts builds one small valid binary and JSON artifact to seed
-// the fuzzer (plus the circuit to Bind against).
-func fuzzPlanArtifacts(tb testing.TB) (*circuit.Circuit, []byte, []byte) {
+// fuzzPlanArtifacts builds one small valid artifact to seed the fuzzer (plus
+// the circuit to Bind against).
+func fuzzPlanArtifacts(tb testing.TB) (*circuit.Circuit, []byte) {
 	tb.Helper()
 	c, err := circuit.Generate(circuit.TinyProfile("fuzzplan", 12, 96, 2, 14), 7)
 	if err != nil {
@@ -28,11 +27,7 @@ func fuzzPlanArtifacts(tb testing.TB) (*circuit.Circuit, []byte, []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var js bytes.Buffer
-	if err := EncodePlanJSON(&js, pl); err != nil {
-		tb.Fatal(err)
-	}
-	return c, bin, js.Bytes()
+	return c, bin
 }
 
 // FuzzPlanDecode asserts the plan codec's safety contract: arbitrary input
@@ -41,26 +36,28 @@ func fuzzPlanArtifacts(tb testing.TB) (*circuit.Circuit, []byte, []byte) {
 // allocate unboundedly; and whatever decodes must survive Bind's
 // range validation without out-of-range access.
 func FuzzPlanDecode(f *testing.F) {
-	c, bin, js := fuzzPlanArtifacts(f)
+	c, bin := fuzzPlanArtifacts(f)
 
 	f.Add(bin)
-	f.Add(js)
-	f.Add(bin[:len(bin)/2])        // truncated
-	f.Add(bin[:len(planMagic)+1])  // header only
-	f.Add([]byte("EFTPLAN\x00"))   // magic, nothing else
-	f.Add([]byte("{}"))            // JSON, wrong shape
-	f.Add([]byte(`{"format":99}`)) // JSON version skew
-	f.Add([]byte{})                // empty
+	f.Add(append(append([]byte{}, bin...), 0)) // trailing byte
+	f.Add(bin[:len(bin)/2])                    // truncated
+	f.Add(bin[:len(planMagic)+1])              // header only
+	f.Add([]byte("EFTPLAN\x00"))               // magic, nothing else
+	f.Add([]byte("{}"))                        // no magic
+	f.Add([]byte("EFTPLAN\x00\xff"))           // magic, bad version varint
+	f.Add([]byte{})                            // empty
 	skew := append([]byte{}, bin...)
 	skew[len(planMagic)] ^= 0x7F // corrupt the version byte
 	f.Add(skew)
 	flip := append([]byte{}, bin...)
 	flip[len(flip)/2] ^= 0xFF // flip a payload bit
 	f.Add(flip)
-	// Previous-format artifacts (PR 3/4 plan caches): must be rejected with
-	// the typed version error, never decoded into garbage kernels.
+	// Previous-format (v1) and future-format artifacts: must be rejected
+	// with the typed version error, never decoded into garbage kernels.
 	f.Add(v1BinaryArtifact(f, bin))
-	f.Add(v1JSONArtifact(f, js))
+	future := append([]byte{}, bin...)
+	future[len(planMagic)] = PlanFormatVersion + 1
+	f.Add(future)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pl, err := DecodePlan(data)
@@ -82,7 +79,7 @@ func TestRegenFuzzCorpusSeeds(t *testing.T) {
 	if os.Getenv("EFFITEST_UPDATE_FUZZ_CORPUS") == "" {
 		t.Skip("set EFFITEST_UPDATE_FUZZ_CORPUS=1 to regenerate the corpus")
 	}
-	_, bin, js := fuzzPlanArtifacts(t)
+	_, bin := fuzzPlanArtifacts(t)
 	dir := filepath.Join("testdata", "fuzz", "FuzzPlanDecode")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
@@ -95,7 +92,6 @@ func TestRegenFuzzCorpusSeeds(t *testing.T) {
 		}
 	}
 	write("valid_binary", bin)
-	write("valid_json", js)
 	write("truncated", bin[:len(bin)/2])
 	flip := append([]byte{}, bin...)
 	flip[len(flip)/2] ^= 0xFF
@@ -104,5 +100,4 @@ func TestRegenFuzzCorpusSeeds(t *testing.T) {
 	skew[len(planMagic)] ^= 0x7F
 	write("version_skew", skew)
 	write("version_v1_binary", v1BinaryArtifact(t, bin))
-	write("version_v1_json", v1JSONArtifact(t, js))
 }

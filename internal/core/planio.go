@@ -1,27 +1,22 @@
 package core
 
 // This file implements plan serialization: a versioned binary codec
-// (MarshalBinary / UnmarshalBinary) and an equivalent JSON form, plus
-// SavePlan / LoadPlan file helpers. A serialized plan is a self-describing
-// artifact — it embeds the circuit fingerprint it was prepared for and the
-// full flow configuration — so the expensive offline Prepare can run once
-// and its result be shared across processes and machines. A decoded plan is
-// inert until Bind re-attaches the circuit (verifying the fingerprint) and
-// recomputes the derived per-group distributions.
+// (MarshalBinary / UnmarshalBinary) plus SavePlan / LoadPlan file helpers. A
+// serialized plan is a self-describing artifact — it embeds the circuit
+// fingerprint it was prepared for and the full flow configuration — so the
+// expensive offline Prepare can run once and its result be shared across
+// processes and machines. A decoded plan is inert until Bind re-attaches the
+// circuit (verifying the fingerprint and every index).
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"effitest/internal/circuit"
@@ -451,131 +446,33 @@ func sortedHoldPairs(h *HoldBounds) []holdPair {
 	return out
 }
 
-// ---- JSON codec ----
-
-type planJSONGroup struct {
-	Paths     []int   `json:"paths"`
-	Threshold float64 `json:"threshold"`
-	NumPCs    int     `json:"num_pcs"`
-	Selected  []int   `json:"selected"`
-}
-
-type planJSONHold struct {
-	From   int     `json:"from"`
-	To     int     `json:"to"`
-	Lambda float64 `json:"lambda"`
-}
-
-type planJSON struct {
-	Format      int             `json:"format"`
-	CircuitHash string          `json:"circuit_hash"`
-	Circuit     string          `json:"circuit"`
-	Config      Config          `json:"config"`
-	Groups      []planJSONGroup `json:"groups"`
-	Tested      []int           `json:"tested"`
-	Filled      []int           `json:"filled,omitempty"`
-	Batches     [][]int         `json:"batches"`
-	Hold        []planJSONHold  `json:"hold,omitempty"`
-	PrepNs      int64           `json:"prep_duration_ns"`
-}
-
-// EncodePlanJSON writes the plan's JSON artifact form — the same data as
-// MarshalBinary, human-readable and diffable. Go's float64 JSON encoding is
-// shortest-round-trip, so the JSON form is as bit-exact as the binary one.
-func EncodePlanJSON(w io.Writer, pl *Plan) error {
-	hash := pl.circuitHash
-	name := pl.circuitName
-	if pl.Circuit != nil {
-		var err error
-		if hash, err = circuit.Fingerprint(pl.Circuit); err != nil {
-			return err
-		}
-		name = pl.Circuit.Name
-	}
-	if hash == "" {
-		return fmt.Errorf("core: cannot marshal a plan with no circuit")
-	}
-	pj := planJSON{
-		Format:      PlanFormatVersion,
-		CircuitHash: hash,
-		Circuit:     name,
-		Config:      pl.Cfg,
-		Tested:      pl.Tested,
-		Filled:      pl.Filled,
-		Batches:     pl.Batches,
-		PrepNs:      int64(pl.PrepDuration),
-	}
-	for _, g := range pl.Groups {
-		pj.Groups = append(pj.Groups, planJSONGroup{Paths: g.Paths, Threshold: g.Threshold, NumPCs: g.NumPCs, Selected: g.Selected})
-	}
-	if pl.Hold != nil {
-		for _, p := range sortedHoldPairs(pl.Hold) {
-			pj.Hold = append(pj.Hold, planJSONHold{From: p.pair[0], To: p.pair[1], Lambda: p.lambda})
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(pj)
-}
-
-// DecodePlanJSON reads a JSON plan artifact; like UnmarshalBinary the
-// result is unbound until Bind.
-func DecodePlanJSON(r io.Reader) (*Plan, error) {
-	var pj planJSON
-	if err := json.NewDecoder(r).Decode(&pj); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrPlanFormat, err)
-	}
-	if pj.Format != PlanFormatVersion {
-		return nil, fmt.Errorf("%w: artifact version %d, this build reads %d", ErrPlanVersion, pj.Format, PlanFormatVersion)
-	}
-	pl := &Plan{
-		Cfg:          pj.Config,
-		Tested:       pj.Tested,
-		Filled:       pj.Filled,
-		Batches:      pj.Batches,
-		PrepDuration: time.Duration(pj.PrepNs),
-		circuitHash:  pj.CircuitHash,
-		circuitName:  pj.Circuit,
-	}
-	for _, g := range pj.Groups {
-		pl.Groups = append(pl.Groups, Group{Paths: g.Paths, Threshold: g.Threshold, NumPCs: g.NumPCs, Selected: g.Selected})
-	}
-	if len(pj.Hold) > 0 {
-		pl.Hold = &HoldBounds{ByPair: make(map[[2]int]float64, len(pj.Hold))}
-		for _, h := range pj.Hold {
-			pl.Hold.ByPair[[2]int{h.From, h.To}] = h.Lambda
-		}
-	}
-	return pl, nil
-}
-
 // ---- binding and validation ----
 
 // Bind attaches a decoded plan to its circuit: the circuit's fingerprint
 // must match the one embedded in the artifact (ErrPlanCircuitMismatch
 // otherwise), every path / flip-flop index is range-checked against the
-// circuit, the flow configuration is re-validated, and the derived
-// per-group distributions are recomputed. After a successful Bind the plan
-// behaves exactly like one produced by Prepare on this process, with one
-// deliberate difference in timing: the conditional-prediction kernels are
-// baked lazily, by the first chip run on the plan, instead of eagerly here
-// — so a warm plan-cache load stays cheap and a process that only inspects
-// or re-serves the plan never pays the per-group Cholesky work. A kernel
-// bake failure (possible only on a tampered-but-plausible artifact)
-// correspondingly surfaces on that first chip run rather than from Bind.
+// circuit and the flow configuration is re-validated. Bind writes nothing
+// into the plan's Groups, Tested or Batches. After a successful Bind the
+// plan behaves exactly like one produced by Prepare on this process, with
+// one deliberate difference in timing: the conditional-prediction kernels
+// are baked lazily, by the first chip run on the plan, instead of eagerly
+// here — so a warm plan-cache load stays cheap and a process that only
+// inspects or re-serves the plan never pays the per-group Cholesky work. A
+// kernel bake failure (possible only on a tampered-but-plausible artifact,
+// e.g. a group whose covariance is singular) correspondingly surfaces on
+// that first chip run rather than from Bind.
 func (pl *Plan) Bind(c *circuit.Circuit) error {
 	hash, err := circuit.Fingerprint(c)
 	if err != nil {
 		return err
 	}
-	return pl.bindWithFingerprint(context.Background(), c, hash)
+	return pl.bindWithFingerprint(c, hash)
 }
 
 // bindWithFingerprint is Bind with the circuit's fingerprint already
 // computed (the plan cache hashes the circuit for its key anyway; hashing
-// a large netlist twice per warm load would double the hot-path cost) and
-// with cancellation over the per-group MVN recomputation.
-func (pl *Plan) bindWithFingerprint(ctx context.Context, c *circuit.Circuit, hash string) error {
+// a large netlist twice per warm load would double the hot-path cost).
+func (pl *Plan) bindWithFingerprint(c *circuit.Circuit, hash string) error {
 	if pl.circuitHash != "" && pl.circuitHash != hash {
 		return fmt.Errorf("%w: artifact for %q (%.12s…), got %q (%.12s…)",
 			ErrPlanCircuitMismatch, pl.circuitName, pl.circuitHash, c.Name, hash)
@@ -589,19 +486,10 @@ func (pl *Plan) bindWithFingerprint(ctx context.Context, c *circuit.Circuit, has
 	pl.Circuit = c
 	pl.circuitHash = hash
 	pl.circuitName = c.Name
-	if err := precomputeGroupMVNs(ctx, c, pl.Groups); err != nil {
-		// A range-valid but semantically broken artifact (e.g. a tampered
-		// group whose covariance is singular) surfaces here. Cancellation
-		// surfaces as the context's error, not a format error.
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return ctxErr
-		}
-		return fmt.Errorf("%w: %v", ErrPlanFormat, err)
-	}
-	// The conditional-prediction kernels are derived state like the group
-	// MVNs — recomputed, never shipped — but baking them (a ridged Cholesky
-	// per group) is the expensive tail of a warm plan-cache load, and a
-	// process that binds a plan to inspect or re-serve it never needs them.
+	// The conditional-prediction kernels are derived state — recomputed,
+	// never shipped — but baking them (a ridged Cholesky per group) is the
+	// expensive tail of a warm plan-cache load, and a process that binds a
+	// plan to inspect or re-serve it never needs them.
 	// Defer the bake to first use: the first chip executed on this plan
 	// pays it once, under the plan's Workers fan-out.
 	pl.installKernels(nil)
@@ -654,27 +542,17 @@ func (pl *Plan) validateAgainst(c *circuit.Circuit) error {
 
 // ---- file helpers ----
 
-// SavePlan writes the plan to path atomically (temp file + rename). A
-// ".json" extension selects the JSON artifact form; anything else the
-// binary form.
+// SavePlan writes the plan's binary artifact (MarshalBinary) to path
+// atomically (temp file + rename), whatever the path's extension.
 func SavePlan(path string, pl *Plan) error {
-	var buf bytes.Buffer
-	if strings.EqualFold(filepath.Ext(path), ".json") {
-		if err := EncodePlanJSON(&buf, pl); err != nil {
-			return err
-		}
-	} else {
-		data, err := pl.MarshalBinary()
-		if err != nil {
-			return err
-		}
-		buf.Write(data)
+	data, err := pl.MarshalBinary()
+	if err != nil {
+		return err
 	}
-	return writeFileAtomic(path, buf.Bytes())
+	return writeFileAtomic(path, data)
 }
 
-// LoadPlan reads a plan artifact (binary or JSON, sniffed by content) and
-// binds it to the circuit.
+// LoadPlan reads a binary plan artifact and binds it to the circuit.
 func LoadPlan(path string, c *circuit.Circuit) (*Plan, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -690,17 +568,14 @@ func LoadPlan(path string, c *circuit.Circuit) (*Plan, error) {
 	return pl, nil
 }
 
-// DecodePlan decodes a plan artifact in either serialization form, sniffing
-// the binary magic. The result is unbound until Bind.
+// DecodePlan decodes a binary plan artifact (UnmarshalBinary into a new
+// Plan). The result is unbound until Bind.
 func DecodePlan(data []byte) (*Plan, error) {
-	if bytes.HasPrefix(data, planMagic) {
-		pl := &Plan{}
-		if err := pl.UnmarshalBinary(data); err != nil {
-			return nil, err
-		}
-		return pl, nil
+	pl := &Plan{}
+	if err := pl.UnmarshalBinary(data); err != nil {
+		return nil, err
 	}
-	return DecodePlanJSON(bytes.NewReader(data))
+	return pl, nil
 }
 
 func writeFileAtomic(path string, data []byte) error {

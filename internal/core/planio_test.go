@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"path/filepath"
@@ -13,7 +12,7 @@ import (
 )
 
 // planEqual compares the serializable state of two plans (everything except
-// the circuit pointer and derived MVNs).
+// the circuit pointer and derived kernels).
 func planEqual(t *testing.T, a, b *Plan) {
 	t.Helper()
 	if !reflect.DeepEqual(a.Cfg, b.Cfg) {
@@ -67,26 +66,6 @@ func TestPlanBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPlanJSONRoundTrip(t *testing.T) {
-	c := tinyCircuit(t, 3)
-	pl, err := Prepare(c, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := EncodePlanJSON(&buf, pl); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodePlanJSON(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	planEqual(t, pl, got)
-	if err := got.Bind(c); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPlanSaveLoadRunsIdentically(t *testing.T) {
 	c := tinyCircuit(t, 3)
 	cfg := DefaultConfig()
@@ -94,34 +73,32 @@ func TestPlanSaveLoadRunsIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"plan.effiplan", "plan.json"} {
-		path := filepath.Join(t.TempDir(), name)
-		if err := SavePlan(path, pl); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := LoadPlan(path, c)
+	path := filepath.Join(t.TempDir(), "plan.effiplan")
+	if err := SavePlan(path, pl); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadPlan(path, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The acceptance bar: a restored plan runs chips bit-identically to the
+	// in-memory one.
+	td := 1.05 * c.TNominal
+	for i := 0; i < 4; i++ {
+		ch := tester.SampleChip(c, 21, i)
+		a, err := pl.RunChip(t.Context(), ch, td, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The acceptance bar: a restored plan runs chips bit-identically to
-		// the in-memory one.
-		td := 1.05 * c.TNominal
-		for i := 0; i < 4; i++ {
-			ch := tester.SampleChip(c, 21, i)
-			a, err := pl.RunChip(t.Context(), ch, td, RunOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := loaded.RunChip(t.Context(), ch, td, RunOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.Iterations != b.Iterations || a.ScanBits != b.ScanBits ||
-				a.Passed != b.Passed || a.Configured != b.Configured || a.Xi != b.Xi ||
-				!reflect.DeepEqual(a.X, b.X) ||
-				!reflect.DeepEqual(a.Bounds.Lo, b.Bounds.Lo) || !reflect.DeepEqual(a.Bounds.Hi, b.Bounds.Hi) {
-				t.Fatalf("%s: chip %d outcome differs between in-memory and loaded plan", name, i)
-			}
+		b, err := loaded.RunChip(t.Context(), ch, td, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Iterations != b.Iterations || a.ScanBits != b.ScanBits ||
+			a.Passed != b.Passed || a.Configured != b.Configured || a.Xi != b.Xi ||
+			!reflect.DeepEqual(a.X, b.X) ||
+			!reflect.DeepEqual(a.Bounds.Lo, b.Bounds.Lo) || !reflect.DeepEqual(a.Bounds.Hi, b.Bounds.Hi) {
+			t.Fatalf("chip %d outcome differs between in-memory and loaded plan", i)
 		}
 	}
 }

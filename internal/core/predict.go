@@ -49,10 +49,9 @@ func localIndices(members []int, subset []int) []int {
 	return out
 }
 
+// groupMVN builds the group's joint delay distribution from the circuit's
+// path covariance.
 func groupMVN(c *circuit.Circuit, g Group) (*stats.MVN, error) {
-	if g.mvn != nil {
-		return g.mvn, nil
-	}
 	cov := c.CovMatrix()
 	n := len(g.Paths)
 	sigma := la.NewMatrix(n, n)

@@ -43,9 +43,8 @@ func cloneBounds(c *Bounds, pl *Plan) *Bounds {
 }
 
 // TestPredictIntoBatchMatchesSequential pins the batched multi-RHS
-// prediction path bitwise against the per-chip vector path across every
-// batch width, including the degenerate K=1 and a width far beyond the
-// auto default.
+// prediction path bitwise against predicting each chip alone (K=1) across
+// every batch width, including a width far beyond the auto default.
 func TestPredictIntoBatchMatchesSequential(t *testing.T) {
 	_, pl := kernelTestPlan(t)
 	ks := pl.bakedKernels()
@@ -78,7 +77,7 @@ func TestPredictIntoBatchMatchesSequential(t *testing.T) {
 
 // TestPredictIntoBatchZeroAlloc asserts the sequential batched prediction
 // path performs zero heap allocations once the worker scratch is warm — the
-// batch scratch blocks live in the same arena as the vector path's.
+// batch scratch blocks live in the worker's pooled arena.
 func TestPredictIntoBatchZeroAlloc(t *testing.T) {
 	_, pl := kernelTestPlan(t)
 	bs := measuredBounds(t, pl, 8)

@@ -2,12 +2,8 @@ package la
 
 import "fmt"
 
-// This file holds the allocation-free kernel layer: in-place variants of the
-// package's matrix-vector operations plus a reusable Workspace arena. The
-// kernels perform exactly the same floating-point operations in exactly the
-// same order as their allocating counterparts (MulVec, SolveLower,
-// SolveUpperT, CholSolve), so switching a call site to the *To form never
-// changes a result bit — only where the output lands.
+// This file holds the reusable Workspace arena the allocation-free kernels
+// (kernels_multi.go) take their scratch from.
 
 // Workspace is a reusable arena of float64 scratch for the in-place kernels.
 // A hot loop takes slices per iteration and calls Reset between iterations;
@@ -61,59 +57,4 @@ func (w *Workspace) grow(n int) {
 // zero-copy counterpart of Row. The caller must not grow it.
 func (m *Matrix) RowView(r int) []float64 {
 	return m.Data[r*m.Cols : (r+1)*m.Cols : (r+1)*m.Cols]
-}
-
-// MulVecTo computes dst = m*v without allocating. dst must have length
-// m.Rows and must not alias v. Bit-identical to MulVec.
-func MulVecTo(dst []float64, m *Matrix, v []float64) {
-	if m.Cols != len(v) {
-		panic(fmt.Sprintf("la: mulvec shape mismatch %dx%d * %d", m.Rows, m.Cols, len(v)))
-	}
-	if len(dst) != m.Rows {
-		panic(fmt.Sprintf("la: mulvec dst length %d != %d rows", len(dst), m.Rows))
-	}
-	for r := 0; r < m.Rows; r++ {
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
-		s := 0.0
-		for c, a := range row {
-			s += a * v[c]
-		}
-		dst[r] = s
-	}
-}
-
-// SolveLowerTo solves L*y = b into dst where L is lower triangular with
-// nonzero diagonal. dst may alias b (forward substitution reads b[i] before
-// writing dst[i]). Bit-identical to SolveLower.
-func SolveLowerTo(dst []float64, l *Matrix, b []float64) {
-	n := l.Rows
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= l.At(i, k) * dst[k]
-		}
-		dst[i] = s / l.At(i, i)
-	}
-}
-
-// SolveUpperTTo solves Lᵀ*x = y into dst given the lower-triangular L. dst
-// may alias y (back substitution reads y[i] before writing dst[i]).
-// Bit-identical to SolveUpperT.
-func SolveUpperTTo(dst []float64, l *Matrix, y []float64) {
-	n := l.Rows
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * dst[k]
-		}
-		dst[i] = s / l.At(i, i)
-	}
-}
-
-// SolveCholeskyTo solves A*x = b into dst given the Cholesky factor L of A,
-// without allocating. dst may alias b — the common fully-in-place call is
-// SolveCholeskyTo(x, l, x). Bit-identical to CholSolve.
-func SolveCholeskyTo(dst []float64, l *Matrix, b []float64) {
-	SolveLowerTo(dst, l, b)
-	SolveUpperTTo(dst, l, dst)
 }

@@ -2,16 +2,17 @@ package la
 
 import "fmt"
 
-// This file holds the multi-RHS (TRSM-shaped) kernel layer: the K-column
-// counterparts of MulVecTo / SolveLowerTo / SolveUpperTTo / SolveCholeskyTo.
-// An n×K right-hand-side block batches K independent systems that share one
+// This file holds the allocation-free multi-RHS (TRSM-shaped) kernel layer:
+// the K-column, in-place counterparts of MulVec / SolveLower / SolveUpperT /
+// CholSolve. An n×K right-hand-side block batches K independent systems that share one
 // factor into a single kernel call, so the factor streams through the cache
 // once per call instead of once per system.
 //
 // Contract shared by every kernel here: column j of the result is computed
 // with exactly the same floating-point operations, in exactly the same
-// order, as the corresponding vector kernel applied to column j alone — so
-// batching never changes a result bit, only where the arithmetic happens.
+// order, as the corresponding allocating function applied to column j alone
+// — so batching never changes a result bit, only where the arithmetic
+// happens and where the output lands.
 // RHS blocks are ordinary row-major Matrix values: row i holds element i of
 // all K systems contiguously, which is what keeps the inner per-column loops
 // unit-stride.
@@ -29,7 +30,7 @@ func (w *Workspace) TakeMatrix(rows, cols int) Matrix {
 
 // MulMatTo computes dst = m*b without allocating, where b is a K-column RHS
 // block (m.Cols×K) and dst is m.Rows×K. dst must not alias b or m. Column j
-// of dst is bit-identical to MulVecTo(dst_j, m, b_j).
+// of dst is bit-identical to m.MulVec(b_j).
 func MulMatTo(dst, m, b *Matrix) {
 	if m.Cols != b.Rows {
 		panic(fmt.Sprintf("la: mulmat shape mismatch %dx%d * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
@@ -44,7 +45,7 @@ func MulMatTo(dst, m, b *Matrix) {
 			out[j] = 0
 		}
 		// Accumulate a*b[c] in ascending c for every column at once: per
-		// column this is the exact operation sequence of MulVecTo.
+		// column this is the exact operation sequence of MulVec.
 		for c, a := range row {
 			brow := b.RowView(c)
 			for j, v := range brow {
@@ -57,7 +58,7 @@ func MulMatTo(dst, m, b *Matrix) {
 // SolveLowerMultiTo solves L*Y = B column-by-column into dst, where L is
 // lower triangular with nonzero diagonal and B is an n×K RHS block. dst may
 // alias b (forward substitution reads row i before writing it). Column j is
-// bit-identical to SolveLowerTo on column j.
+// bit-identical to SolveLower on column j.
 func SolveLowerMultiTo(dst, l, b *Matrix) {
 	n := l.Rows
 	if b.Rows != n || dst.Rows != n || dst.Cols != b.Cols {
@@ -85,7 +86,7 @@ func SolveLowerMultiTo(dst, l, b *Matrix) {
 
 // SolveUpperTMultiTo solves Lᵀ*X = Y column-by-column into dst given the
 // lower-triangular L, over an n×K RHS block. dst may alias b. Column j is
-// bit-identical to SolveUpperTTo on column j.
+// bit-identical to SolveUpperT on column j.
 func SolveUpperTMultiTo(dst, l, b *Matrix) {
 	n := l.Rows
 	if b.Rows != n || dst.Rows != n || dst.Cols != b.Cols {
@@ -114,7 +115,7 @@ func SolveUpperTMultiTo(dst, l, b *Matrix) {
 // SolveCholeskyMultiTo solves A*X = B for a K-column RHS block given the
 // Cholesky factor L of A, without allocating. dst may alias b — the common
 // fully-in-place call is SolveCholeskyMultiTo(x, l, x). Column j is
-// bit-identical to SolveCholeskyTo on column j.
+// bit-identical to CholSolve on column j.
 func SolveCholeskyMultiTo(dst, l, b *Matrix) {
 	SolveLowerMultiTo(dst, l, b)
 	SolveUpperTMultiTo(dst, l, dst)

@@ -38,15 +38,15 @@ func column(b *Matrix, j int) []float64 {
 	return out
 }
 
-// requireColumnsEqual pins every column of got bitwise against the vector
-// kernel's result for that column.
-func requireColumnsEqual(t *testing.T, what string, got *Matrix, vector func(j int) []float64) {
+// requireColumnsEqual pins every column of got bitwise against the
+// allocating function's result for that column.
+func requireColumnsEqual(t *testing.T, what string, got *Matrix, want func(j int) []float64) {
 	t.Helper()
 	for j := 0; j < got.Cols; j++ {
-		want := vector(j)
-		for i := range want {
-			if got.At(i, j) != want[i] {
-				t.Fatalf("%s: column %d row %d: multi %v != vector %v", what, j, i, got.At(i, j), want[i])
+		w := want(j)
+		for i := range w {
+			if got.At(i, j) != w[i] {
+				t.Fatalf("%s: column %d row %d: multi %v != allocating %v", what, j, i, got.At(i, j), w[i])
 			}
 		}
 	}
@@ -61,9 +61,7 @@ func TestSolveLowerMultiMatchesVector(t *testing.T) {
 			dst := NewMatrix(n, k)
 			SolveLowerMultiTo(dst, l, b)
 			requireColumnsEqual(t, "solve-lower", dst, func(j int) []float64 {
-				x := make([]float64, n)
-				SolveLowerTo(x, l, column(b, j))
-				return x
+				return SolveLower(l, column(b, j))
 			})
 
 			// In-place: dst aliasing b must give the same bits.
@@ -87,9 +85,7 @@ func TestSolveUpperTMultiMatchesVector(t *testing.T) {
 			dst := NewMatrix(n, k)
 			SolveUpperTMultiTo(dst, l, b)
 			requireColumnsEqual(t, "solve-upperT", dst, func(j int) []float64 {
-				x := make([]float64, n)
-				SolveUpperTTo(x, l, column(b, j))
-				return x
+				return SolveUpperT(l, column(b, j))
 			})
 
 			alias := b.Clone()
@@ -112,9 +108,7 @@ func TestSolveCholeskyMultiMatchesVector(t *testing.T) {
 		dst := b.Clone()
 		SolveCholeskyMultiTo(dst, l, dst)
 		requireColumnsEqual(t, "solve-cholesky", dst, func(j int) []float64 {
-			x := column(b, j)
-			SolveCholeskyTo(x, l, x)
-			return x
+			return CholSolve(l, column(b, j))
 		})
 	}
 }
@@ -129,9 +123,7 @@ func TestMulMatMatchesVector(t *testing.T) {
 			dst := NewMatrix(rows, k)
 			MulMatTo(dst, m, b)
 			requireColumnsEqual(t, "mulmat", dst, func(j int) []float64 {
-				x := make([]float64, rows)
-				MulVecTo(x, m, column(b, j))
-				return x
+				return m.MulVec(column(b, j))
 			})
 		}
 	}

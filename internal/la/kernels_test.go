@@ -1,77 +1,6 @@
 package la
 
-import (
-	"math/rand"
-	"testing"
-)
-
-func randSPD(r *rand.Rand, n int) *Matrix {
-	g := NewMatrix(n, n)
-	for i := range g.Data {
-		g.Data[i] = r.NormFloat64()
-	}
-	a := g.Mul(g.T())
-	for i := 0; i < n; i++ {
-		a.Add(i, i, float64(n)) // well-conditioned
-	}
-	return a
-}
-
-// TestKernelsBitIdentical pins the contract the conditional-prediction fast
-// path relies on: the *To kernels produce bit-for-bit the same floats as
-// their allocating counterparts, including when solving fully in place.
-func TestKernelsBitIdentical(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 2, 3, 8, 17, 40} {
-		a := randSPD(r, n)
-		l, err := Cholesky(a)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = r.NormFloat64()
-		}
-
-		wantY := SolveLower(l, b)
-		gotY := make([]float64, n)
-		SolveLowerTo(gotY, l, b)
-		wantX := SolveUpperT(l, wantY)
-		gotX := make([]float64, n)
-		SolveUpperTTo(gotX, l, wantY)
-		wantC := CholSolve(l, b)
-		inPlace := append([]float64{}, b...)
-		SolveCholeskyTo(inPlace, l, inPlace)
-		for i := 0; i < n; i++ {
-			if gotY[i] != wantY[i] {
-				t.Fatalf("n=%d: SolveLowerTo[%d] = %v, want %v", n, i, gotY[i], wantY[i])
-			}
-			if gotX[i] != wantX[i] {
-				t.Fatalf("n=%d: SolveUpperTTo[%d] = %v, want %v", n, i, gotX[i], wantX[i])
-			}
-			if inPlace[i] != wantC[i] {
-				t.Fatalf("n=%d: SolveCholeskyTo in place [%d] = %v, want %v", n, i, inPlace[i], wantC[i])
-			}
-		}
-
-		m := NewMatrix(n, n+3)
-		for i := range m.Data {
-			m.Data[i] = r.NormFloat64()
-		}
-		v := make([]float64, n+3)
-		for i := range v {
-			v[i] = r.NormFloat64()
-		}
-		wantMV := m.MulVec(v)
-		gotMV := make([]float64, n)
-		MulVecTo(gotMV, m, v)
-		for i := range wantMV {
-			if gotMV[i] != wantMV[i] {
-				t.Fatalf("n=%d: MulVecTo[%d] = %v, want %v", n, i, gotMV[i], wantMV[i])
-			}
-		}
-	}
-}
+import "testing"
 
 func TestRowView(t *testing.T) {
 	m := NewMatrixFrom([][]float64{{1, 2}, {3, 4}})

@@ -45,7 +45,7 @@ func TestPredictorMatchesConditional(t *testing.T) {
 			t.Fatal(err)
 		}
 		var ws la.Workspace
-		ws.Require(p.ScratchLen())
+		ws.Require(p.ScratchLenBatch(1))
 		mu := make([]float64, len(unknown))
 		for rep := 0; rep < 3; rep++ {
 			obs := make([]float64, nt)
@@ -85,7 +85,7 @@ func TestPredictorMuToZeroAlloc(t *testing.T) {
 	}
 	dst := make([]float64, p.NumUnknown())
 	var ws la.Workspace
-	ws.Require(p.ScratchLen())
+	ws.Require(p.ScratchLenBatch(1))
 	ws.Reset()
 	p.MuTo(dst, obs, &ws) // warm-up
 	allocs := testing.AllocsPerRun(100, func() {

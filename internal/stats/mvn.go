@@ -209,34 +209,17 @@ func (p *CondPredictor) NumKnown() int { return len(p.MuT) }
 // NumUnknown returns the number of predicted variables.
 func (p *CondPredictor) NumUnknown() int { return len(p.MuU) }
 
-// ScratchLen returns the workspace floats one MuTo call takes.
-func (p *CondPredictor) ScratchLen() int { return len(p.MuT) }
-
 // ScratchLenBatch returns the workspace floats one MuBatchTo call over a
 // k-column observation block takes.
 func (p *CondPredictor) ScratchLenBatch(k int) int { return len(p.MuT) * k }
 
 // MuTo computes the conditional mean μ' (Eq. 4) for one observation vector
-// into dst (length NumUnknown), taking ScratchLen floats from ws. With a
-// warm workspace the call performs no heap allocation. The result is
-// bit-identical to the Mu of the MVN Conditional returns for the same
-// observations.
+// into dst (length NumUnknown): MuBatchTo over n×1 views of the two vectors,
+// taking ScratchLenBatch(1) floats from ws. With a warm workspace the call
+// performs no heap allocation.
 func (p *CondPredictor) MuTo(dst, observed []float64, ws *la.Workspace) {
-	if len(observed) != len(p.MuT) {
-		panic(fmt.Sprintf("stats: predictor observed length %d != %d known", len(observed), len(p.MuT)))
-	}
-	// delta = observed - μ_t ; w = Σ_t⁻¹ delta, solved in place.
-	delta := ws.Take(len(observed))
-	for i := range observed {
-		delta[i] = observed[i] - p.MuT[i]
-	}
-	la.SolveCholeskyTo(delta, p.LT, delta)
-	// μ' = μ_u + Σ_ut·w. Addition is commutative, so accumulating the
-	// product first is bit-identical to μ_u + dot(row, w).
-	la.MulVecTo(dst, p.SigUT, delta)
-	for i := range dst {
-		dst[i] += p.MuU[i]
-	}
+	p.MuBatchTo(&la.Matrix{Rows: len(dst), Cols: 1, Data: dst},
+		&la.Matrix{Rows: len(observed), Cols: 1, Data: observed}, ws)
 }
 
 // MuBatchTo computes the conditional mean μ' (Eq. 4) for K observation
@@ -246,10 +229,11 @@ func (p *CondPredictor) MuTo(dst, observed []float64, ws *la.Workspace) {
 // cross-covariance stream through the cache once for all K systems, which is
 // what the batched multi-chip prediction path amortizes.
 //
-// Column j of dst is bit-identical to MuTo on column j of observed: the
-// multi-RHS kernels perform the same floating-point operations in the same
-// order per column. The call takes ScratchLenBatch(K) floats from ws and,
-// with a warm workspace, performs no heap allocation.
+// Column j of dst is bit-identical to μ_u + Σ_ut·CholSolve(L_t, obs_j − μ_t)
+// with the product accumulated first: the multi-RHS kernels perform the
+// allocating functions' floating-point operations in the same order per
+// column. The call takes ScratchLenBatch(K) floats from ws and, with a warm
+// workspace, performs no heap allocation.
 func (p *CondPredictor) MuBatchTo(dst, observed *la.Matrix, ws *la.Workspace) {
 	nt, nu := len(p.MuT), len(p.MuU)
 	if observed.Rows != nt {
@@ -269,7 +253,8 @@ func (p *CondPredictor) MuBatchTo(dst, observed *la.Matrix, ws *la.Workspace) {
 		}
 	}
 	la.SolveCholeskyMultiTo(&delta, p.LT, &delta)
-	// μ' = μ_u + Σ_ut·W, accumulated product first exactly like MuTo.
+	// μ' = μ_u + Σ_ut·W. Addition is commutative, so accumulating the
+	// product first is bit-identical to μ_u + dot(row, w).
 	la.MulMatTo(dst, p.SigUT, &delta)
 	for i := 0; i < nu; i++ {
 		mu := p.MuU[i]

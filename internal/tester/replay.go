@@ -66,7 +66,9 @@ func WriteTrace(w io.Writer, tr *Trace) error {
 	return enc.Encode(tr)
 }
 
-// ReadTrace deserializes a JSON trace and validates its format version.
+// ReadTrace deserializes a JSON trace and validates its format version and
+// shape: no null chip or session entries, and every recorded step carries
+// one pass bit per batch path, so a decoded trace replays without panics.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	var tr Trace
 	dec := json.NewDecoder(r)
@@ -75,6 +77,22 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	}
 	if tr.Format != TraceFormat {
 		return nil, fmt.Errorf("tester: trace format %d, want %d", tr.Format, TraceFormat)
+	}
+	for i, ct := range tr.Chips {
+		if ct == nil {
+			return nil, fmt.Errorf("tester: trace chip entry %d is null", i)
+		}
+		for si, st := range ct.Sessions {
+			if st == nil {
+				return nil, fmt.Errorf("tester: trace chip %d session %d is null", ct.Chip, si)
+			}
+			for k, rec := range st.Steps {
+				if len(rec.Pass) != len(rec.Batch) {
+					return nil, fmt.Errorf("tester: trace chip %d session %d step %d has %d pass bits for %d batch paths",
+						ct.Chip, si, k, len(rec.Pass), len(rec.Batch))
+				}
+			}
+		}
 	}
 	return &tr, nil
 }
