@@ -1,10 +1,10 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation,
-// plus ablations over the design choices called out in DESIGN.md §5.
+// plus ablations over the flow's design choices.
 //
 // Each Benchmark<Artifact>/<circuit> op regenerates that artifact's row for
 // the circuit at benchmark scale (a few chips); cmd/efftables runs the same
-// code at full scale for EXPERIMENTS.md. Set EFFITEST_BENCH_ALL=1 to include
-// the two largest circuits (mem_ctrl, pci_bridge32).
+// code at full scale. Set EFFITEST_BENCH_ALL=1 to include the two largest
+// circuits (mem_ctrl, pci_bridge32).
 package effitest_test
 
 import (

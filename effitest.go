@@ -380,8 +380,9 @@ func ComputeHoldBounds(c *Circuit, cfg Config) (*HoldBounds, error) {
 }
 
 // HoldYieldEstimate replays the sampled hold quantities against bounds and
-// returns the covered fraction (the Eq. 20 yield).
-func HoldYieldEstimate(c *Circuit, hb *HoldBounds, cfg Config) float64 {
+// returns the covered fraction (the Eq. 20 yield). It rejects the same
+// HoldSamples/HoldYield values ComputeHoldBounds does.
+func HoldYieldEstimate(c *Circuit, hb *HoldBounds, cfg Config) (float64, error) {
 	return core.HoldYieldEstimate(c, hb, cfg)
 }
 

@@ -31,7 +31,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		achieved := effitest.HoldYieldEstimate(c, hb, cfg)
+		achieved, err := effitest.HoldYieldEstimate(c, hb, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("target hold yield %.2f: achieved %.3f, Σλ = %+.4f ns over %d arcs\n",
 			target, achieved, hb.SumLambda(), len(hb.ByPair))
 	}

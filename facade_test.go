@@ -116,7 +116,7 @@ func TestPublicHoldBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if y := effitest.HoldYieldEstimate(c, hb, cfg); y < cfg.HoldYield-1e-9 {
-		t.Fatalf("hold yield %v below target", y)
+	if y, err := effitest.HoldYieldEstimate(c, hb, cfg); err != nil || y < cfg.HoldYield-1e-9 {
+		t.Fatalf("hold yield %v below target (err %v)", y, err)
 	}
 }

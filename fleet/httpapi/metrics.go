@@ -234,6 +234,8 @@ func (mx *Metrics) render(w io.Writer, ms fleet.ManagerStats, rs fleet.RegistryS
 	counter(w, "effitestd_registry_misses_total", "Registry requests that constructed an engine.", int64(rs.Misses))
 	counter(w, "effitestd_registry_prepares_total", "Engine constructions that ran the offline Prepare.", int64(rs.Prepares))
 	counter(w, "effitestd_registry_evictions_total", "Engines dropped by the registry's LRU bound.", int64(rs.Evictions))
+	head(w, "effitestd_registry_build_seconds_total", "counter", "Wall time spent constructing engines on registry misses (Prepare and period calibration).")
+	fmt.Fprintf(w, "effitestd_registry_build_seconds_total %s\n", trimFloat(rs.BuildTime.Seconds()))
 }
 
 func head(w io.Writer, name, kind, help string) {

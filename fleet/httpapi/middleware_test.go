@@ -368,6 +368,9 @@ func TestMetricsScrapeMoves(t *testing.T) {
 	if before[`effitestd_chips_total{result="passed"}`] != 0 {
 		t.Fatal("fresh daemon reports executed chips")
 	}
+	if v, ok := before["effitestd_registry_build_seconds_total"]; !ok || v != 0 {
+		t.Fatalf("fresh daemon: registry_build_seconds_total = %v (present %v), want 0", v, ok)
+	}
 
 	// One unauthorized request, then a real campaign.
 	if resp := doRaw(t, ts, http.MethodPost, "/v1/plans", "", strings.NewReader("x")); resp.StatusCode != http.StatusUnauthorized {
@@ -410,5 +413,11 @@ func TestMetricsScrapeMoves(t *testing.T) {
 	}
 	if after["effitestd_http_request_duration_seconds_count"] <= before["effitestd_http_request_duration_seconds_count"] {
 		t.Fatal("request-latency histogram did not move")
+	}
+	// The submit was a cold registry miss: its Prepare and calibration
+	// time shows up as build seconds.
+	if after["effitestd_registry_misses_total"] != 1 || after["effitestd_registry_build_seconds_total"] <= 0 {
+		t.Fatalf("cold submit: registry misses %v, build seconds %v; want 1 and > 0",
+			after["effitestd_registry_misses_total"], after["effitestd_registry_build_seconds_total"])
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"effitest"
 )
@@ -58,6 +59,10 @@ type RegistryStats struct {
 	Prepares int
 	// Evictions counts engines dropped by the LRU bound.
 	Evictions int
+	// BuildTime is the summed wall time of the engine constructions run
+	// on misses (Prepare or plan-cache load, plus period calibration),
+	// failed ones included.
+	BuildTime time.Duration
 	// Live is the current number of registered engines (including ones
 	// still under construction).
 	Live int
@@ -179,8 +184,10 @@ func (r *Registry) Engine(ctx context.Context, c *effitest.Circuit, opts ...effi
 	r.evictLocked()
 	r.mu.Unlock()
 
+	start := time.Now()
 	eng, err := effitest.NewCtx(ctx, c, all...)
 	r.mu.Lock()
+	r.stats.BuildTime += time.Since(start)
 	if err != nil {
 		// Forget the failed entry so the next request retries; waiters
 		// already holding e still see the error through ready.

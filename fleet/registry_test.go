@@ -64,6 +64,15 @@ func TestRegistrySingleFlight(t *testing.T) {
 	if st.Live != 1 {
 		t.Fatalf("expected 1 live engine, got %d", st.Live)
 	}
+	if st.BuildTime <= 0 {
+		t.Fatal("the miss's engine construction recorded no build time")
+	}
+	if _, err := r.Engine(context.Background(), c, fastOpts()...); err != nil {
+		t.Fatal(err)
+	}
+	if again := r.Stats().BuildTime; again != st.BuildTime {
+		t.Fatalf("a registry hit moved the build time from %v to %v", st.BuildTime, again)
+	}
 }
 
 // Distinct configurations (and distinct circuits) must not share engines.

@@ -53,9 +53,10 @@ func Prepare(c *circuit.Circuit, cfg Config) (*Plan, error) {
 }
 
 // PrepareCtx is Prepare with cancellation: the context is checked between
-// the offline stages and between per-group solves inside them, so on a
-// large circuit a cancelled PrepareCtx returns promptly with the context's
-// error instead of finishing minutes of path selection first.
+// the offline stages, between per-group solves inside them and between the
+// hold stage's Monte-Carlo blocks, so on a large circuit a cancelled
+// PrepareCtx returns promptly with the context's error instead of finishing
+// minutes of path selection first.
 func PrepareCtx(ctx context.Context, c *circuit.Circuit, cfg Config) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -90,7 +91,7 @@ func PrepareCtx(ctx context.Context, c *circuit.Circuit, cfg Config) (*Plan, err
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	hb, err := ComputeHoldBounds(c, cfg)
+	hb, err := computeHoldBounds(ctx, c, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -37,14 +38,17 @@ func (h *HoldBounds) Lambda(from, to int) float64 {
 // ⌊(1-Y)M⌋ samples whose removal shrinks Σλ most; an exact MILP variant is
 // available for cross-checks (ComputeHoldBoundsExact).
 func ComputeHoldBounds(c *circuit.Circuit, cfg Config) (*HoldBounds, error) {
+	return computeHoldBounds(context.Background(), c, cfg)
+}
+
+// computeHoldBounds is ComputeHoldBounds with cancellation (PrepareCtx's
+// hold stage): the context is checked between sample blocks.
+func computeHoldBounds(ctx context.Context, c *circuit.Circuit, cfg Config) (*HoldBounds, error) {
+	pairs, samples, err := sampleHoldQuantities(ctx, c, cfg)
+	if err != nil {
+		return nil, err
+	}
 	m := cfg.HoldSamples
-	if m <= 0 {
-		return nil, fmt.Errorf("core: HoldSamples must be positive, got %d", m)
-	}
-	if cfg.HoldYield <= 0 || cfg.HoldYield > 1 {
-		return nil, fmt.Errorf("core: HoldYield %v out of (0,1]", cfg.HoldYield)
-	}
-	pairs, samples := sampleHoldQuantities(c, cfg.Seed, m)
 	drop := int(math.Floor((1 - cfg.HoldYield) * float64(m)))
 	dropped := make([]bool, m)
 	for d := 0; d < drop; d++ {
@@ -81,18 +85,32 @@ func ComputeHoldBounds(c *circuit.Circuit, cfg Config) (*HoldBounds, error) {
 	return hb, nil
 }
 
-// sampleHoldQuantities returns the unique (from,to) pairs and, per pair, M
-// samples of d_ij = h - min-delay (max over parallel short paths of the
-// pair, since each must satisfy the bound).
-func sampleHoldQuantities(c *circuit.Circuit, seed int64, m int) ([][2]int, [][]float64) {
+// sampleHoldQuantities validates the §3.5 sampling parameters and returns
+// the unique (from,to) pairs and, per pair, M samples of d_ij = h - min-delay
+// (max over parallel short paths of the pair, since each must satisfy the
+// bound). The M chips are drawn in sampler blocks across cfg.Workers; each
+// block writes only its own sample columns, so the samples are identical at
+// any worker count.
+func sampleHoldQuantities(ctx context.Context, c *circuit.Circuit, cfg Config) ([][2]int, [][]float64, error) {
+	m := cfg.HoldSamples
+	if m <= 0 {
+		return nil, nil, fmt.Errorf("core: HoldSamples must be positive, got %d", m)
+	}
+	if !(cfg.HoldYield > 0 && cfg.HoldYield <= 1) {
+		return nil, nil, fmt.Errorf("core: HoldYield %v out of (0,1]", cfg.HoldYield)
+	}
 	pairIdx := map[[2]int]int{}
 	var pairs [][2]int
+	pairOf := make([]int, len(c.Paths))
 	for i := range c.Paths {
 		key := [2]int{c.Paths[i].From, c.Paths[i].To}
-		if _, ok := pairIdx[key]; !ok {
-			pairIdx[key] = len(pairs)
+		pi, ok := pairIdx[key]
+		if !ok {
+			pi = len(pairs)
+			pairIdx[key] = pi
 			pairs = append(pairs, key)
 		}
+		pairOf[i] = pi
 	}
 	samples := make([][]float64, len(pairs))
 	for i := range samples {
@@ -101,18 +119,21 @@ func sampleHoldQuantities(c *circuit.Circuit, seed int64, m int) ([][2]int, [][]
 			samples[i][k] = math.Inf(-1)
 		}
 	}
-	holdSeed := rng.Seed(seed, "holdsamples", c.Name)
-	for k := 0; k < m; k++ {
-		ch := tester.SampleChip(c, holdSeed, k)
-		for i := range c.Paths {
-			pi := pairIdx[[2]int{c.Paths[i].From, c.Paths[i].To}]
-			d := c.HoldTime - ch.TrueMin[i]
-			if d > samples[pi][k] {
-				samples[pi][k] = d
+	holdSeed := rng.Seed(cfg.Seed, "holdsamples", c.Name)
+	err := tester.ForEachBlock(ctx, c, holdSeed, 0, m, cfg.Workers, true, func(s *tester.Sampler, start, count int) {
+		for w := range count {
+			k := start + w
+			for i, pi := range pairOf {
+				if d := c.HoldTime - s.Min[w][i]; d > samples[pi][k] {
+					samples[pi][k] = d
+				}
 			}
 		}
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return pairs, samples
+	return pairs, samples, nil
 }
 
 // pairTop2 returns the max, second max and the index of the (unique) max
@@ -145,8 +166,11 @@ func pairTop2(samples [][]float64, pi int, dropped []bool) (mx, second float64, 
 // coverage variable per sample, big-M activation). Exponential in the worst
 // case — use only for small M in tests and ablations.
 func ComputeHoldBoundsExact(c *circuit.Circuit, cfg Config) (*HoldBounds, error) {
+	pairs, samples, err := sampleHoldQuantities(context.Background(), c, cfg)
+	if err != nil {
+		return nil, err
+	}
 	m := cfg.HoldSamples
-	pairs, samples := sampleHoldQuantities(c, cfg.Seed, m)
 
 	prob := mip.NewProblem()
 	lam := make([]int, len(pairs))
@@ -199,8 +223,11 @@ func ComputeHoldBoundsExact(c *circuit.Circuit, cfg Config) (*HoldBounds, error)
 // HoldYieldEstimate replays the sampled hold quantities against bounds and
 // returns the fraction of samples fully covered — a direct check of
 // Eq. (20).
-func HoldYieldEstimate(c *circuit.Circuit, hb *HoldBounds, cfg Config) float64 {
-	pairs, samples := sampleHoldQuantities(c, cfg.Seed, cfg.HoldSamples)
+func HoldYieldEstimate(c *circuit.Circuit, hb *HoldBounds, cfg Config) (float64, error) {
+	pairs, samples, err := sampleHoldQuantities(context.Background(), c, cfg)
+	if err != nil {
+		return 0, err
+	}
 	covered := 0
 	for k := 0; k < cfg.HoldSamples; k++ {
 		ok := true
@@ -214,7 +241,7 @@ func HoldYieldEstimate(c *circuit.Circuit, hb *HoldBounds, cfg Config) float64 {
 			covered++
 		}
 	}
-	return float64(covered) / float64(cfg.HoldSamples)
+	return float64(covered) / float64(cfg.HoldSamples), nil
 }
 
 // SumLambda returns Σλ (the §3.5 objective) for reporting and ablations.

@@ -1,10 +1,13 @@
 package core
 
 import (
-	"effitest/internal/circuit"
+	"context"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
+	"effitest/internal/circuit"
 	"effitest/internal/tester"
 )
 
@@ -16,8 +19,8 @@ func TestHoldBoundsYieldTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if y := HoldYieldEstimate(c, hb, cfg); y < cfg.HoldYield-1e-9 {
-		t.Fatalf("hold yield %v below target %v", y, cfg.HoldYield)
+	if y, err := HoldYieldEstimate(c, hb, cfg); err != nil || y < cfg.HoldYield-1e-9 {
+		t.Fatalf("hold yield %v below target %v (err %v)", y, cfg.HoldYield, err)
 	}
 }
 
@@ -47,8 +50,8 @@ func TestHoldBoundsGreedyVsExact(t *testing.T) {
 		t.Fatalf("greedy Σλ %v too far above exact %v", gs, es)
 	}
 	// Both must still satisfy the yield.
-	if y := HoldYieldEstimate(c, exact, cfg); y < cfg.HoldYield-1e-9 {
-		t.Fatalf("exact bounds yield %v below %v", y, cfg.HoldYield)
+	if y, err := HoldYieldEstimate(c, exact, cfg); err != nil || y < cfg.HoldYield-1e-9 {
+		t.Fatalf("exact bounds yield %v below %v (err %v)", y, cfg.HoldYield, err)
 	}
 }
 
@@ -72,17 +75,86 @@ func TestHoldBoundsDroppingHelps(t *testing.T) {
 	}
 }
 
+// TestHoldBoundsConfigValidation runs every entry point over the §3.5
+// samples against each invalid sampling configuration: all must return an
+// error — no panic inside the MILP, no NaN yield.
 func TestHoldBoundsConfigValidation(t *testing.T) {
 	c := tinyCircuit(t, 3)
-	cfg := DefaultConfig()
-	cfg.HoldSamples = 0
-	if _, err := ComputeHoldBounds(c, cfg); err == nil {
-		t.Fatal("zero samples should fail")
+	hb := &HoldBounds{ByPair: map[[2]int]float64{}}
+	entries := map[string]func(Config) error{
+		"ComputeHoldBounds": func(cfg Config) error {
+			_, err := ComputeHoldBounds(c, cfg)
+			return err
+		},
+		"ComputeHoldBoundsExact": func(cfg Config) error {
+			_, err := ComputeHoldBoundsExact(c, cfg)
+			return err
+		},
+		"HoldYieldEstimate": func(cfg Config) error {
+			_, err := HoldYieldEstimate(c, hb, cfg)
+			return err
+		},
 	}
-	cfg = DefaultConfig()
-	cfg.HoldYield = 1.5
-	if _, err := ComputeHoldBounds(c, cfg); err == nil {
-		t.Fatal("bad yield should fail")
+	for _, tc := range []struct {
+		name    string
+		samples int
+		yield   float64
+	}{
+		{"zero-samples", 0, 0.99},
+		{"negative-samples", -3, 0.99},
+		{"zero-yield", 50, 0},
+		{"yield-above-one", 50, 1.5},
+		{"nan-yield", 50, math.NaN()},
+	} {
+		for entry, run := range entries {
+			t.Run(tc.name+"/"+entry, func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.HoldSamples, cfg.HoldYield = tc.samples, tc.yield
+				if err := run(cfg); err == nil {
+					t.Fatal("invalid hold sampling config accepted")
+				}
+			})
+		}
+	}
+}
+
+// TestHoldSamplesWorkerInvariant pins the parallel hold sampling: the
+// samples, and so the bounds, are bit-identical at any worker count.
+func TestHoldSamplesWorkerInvariant(t *testing.T) {
+	c := tinyCircuit(t, 4)
+	cfg := DefaultConfig()
+	cfg.HoldSamples = 103 // a ragged final sampler block
+	cfg.Workers = 1
+	pairs, want, err := sampleHoldQuantities(context.Background(), c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 8} {
+		cfg.Workers = workers
+		gotPairs, got, err := sampleHoldQuantities(context.Background(), c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotPairs, pairs) {
+			t.Fatalf("workers=%d: pairs differ", workers)
+		}
+		for pi := range want {
+			for k := range want[pi] {
+				if math.Float64bits(got[pi][k]) != math.Float64bits(want[pi][k]) {
+					t.Fatalf("workers=%d: sample (%d,%d) = %v, want %v", workers, pi, k, got[pi][k], want[pi][k])
+				}
+			}
+		}
+	}
+}
+
+// TestHoldStageCancelled checks that the hold stage — most of Prepare's
+// time — honours the context.
+func TestHoldStageCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := computeHoldBounds(ctx, tinyCircuit(t, 3), DefaultConfig()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("hold stage on a cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -188,4 +260,26 @@ func verifyConfiguration(t *testing.T, c *circuit.Circuit, b *Bounds, hb *HoldBo
 // tinyCircuitErr generates a custom-size tiny circuit.
 func tinyCircuitErr(ffs, gates, bufs, paths int, seed int64) (*circuit.Circuit, error) {
 	return circuit.Generate(circuit.TinyProfile("custom", ffs, gates, bufs, paths), seed)
+}
+
+// BenchmarkSampleHold times the §3.5 Monte-Carlo draw — M = 500 chips of
+// short-path hold quantities — that dominates Prepare, on one worker.
+func BenchmarkSampleHold(b *testing.B) {
+	for _, name := range []string{"s9234", "usb_funct"} {
+		p, _ := circuit.ProfileByName(name)
+		c, err := circuit.Generate(p, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.Workers = 1
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, err := sampleHoldQuantities(context.Background(), c, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -229,5 +231,42 @@ func TestPrepareCtxCancellation(t *testing.T) {
 	cancel()
 	if _, err := PrepareCtx(ctx, c, DefaultConfig()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("PrepareCtx(cancelled) = %v, want context.Canceled", err)
+	}
+}
+
+// TestPlanBytesPinned pins the exact plan artifact bytes (PrepDuration
+// zeroed) for two paper circuits at generator seed 1: any change to path
+// selection, multiplexing or the hold-bound Monte-Carlo that moves a single
+// bit of the plan fails here.
+func TestPlanBytesPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("prepares usb_funct")
+	}
+	for _, tc := range []struct{ circuit, sha string }{
+		{"s9234", "1149452096e3348a0f5b2445fb443c2fd67942e143c8b7280ce374d7fd0aff18"},
+		{"usb_funct", "6720fae9e9da8638c05a97d50431e3e5994559f68ec8cd0d2efabc8a00d42b81"},
+	} {
+		t.Run(tc.circuit, func(t *testing.T) {
+			p, ok := circuit.ProfileByName(tc.circuit)
+			if !ok {
+				t.Fatalf("no profile %q", tc.circuit)
+			}
+			c, err := circuit.Generate(p, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl, err := Prepare(c, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl.PrepDuration = 0
+			data, err := pl.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.sha {
+				t.Fatalf("plan bytes sha256 = %s, want %s", got, tc.sha)
+			}
+		})
 	}
 }

@@ -22,7 +22,7 @@ import (
 
 // Config parameterizes the experiment harness. Chip counts are deliberately
 // configurable: the paper uses 10 000 simulated chips per circuit, which is
-// reproducible here but slow in CI — EXPERIMENTS.md records the counts used.
+// reproducible here but slow in CI, so every count is the caller's choice.
 type Config struct {
 	Seed int64
 	// Chips evaluated per circuit for Table 1 cost metrics.

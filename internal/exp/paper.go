@@ -1,8 +1,8 @@
 package exp
 
 // Published results from the paper, used for side-by-side comparison in the
-// rendered tables and in EXPERIMENTS.md. Absolute runtimes (Tp/Tt/Ts) are
-// hardware-bound and reported but not compared.
+// rendered tables. Absolute runtimes (Tp/Tt/Ts) are hardware-bound and
+// reported but not compared.
 
 // PaperTable1 holds the paper's Table 1 (test cost).
 var PaperTable1 = map[string]Table1Row{

@@ -1,0 +1,172 @@
+package tester
+
+import (
+	"context"
+	"math/rand"
+	"strconv"
+	"sync"
+
+	"effitest/internal/circuit"
+	"effitest/internal/pool"
+	"effitest/internal/rng"
+)
+
+// BlockWidth is the number of chips the sampling kernel manufactures per
+// call: their factor vectors are interleaved so each path's coefficient row
+// streams once per block, and the block's dot products run as BlockWidth
+// independent accumulator chains instead of one latency-bound chain.
+const BlockWidth = 8
+
+// Sampler is the Monte-Carlo chip kernel behind every chip population:
+// SampleChip, SampleChipRangeCtx, the §3.5 hold-bound samples and period
+// calibration. It owns one random stream, re-seeded per chip, and the
+// scratch of one block. A Sampler is not safe for concurrent use; every
+// worker owns its own.
+//
+// Chip i's values are bit-identical to drawing it alone: its stream is
+// seeded with rng.Seed(seed, "chip", name, i); it draws z[0..basis) and
+// then (ε_max, ε_min) per path in path order; every delay is
+// Mean + Σ_k Coef[k]·z[k] + Rand·ε with the sum accumulated from 0.0 in
+// ascending k (la.Dot's sequence, as ssta.Canon.Sample computes it); and
+// the clamps run min ≤ max first, then max ≥ 0, then min ≥ 0.
+type Sampler struct {
+	c     *circuit.Circuit
+	seed  int64
+	r     *rand.Rand
+	basis int
+	z     []float64 // factor block: z[k*BlockWidth+w] is chip w's factor k
+
+	// Max[w] and Min[w] hold the realized delays of the block's chip w
+	// (Min only when the block was drawn with its min delays). A lane
+	// handed over to a Chip is nil until the next draw allocates it again.
+	Max, Min [][]float64
+}
+
+// newSampler returns a kernel for up to lanes (≤ BlockWidth) chips per
+// draw of circuit c's population under seed.
+func newSampler(c *circuit.Circuit, seed int64, lanes int) *Sampler {
+	basis := c.Model.BasisSize()
+	for i := range c.Paths {
+		if len(c.Paths[i].Max.Coef) != basis || len(c.Paths[i].Min.Coef) != basis {
+			panic("ssta: factor vector length mismatch")
+		}
+	}
+	return &Sampler{
+		c:     c,
+		seed:  seed,
+		r:     rand.New(rand.NewSource(0)),
+		basis: basis,
+		z:     make([]float64, basis*BlockWidth),
+		Max:   make([][]float64, lanes),
+		Min:   make([][]float64, lanes),
+	}
+}
+
+// draw manufactures chips first, ..., first+n-1 (n ≤ the sampler's lanes)
+// into lanes 0..n-1. With withMin unset the min-delay draws still advance
+// each chip's stream, but their dot products are skipped and Min is left
+// untouched — period calibration needs only the max delays.
+func (s *Sampler) draw(first, n int, withMin bool) {
+	paths := s.c.Paths
+	for w := range n {
+		s.r.Seed(rng.Seed(s.seed, "chip", s.c.Name, strconv.Itoa(first+w)))
+		for k := range s.basis {
+			s.z[k*BlockWidth+w] = s.r.NormFloat64()
+		}
+		if s.Max[w] == nil {
+			s.Max[w] = make([]float64, len(paths))
+		}
+		if withMin && s.Min[w] == nil {
+			s.Min[w] = make([]float64, len(paths))
+		}
+		// Each path's private draws wait in the delay rows until the
+		// products below replace them.
+		hi, lo := s.Max[w], s.Min[w]
+		for p := range paths {
+			hi[p] = s.r.NormFloat64()
+			if eps := s.r.NormFloat64(); withMin {
+				lo[p] = eps
+			}
+		}
+	}
+	for p := range paths {
+		pm, pn := &paths[p].Max, &paths[p].Min
+		hiDot := dotBlock(pm.Coef, s.z)
+		var loDot [BlockWidth]float64
+		if withMin {
+			loDot = dotBlock(pn.Coef, s.z)
+		}
+		for w := range n {
+			hi := pm.Mean + hiDot[w] + pm.Rand*s.Max[w][p]
+			var lo float64
+			if withMin {
+				// The min-delay shares the die's correlated factors; its
+				// private part is drawn separately (a different
+				// sensitizable short path).
+				lo = pn.Mean + loDot[w] + pn.Rand*s.Min[w][p]
+				if lo > hi {
+					lo = hi
+				}
+			}
+			if hi < 0 {
+				hi = 0
+			}
+			if lo < 0 {
+				lo = 0
+			}
+			s.Max[w][p] = hi
+			if withMin {
+				s.Min[w][p] = lo
+			}
+		}
+	}
+}
+
+// dotBlock returns Σ_k coef[k]·z[k*BlockWidth+w] for every lane w, each
+// summed from 0.0 in ascending k — per lane, exactly la.Dot's operations.
+func dotBlock(coef, z []float64) [BlockWidth]float64 {
+	var a0, a1, a2, a3, a4, a5, a6, a7 float64
+	for k, cf := range coef {
+		zk := (*[BlockWidth]float64)(z[k*BlockWidth:])
+		a0 += cf * zk[0]
+		a1 += cf * zk[1]
+		a2 += cf * zk[2]
+		a3 += cf * zk[3]
+		a4 += cf * zk[4]
+		a5 += cf * zk[5]
+		a6 += cf * zk[6]
+		a7 += cf * zk[7]
+	}
+	return [BlockWidth]float64{a0, a1, a2, a3, a4, a5, a6, a7}
+}
+
+// chip hands lane w's delays over to a standalone chip with manufacturing
+// index idx.
+func (s *Sampler) chip(w, idx int) *Chip {
+	ch := &Chip{Circuit: s.c, Index: idx, TrueMax: s.Max[w], TrueMin: s.Min[w]}
+	s.Max[w], s.Min[w] = nil, nil
+	return ch
+}
+
+// ForEachBlock manufactures the chips with indices [first, first+n) in
+// blocks of BlockWidth on a bounded worker pool (workers as in
+// core.Config.Workers: 0 = all CPUs) and hands each block to fn: lane w of
+// s holds chip first+start+w, for w < count. Blocks run concurrently, so
+// fn must write only the slots of its own chips; every chip's values are
+// the same at any worker count. The context is checked between blocks.
+func ForEachBlock(ctx context.Context, c *circuit.Circuit, seed int64, first, n, workers int, withMin bool, fn func(s *Sampler, start, count int)) error {
+	var free sync.Pool
+	blocks := (n + BlockWidth - 1) / BlockWidth
+	return pool.ForEach(ctx, blocks, workers, func(b int) error {
+		s, _ := free.Get().(*Sampler)
+		if s == nil {
+			s = newSampler(c, seed, min(BlockWidth, n))
+		}
+		start := b * BlockWidth
+		count := min(BlockWidth, n-start)
+		s.draw(first+start, count, withMin)
+		fn(s, start, count)
+		free.Put(s)
+		return nil
+	})
+}

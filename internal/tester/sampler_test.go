@@ -1,0 +1,154 @@
+package tester
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"testing"
+
+	"effitest/internal/circuit"
+	"effitest/internal/rng"
+)
+
+// oracleSampleChip is the chip-at-a-time sampler the blocked kernel
+// replaced: one fresh stream per chip and two la.Dot products per path
+// (through ssta.Canon.Sample). It is kept as the reference the kernel must
+// match bit for bit.
+func oracleSampleChip(c *circuit.Circuit, seed int64, index int) *Chip {
+	r := rng.NewIndexed(seed, index, "chip", c.Name)
+	z := rng.NormVec(r, c.Model.BasisSize())
+	ch := &Chip{
+		Circuit: c,
+		Index:   index,
+		TrueMax: make([]float64, len(c.Paths)),
+		TrueMin: make([]float64, len(c.Paths)),
+	}
+	for i := range c.Paths {
+		p := &c.Paths[i]
+		eps := r.NormFloat64()
+		ch.TrueMax[i] = p.Max.Sample(z, eps)
+		ch.TrueMin[i] = p.Min.Sample(z, r.NormFloat64())
+		if ch.TrueMin[i] > ch.TrueMax[i] {
+			ch.TrueMin[i] = ch.TrueMax[i]
+		}
+		if ch.TrueMax[i] < 0 {
+			ch.TrueMax[i] = 0
+		}
+		if ch.TrueMin[i] < 0 {
+			ch.TrueMin[i] = 0
+		}
+	}
+	return ch
+}
+
+// clampedCircuit is tiny with path means shifted so that the kernel's
+// clamps fire: some max delays go negative, and some min delays exceed
+// their max delay.
+func clampedCircuit(t *testing.T) *circuit.Circuit {
+	c := *tiny(t)
+	c.Name = "clamped"
+	c.Paths = append([]circuit.Path(nil), c.Paths...)
+	for i := range c.Paths {
+		p := &c.Paths[i]
+		switch i % 3 {
+		case 0:
+			p.Max.Mean, p.Min.Mean = -p.Max.Sigma()/2, -p.Max.Sigma()
+		case 1:
+			p.Min.Mean = p.Max.Mean
+		}
+	}
+	return &c
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSamplerMatchesOracle pins every consumer shape of the blocked kernel
+// — the chip population (min and max delays), the max-only calibration
+// draw, and the one-wide SampleChip — bitwise against the chip-at-a-time
+// oracle, across whole and ragged final blocks, a nonzero first index and worker
+// counts 1, 2 and 8.
+func TestSamplerMatchesOracle(t *testing.T) {
+	ctx := context.Background()
+	circuits := []*circuit.Circuit{tiny(t), clampedCircuit(t)}
+	for _, name := range []string{"s9234", "usb_funct"} {
+		p, _ := circuit.ProfileByName(name)
+		c, err := circuit.Generate(p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits = append(circuits, c)
+	}
+	const seed, first = 17, 3
+	for _, c := range circuits {
+		oracle := make([]*Chip, first+500)
+		for i := range oracle {
+			oracle[i] = oracleSampleChip(c, seed, i)
+		}
+		clamps := 0
+		for _, ch := range oracle {
+			for p := range ch.TrueMax {
+				if ch.TrueMax[p] == 0 || ch.TrueMin[p] == ch.TrueMax[p] {
+					clamps++
+				}
+			}
+		}
+		if c.Name == "clamped" && clamps == 0 {
+			t.Fatal("clamped circuit never exercised a clamp")
+		}
+		for _, i := range []int{0, 1, 4, 5, first + 499} {
+			if got := SampleChip(c, seed, i); !sameBits(got.TrueMax, oracle[i].TrueMax) || !sameBits(got.TrueMin, oracle[i].TrueMin) {
+				t.Fatalf("%s: SampleChip(%d) differs from the oracle", c.Name, i)
+			}
+		}
+		for _, n := range []int{1, 3, 5, 16, 499, 500} {
+			for _, workers := range []int{1, 2, 8} {
+				t.Run(fmt.Sprintf("%s/n%d/w%d", c.Name, n, workers), func(t *testing.T) {
+					chips, err := SampleChipRangeCtx(ctx, c, seed, first, n, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, ch := range chips {
+						want := oracle[first+i]
+						if ch.Index != first+i || !sameBits(ch.TrueMax, want.TrueMax) || !sameBits(ch.TrueMin, want.TrueMin) {
+							t.Fatalf("chip %d differs from the oracle", first+i)
+						}
+					}
+					crit := make([]float64, n)
+					err = ForEachBlock(ctx, c, seed, 0, n, workers, false, func(s *Sampler, start, count int) {
+						for w := range count {
+							crit[start+w] = CriticalDelay(s.Max[w])
+						}
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, v := range crit {
+						if math.Float64bits(v) != math.Float64bits(oracle[i].CriticalDelay()) {
+							t.Fatalf("max-only draw of chip %d differs from the oracle", i)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+func TestForEachBlockCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	calls := 0
+	err := ForEachBlock(ctx, tiny(t), 1, 0, 100, 1, true, func(*Sampler, int, int) { calls++ })
+	if err != context.Canceled || calls != 0 {
+		t.Fatalf("err = %v after %d blocks, want context.Canceled before any block", err, calls)
+	}
+}

@@ -12,7 +12,6 @@ import (
 	"math/rand"
 
 	"effitest/internal/circuit"
-	"effitest/internal/pool"
 	"effitest/internal/rng"
 	"effitest/internal/skew"
 )
@@ -27,34 +26,12 @@ type Chip struct {
 }
 
 // SampleChip manufactures chip `index` from the circuit's variation model,
-// deterministically in (seed, index).
+// deterministically in (seed, index): the one-wide call of the Sampler
+// kernel.
 func SampleChip(c *circuit.Circuit, seed int64, index int) *Chip {
-	r := rng.NewIndexed(seed, index, "chip", c.Name)
-	z := rng.NormVec(r, c.Model.BasisSize())
-	ch := &Chip{
-		Circuit: c,
-		Index:   index,
-		TrueMax: make([]float64, len(c.Paths)),
-		TrueMin: make([]float64, len(c.Paths)),
-	}
-	for i := range c.Paths {
-		p := &c.Paths[i]
-		eps := r.NormFloat64()
-		ch.TrueMax[i] = p.Max.Sample(z, eps)
-		// The min-delay shares the die's correlated factors; its private part
-		// is drawn separately (different sensitizable short path).
-		ch.TrueMin[i] = p.Min.Sample(z, r.NormFloat64())
-		if ch.TrueMin[i] > ch.TrueMax[i] {
-			ch.TrueMin[i] = ch.TrueMax[i]
-		}
-		if ch.TrueMax[i] < 0 {
-			ch.TrueMax[i] = 0
-		}
-		if ch.TrueMin[i] < 0 {
-			ch.TrueMin[i] = 0
-		}
-	}
-	return ch
+	s := newSampler(c, seed, 1)
+	s.draw(index, 1, true)
+	return s.chip(0, index)
 }
 
 // SampleChips manufactures n chips, using every CPU. Chip i depends only on
@@ -79,9 +56,10 @@ func SampleChipsCtx(ctx context.Context, c *circuit.Circuit, seed int64, n, work
 // its own index range yet runs the identical chips.
 func SampleChipRangeCtx(ctx context.Context, c *circuit.Circuit, seed int64, first, n, workers int) ([]*Chip, error) {
 	out := make([]*Chip, n)
-	err := pool.ForEach(ctx, n, workers, func(i int) error {
-		out[i] = SampleChip(c, seed, first+i)
-		return nil
+	err := ForEachBlock(ctx, c, seed, first, n, workers, true, func(s *Sampler, start, count int) {
+		for w := range count {
+			out[start+w] = s.chip(w, first+start+w)
+		}
 	})
 	if err != nil {
 		return nil, err
@@ -140,14 +118,18 @@ func (ch *Chip) HoldOK(x []float64) bool {
 
 // CriticalDelay returns the largest realized path delay (the chip's minimum
 // working period without tuning).
-func (ch *Chip) CriticalDelay() float64 {
-	max := 0.0
-	for _, d := range ch.TrueMax {
-		if d > max {
-			max = d
+func (ch *Chip) CriticalDelay() float64 { return CriticalDelay(ch.TrueMax) }
+
+// CriticalDelay returns the largest of a chip's realized max delays, or 0
+// when there are none.
+func CriticalDelay(maxDelays []float64) float64 {
+	crit := 0.0
+	for _, d := range maxDelays {
+		if d > crit {
+			crit = d
 		}
 	}
-	return max
+	return crit
 }
 
 // Arcs returns the chip's exact timing arcs (for ideal-measurement

@@ -29,12 +29,14 @@ func PeriodQuantile(c *circuit.Circuit, seed int64, n int, q float64) float64 {
 
 // PeriodQuantileCtx is PeriodQuantile with cancellation and an explicit
 // worker count (0 = all CPUs). Chip i is deterministic in (seed, i), so the
-// quantile does not depend on the worker count.
+// quantile does not depend on the worker count. The chips are drawn in
+// sampler blocks without their min delays: only the critical delay counts.
 func PeriodQuantileCtx(ctx context.Context, c *circuit.Circuit, seed int64, n int, q float64, workers int) (float64, error) {
 	xs := make([]float64, n)
-	err := pool.ForEach(ctx, n, workers, func(i int) error {
-		xs[i] = tester.SampleChip(c, seed, i).CriticalDelay()
-		return nil
+	err := tester.ForEachBlock(ctx, c, seed, 0, n, workers, false, func(s *tester.Sampler, start, count int) {
+		for w := range count {
+			xs[start+w] = tester.CriticalDelay(s.Max[w])
+		}
 	})
 	if err != nil {
 		return 0, err

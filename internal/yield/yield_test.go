@@ -1,6 +1,7 @@
 package yield
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -122,5 +123,21 @@ func TestEmptyChipList(t *testing.T) {
 	st, err := ProposedOpts(t.Context(), plan, nil, 1, core.RunOptions{})
 	if err != nil || st.Yield != 0 {
 		t.Fatalf("empty proposed: %v %v", st, err)
+	}
+}
+
+// BenchmarkPeriodQuantile times period calibration over 500 usb_funct
+// chips on one worker.
+func BenchmarkPeriodQuantile(b *testing.B) {
+	p, _ := circuit.ProfileByName("usb_funct")
+	c, err := circuit.Generate(p, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := PeriodQuantileCtx(context.Background(), c, 1, 500, 0.8413, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
