@@ -82,7 +82,7 @@ func main() {
 // the plan cache: two circuits with equal fingerprints are interchangeable
 // inputs to the offline flow.
 func printFingerprint(c *effitest.Circuit) {
-	h, err := effitest.CircuitFingerprint(c)
+	h, err := c.Fingerprint()
 	fatal(err)
 	fmt.Printf("fingerprint %s\n", h)
 }

@@ -231,13 +231,9 @@ func SavePlan(path string, pl *Plan) error { return core.SavePlan(path, pl) }
 // index. Feed the result to WithPlan to skip Prepare.
 func LoadPlan(path string, c *Circuit) (*Plan, error) { return core.LoadPlan(path, c) }
 
-// CircuitFingerprint returns the stable content hash that keys plan
-// artifacts, the plan cache and fleet engine registries.
-func CircuitFingerprint(c *Circuit) (string, error) { return circuit.Fingerprint(c) }
-
 // ConfigFingerprint returns the stable hash of every Prepare-relevant flow
 // configuration field (Workers excluded: the worker count never shapes a
-// plan). Together with CircuitFingerprint it keys the plan cache and fleet
+// plan). Together with Circuit.Fingerprint it keys the plan cache and fleet
 // engine registries.
 func ConfigFingerprint(cfg Config) string { return core.ConfigFingerprint(cfg) }
 

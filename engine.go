@@ -370,10 +370,6 @@ func resolvePlan(ctx context.Context, c *Circuit, s *engineSettings) (*core.Plan
 // supplied artifact (true) rather than a fresh Prepare (false).
 func (e *Engine) PlanCacheHit() bool { return e.cacheHit }
 
-// CircuitFingerprint returns the content hash of the engine's circuit — the
-// circuit half of a fleet-registry or plan-cache key.
-func (e *Engine) CircuitFingerprint() (string, error) { return circuit.Fingerprint(e.c) }
-
 // ConfigFingerprint returns the hash of the engine's Prepare-relevant flow
 // configuration (Workers excluded) — the configuration half of the
 // plan-cache key. Fleet registries key on SummarizeOptions.Fingerprint

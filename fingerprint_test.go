@@ -81,7 +81,8 @@ func TestSummarizeOptionsHasPlan(t *testing.T) {
 
 // The engine exposes both halves of its registry/plan-cache identity.
 func TestEngineFingerprints(t *testing.T) {
-	c, err := effitest.Generate(effitest.NewProfile("fpeng", 24, 200, 3, 24), 4)
+	p := effitest.NewProfile("fpeng", 24, 200, 3, 24)
+	c, err := effitest.Generate(p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,16 +90,22 @@ func TestEngineFingerprints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfp, err := eng.CircuitFingerprint()
+	cfp, err := eng.Circuit().Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := effitest.CircuitFingerprint(c)
+	// Equal content, fresh instance: the identity is the content's, not
+	// the pointer's.
+	again, err := effitest.Generate(p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := again.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfp != want {
-		t.Fatalf("engine circuit fingerprint %s != facade %s", cfp, want)
+		t.Fatalf("engine circuit fingerprint %s != regenerated copy's %s", cfp, want)
 	}
 	if got := eng.ConfigFingerprint(); got != effitest.ConfigFingerprint(eng.Config()) {
 		t.Fatal("engine config fingerprint diverges from ConfigFingerprint")

@@ -65,7 +65,7 @@ type CampaignSpec struct {
 	// one worker of the manager's shared pool.
 	Options []effitest.Option
 	// Plan, when non-nil, supplies a pre-built plan artifact; the engine is
-	// constructed directly from it, bypassing the registry.
+	// built around it, caller-private (the registry never shares it).
 	Plan *effitest.Plan
 	// Chips is an explicit chip population. Every chip must reference the
 	// engine's circuit instance; prefer ChipSeed/ChipCount, which sample
@@ -366,19 +366,16 @@ func (c *Campaign) Wait(ctx context.Context) (Status, error) {
 	return c.Status(), nil
 }
 
-// prepare resolves the campaign's engine (through the registry unless the
-// spec carries a plan) and population, then hands the campaign to the
-// worker pool. Runs once, asynchronously, per Submit.
+// prepare resolves the campaign's engine (through the registry, which keeps
+// a plan campaign's engine caller-private) and population, then hands the
+// campaign to the worker pool. Runs once, asynchronously, per Submit.
 func (c *Campaign) prepare(spec CampaignSpec) {
 	defer c.m.prepWG.Done()
-	var eng *effitest.Engine
-	var err error
+	opts := spec.Options
 	if spec.Plan != nil {
-		opts := append(slices.Clone(spec.Options), effitest.WithPlan(spec.Plan))
-		eng, err = effitest.NewCtx(c.ctx, spec.Circuit, opts...)
-	} else {
-		eng, err = c.m.reg.Engine(c.ctx, spec.Circuit, spec.Options...)
+		opts = append(slices.Clone(opts), effitest.WithPlan(spec.Plan))
 	}
+	eng, err := c.m.reg.Engine(c.ctx, spec.Circuit, opts...)
 	if err != nil {
 		c.failPrep(err)
 		return
@@ -710,8 +707,6 @@ func (m *Manager) Submit(spec CampaignSpec) (*Campaign, error) {
 	if err := workload.Check(spec.Workload, spec.BinEdges, spec.Drift); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	// The journal's spec record is assembled outside m.mu (fingerprinting
-	// hashes the whole netlist); only the durable append serializes.
 	jspec, err := m.journalSpec(spec)
 	if err != nil {
 		return nil, err

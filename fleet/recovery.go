@@ -139,7 +139,7 @@ func (m *Manager) Recover(decode func([]byte) (CampaignSpec, error)) (RecoverSta
 // one) is not checked.
 func (m *Manager) fingerprintsMatch(js journal.Spec, spec CampaignSpec) bool {
 	if js.CircuitFP != "" {
-		fp, err := effitest.CircuitFingerprint(spec.Circuit)
+		fp, err := spec.Circuit.Fingerprint()
 		if err != nil || fp != js.CircuitFP {
 			return false
 		}
@@ -157,7 +157,7 @@ func (m *Manager) journalSpec(spec CampaignSpec) (journal.Spec, error) {
 	if m.journal == nil {
 		return journal.Spec{}, nil
 	}
-	cfp, err := effitest.CircuitFingerprint(spec.Circuit)
+	cfp, err := spec.Circuit.Fingerprint()
 	if err != nil {
 		return journal.Spec{}, fmt.Errorf("fleet: fingerprinting circuit: %w", err)
 	}

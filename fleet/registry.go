@@ -134,19 +134,13 @@ func (r *Registry) Engine(ctx context.Context, c *effitest.Circuit, opts ...effi
 	all = append(all, r.baseOpts...)
 	all = append(all, opts...)
 	sum := effitest.SummarizeOptions(all...)
-	if sum.HasPlan {
-		return effitest.NewCtx(ctx, c, all...)
-	}
-	if sum.HasBackend || sum.HasObserver {
-		if r.planDir != "" && sum.PlanCacheDir == "" {
-			all = append(all, effitest.WithPlanCache(r.planDir))
-		}
-		return effitest.NewCtx(ctx, c, all...)
-	}
 	if r.planDir != "" && sum.PlanCacheDir == "" {
 		all = append(all, effitest.WithPlanCache(r.planDir))
 	}
-	cfp, err := effitest.CircuitFingerprint(c)
+	if sum.HasPlan || sum.HasBackend || sum.HasObserver {
+		return effitest.NewCtx(ctx, c, all...)
+	}
+	cfp, err := c.Fingerprint()
 	if err != nil {
 		return nil, fmt.Errorf("fleet: fingerprinting circuit: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -211,14 +212,15 @@ func TestRegistryConstructionErrorForgotten(t *testing.T) {
 	}
 }
 
-// countingBackend counts session opens (and otherwise simulates).
+// countingBackend counts session opens (and otherwise simulates). Chip
+// workers open sessions concurrently, so the count is atomic.
 type countingBackend struct {
-	opens int32
+	opens atomic.Int64
 	inner effitest.SimBackend
 }
 
 func (cb *countingBackend) Open(ch *effitest.Chip, resolution float64) (effitest.Session, error) {
-	cb.opens++
+	cb.opens.Add(1)
 	return cb.inner.Open(ch, resolution)
 }
 
@@ -256,7 +258,7 @@ func TestRegistryBackendAndObserverBypass(t *testing.T) {
 	if _, err := private.RunChipsAll(ctx, chips); err != nil {
 		t.Fatal(err)
 	}
-	if cb.opens == 0 {
+	if cb.opens.Load() == 0 {
 		t.Fatal("custom backend never used by the private engine")
 	}
 	obs, err := r.Engine(ctx, c, fastOpts(effitest.WithObserver(effitest.NewProgressPrinter(nopWriter{})))...)
@@ -295,5 +297,39 @@ func TestRegistryWithPlanBypasses(t *testing.T) {
 	}
 	if got := r.Len(); got != 0 {
 		t.Fatalf("WithPlan engine was cached: %d entries", got)
+	}
+}
+
+// A plan campaign resolves its engine through the registry like any other,
+// so the registry's WithEngineOptions defaults (here a pinned period) reach
+// it too, while the engine stays out of the registry.
+func TestPlanCampaignGetsRegistryDefaults(t *testing.T) {
+	const period = 3.25
+	r, err := NewRegistry(WithEngineOptions(effitest.WithPeriod(period)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newTestManager(t, WithRegistry(r))
+	c := tinyCircuit(t, "plandefaults", 3)
+	base, err := effitest.New(c, fastOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	camp, err := m.Submit(CampaignSpec{Circuit: c, Plan: base.Plan(), ChipSeed: 5, ChipCount: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := camp.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone {
+		t.Fatalf("state %s, err %v", st.State, st.Err)
+	}
+	if st.Period != period {
+		t.Fatalf("plan campaign period %v, want the registry default %v", st.Period, period)
+	}
+	if got := r.Len(); got != 0 {
+		t.Fatalf("plan campaign engine was cached: %d entries", got)
 	}
 }

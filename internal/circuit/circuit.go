@@ -40,7 +40,9 @@ type Path struct {
 	Min      ssta.Canon
 }
 
-// Circuit is a complete benchmark instance.
+// Circuit is a complete benchmark instance. It must not be mutated once it
+// has been handed to Fingerprint, Prepare, New or the fleet: its identity is
+// memoised on first use, and plans, caches and registries key on it.
 type Circuit struct {
 	Name     string
 	NumFF    int
@@ -68,7 +70,8 @@ type Circuit struct {
 	// forms share.
 	Model *variation.Model
 
-	covCache *covCacheT
+	covCache    *covCacheT
+	fingerprint string // memoised Fingerprint, "" until first computed
 }
 
 type covCacheT struct {
@@ -187,13 +190,18 @@ func (c *Circuit) HoldBoundMean(p int) float64 {
 // ("we manually increased the standard deviations of all delays by 10%.
 // Since we did not change the covariance matrix ... this change led to a
 // large increase in the purely random parts"). Only the private Rand terms
-// grow.
+// grow. The netlist does not carry Rand, so the copy's Fingerprint derives
+// from the base's and the factor (and fails where the base's does).
 func (c *Circuit) WithInflatedSigma(factor float64) (*Circuit, error) {
 	if factor < 1 {
 		return nil, errors.New("circuit: inflation factor must be >= 1")
 	}
+	base, fpErr := c.Fingerprint() // before the copy, so the memo is settled
 	out := *c
-	out.covCache = nil
+	out.covCache, out.fingerprint = nil, ""
+	if fpErr == nil {
+		out.fingerprint = inflatedFingerprint(base, factor)
+	}
 	out.Paths = make([]Path, len(c.Paths))
 	copy(out.Paths, c.Paths)
 	for i := range out.Paths {

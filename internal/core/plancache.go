@@ -59,17 +59,13 @@ func ConfigFingerprint(cfg Config) string {
 
 // Key returns the cache key for (circuit, config): a hex SHA-256 digest.
 func (pc *PlanCache) Key(c *circuit.Circuit, cfg Config) (string, error) {
-	cfp, err := circuit.Fingerprint(c)
+	cfp, err := c.Fingerprint()
 	if err != nil {
 		return "", err
 	}
-	return pc.keyFrom(cfp, cfg), nil
-}
-
-func (pc *PlanCache) keyFrom(circuitFP string, cfg Config) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "effitest-plan|v%d|circuit:%s|config:%s", PlanFormatVersion, circuitFP, ConfigFingerprint(cfg))
-	return hex.EncodeToString(h.Sum(nil))
+	fmt.Fprintf(h, "effitest-plan|v%d|circuit:%s|config:%s", PlanFormatVersion, cfp, ConfigFingerprint(cfg))
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // Path returns the on-disk location of a cache key.
@@ -88,11 +84,11 @@ func (pc *PlanCache) Get(c *circuit.Circuit, cfg Config) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfp, err := circuit.Fingerprint(c)
+	key, err := pc.Key(c, cfg)
 	if err != nil {
 		return nil, err
 	}
-	data, err := os.ReadFile(pc.Path(pc.keyFrom(cfp, cfg)))
+	data, err := os.ReadFile(pc.Path(key))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
@@ -107,7 +103,7 @@ func (pc *PlanCache) Get(c *circuit.Circuit, cfg Config) (*Plan, error) {
 	// every field except Workers, and the first chip's lazy kernel bake
 	// should fan out at the caller's width, not the writing process's.
 	pl.Cfg = cfg
-	if err := pl.bindWithFingerprint(c, cfp); err != nil {
+	if err := pl.Bind(c); err != nil {
 		return nil, nil // stale or tampered entry: miss
 	}
 	return pl, nil

@@ -273,7 +273,7 @@ func (pl *Plan) MarshalBinary() ([]byte, error) {
 	name := pl.circuitName
 	if pl.Circuit != nil {
 		var err error
-		if hash, err = circuit.Fingerprint(pl.Circuit); err != nil {
+		if hash, err = pl.Circuit.Fingerprint(); err != nil {
 			return nil, err
 		}
 		name = pl.Circuit.Name
@@ -462,17 +462,10 @@ func sortedHoldPairs(h *HoldBounds) []holdPair {
 // e.g. a group whose covariance is singular) correspondingly surfaces on
 // that first chip run rather than from Bind.
 func (pl *Plan) Bind(c *circuit.Circuit) error {
-	hash, err := circuit.Fingerprint(c)
+	hash, err := c.Fingerprint()
 	if err != nil {
 		return err
 	}
-	return pl.bindWithFingerprint(c, hash)
-}
-
-// bindWithFingerprint is Bind with the circuit's fingerprint already
-// computed (the plan cache hashes the circuit for its key anyway; hashing
-// a large netlist twice per warm load would double the hot-path cost).
-func (pl *Plan) bindWithFingerprint(c *circuit.Circuit, hash string) error {
 	if pl.circuitHash != "" && pl.circuitHash != hash {
 		return fmt.Errorf("%w: artifact for %q (%.12s…), got %q (%.12s…)",
 			ErrPlanCircuitMismatch, pl.circuitName, pl.circuitHash, c.Name, hash)

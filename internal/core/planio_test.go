@@ -225,6 +225,50 @@ func TestPlanCacheHitSkipsPrepare(t *testing.T) {
 	}
 }
 
+// The netlist does not carry the private Rand terms WithInflatedSigma
+// grows, so the inflated copy must key its own cache entry (Figure 7 runs
+// through the plan cache) instead of being served the base circuit's plan.
+func TestPlanCacheInflatedSigmaMisses(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	c := tinyCircuit(t, 3)
+	cfg := DefaultConfig()
+	if _, _, err := PrepareCached(ctx, dir, c, cfg); err != nil {
+		t.Fatal(err)
+	}
+	inflated, err := c.WithInflatedSigma(1.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, hit, err := PrepareCached(ctx, dir, inflated, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit {
+		t.Fatal("inflated circuit hit the base circuit's cache entry")
+	}
+	if pl.Circuit != inflated {
+		t.Fatal("inflated plan bound to another circuit")
+	}
+	// And the stored artifact round-trips onto the inflated circuit only.
+	again, hit, err := PrepareCached(ctx, dir, inflated, cfg)
+	if err != nil || !hit {
+		t.Fatalf("second inflated PrepareCached = (hit %v, %v), want a hit", hit, err)
+	}
+	planEqual(t, pl, again)
+	data, err := pl.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodePlan(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := decoded.Bind(c); !errors.Is(err, ErrPlanCircuitMismatch) {
+		t.Fatalf("inflated plan Bind(base) = %v, want ErrPlanCircuitMismatch", err)
+	}
+}
+
 func TestPrepareCtxCancellation(t *testing.T) {
 	c := tinyCircuit(t, 3)
 	ctx, cancel := context.WithCancel(context.Background())
