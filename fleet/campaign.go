@@ -186,6 +186,9 @@ type Campaign struct {
 	bins      *workload.BinAgg // clock-binning histogram (nil otherwise)
 	failed    int              // per-chip errors
 	cancelled bool
+	// journalSettled marks a journaled campaign whose terminal record is
+	// written (or was skipped by a draining manager); Wait waits for it.
+	journalSettled bool
 	// settleOnce releases this campaign's admission-control slot exactly
 	// once, on its first transition to a terminal state.
 	settleOnce sync.Once
@@ -345,8 +348,9 @@ func (c *Campaign) Results(ctx context.Context) iter.Seq[effitest.ChipResult] {
 }
 
 // Wait blocks until the campaign settles — terminal state with every chip
-// resolved — and returns the final status. Cancelling ctx abandons the
-// wait with its error; the campaign itself is unaffected.
+// resolved and, for a journaled campaign, its settle record written and
+// its segment compacted — and returns the final status. Cancelling ctx
+// abandons the wait with its error; the campaign itself is unaffected.
 func (c *Campaign) Wait(ctx context.Context) (Status, error) {
 	stop := context.AfterFunc(ctx, func() {
 		c.mu.Lock()
@@ -355,7 +359,8 @@ func (c *Campaign) Wait(ctx context.Context) (Status, error) {
 	})
 	defer stop()
 	c.mu.Lock()
-	for !(c.state.Terminal() && (c.results == nil || c.completed == len(c.results))) {
+	for !(c.state.Terminal() && (c.results == nil || c.completed == len(c.results)) &&
+		(!c.journaled || c.journalSettled)) {
 		if err := ctx.Err(); err != nil {
 			c.mu.Unlock()
 			return Status{}, err
@@ -934,6 +939,7 @@ func (m *Manager) enqueue(c *Campaign) {
 		c.mu.Lock()
 		c.settleLocked(0, ErrManagerClosed)
 		c.mu.Unlock()
+		c.journalSettle()
 		return
 	}
 	m.active = append(m.active, c)
@@ -1082,6 +1088,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		// Fully dispatched campaigns are left to finish: their running
 		// chips are exactly what the drain waits for.
 		c.mu.Unlock()
+		c.journalSettle() // draining: writes nothing, releases Wait once settled
 	}
 
 	done := make(chan struct{})

@@ -211,10 +211,11 @@ func (c *Campaign) journalChip(res *effitest.ChipResult) {
 
 // journalSettle writes the campaign's terminal record and compacts its
 // segment, exactly once — unless the manager is draining: Shutdown leaves
-// campaigns unsettled in the log so the next boot resumes them.
+// campaigns unsettled in the log so the next boot resumes them. Either way
+// it then releases Wait; every path that settles a campaign calls it.
 func (c *Campaign) journalSettle() {
 	j := c.m.journal
-	if j == nil || !c.journaled || c.m.draining() {
+	if j == nil || !c.journaled {
 		return
 	}
 	c.mu.Lock()
@@ -223,13 +224,19 @@ func (c *Campaign) journalSettle() {
 	if !st.Terminal() {
 		return
 	}
-	c.journalSettleOnce.Do(func() {
-		msg := ""
-		if err != nil {
-			msg = err.Error()
-		}
-		j.Settle(c.id, string(st), msg)
-	})
+	if !c.m.draining() {
+		c.journalSettleOnce.Do(func() {
+			msg := ""
+			if err != nil {
+				msg = err.Error()
+			}
+			j.Settle(c.id, string(st), msg)
+		})
+	}
+	c.mu.Lock()
+	c.journalSettled = true
+	c.cond.Broadcast()
+	c.mu.Unlock()
 }
 
 // chipRecord serializes a completed chip result for the journal. Durations

@@ -184,6 +184,36 @@ func TestRecoverBitIdentical(t *testing.T) {
 	}
 }
 
+// TestWaitCoversJournalSettle pins Wait's journal contract: once Wait
+// returns on a journaled campaign, its settle record is written and its
+// segment compacted. The journal fsyncs, which widens the window between
+// the last chip's delivery and the settle write; under the race detector a
+// hundred lots reliably hit it when Wait only covered the delivery.
+func TestWaitCoversJournalSettle(t *testing.T) {
+	const lots = 100
+	c := tinyCircuit(t, "waitsettle", 3)
+	j, err := journal.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newTestManager(t, WithWorkers(2), WithJournal(j))
+	for i := 1; i <= lots; i++ {
+		camp, err := m.Submit(CampaignSpec{
+			Name: "settle", Circuit: c, Options: fastOpts(), ChipSeed: int64(i), ChipCount: 2,
+			JournalPayload: []byte(`{}`),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := camp.Wait(context.Background()); err != nil || st.State != StateDone {
+			t.Fatalf("lot %d: %v, %v", i, st.State, err)
+		}
+		if js := j.Stats(); js.Compactions != int64(i) || js.OpenSegments != 0 {
+			t.Fatalf("lot %d: Wait returned before the settle record: %+v", i, js)
+		}
+	}
+}
+
 // holdBackend delegates to the simulated ATE but blocks session opens for
 // the chip indices in hold until release closes, announcing each blocked
 // chip on held (buffered, so announcing never blocks).
@@ -371,6 +401,12 @@ func TestShutdownLeavesJournalResumable(t *testing.T) {
 	st := camp.Status()
 	if st.State.Terminal() == false {
 		t.Fatalf("campaign not settled in memory after drain: %s", st.State)
+	}
+	// The drain writes no settle record, so Wait must not wait for one.
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if _, err := camp.Wait(wctx); err != nil {
+		t.Fatalf("Wait after the drain: %v", err)
 	}
 	if err := j1.Close(); err != nil {
 		t.Fatal(err)

@@ -205,20 +205,22 @@ func BenchmarkAlignSolveHeuristic(b *testing.B) {
 	// search, not the allocator.
 	var scr alignScratch
 	prev := slices.Clone(alignHeuristic(c, items, nil, &scr).X)
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for b.Loop() {
-			alignHeuristic(c, items, nil, &scr)
+	// solve reports, beside time and allocations, the objective
+	// evaluations (lattice probes) per solve.
+	solve := func(prev []float64) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			scr.probes = 0
+			for b.Loop() {
+				alignHeuristic(c, items, prev, &scr)
+			}
+			b.ReportMetric(float64(scr.probes)/float64(b.N), "probes/op")
 		}
-	})
+	}
+	b.Run("cold", solve(nil))
 	// The warm-start re-solve runBatchTest makes after a batch's first
 	// frequency step.
-	b.Run("warm", func(b *testing.B) {
-		b.ReportAllocs()
-		for b.Loop() {
-			alignHeuristic(c, items, prev, &scr)
-		}
-	})
+	b.Run("warm", solve(prev))
 }
 
 func BenchmarkAlignSolveFastMILP(b *testing.B) {

@@ -71,6 +71,7 @@ type alignScratch struct {
 	ord       []int     // item permutation, re-sorted by (vals[i], i) per probe
 	held      []int     // items whose hold bound λ is finite
 	bufs      []int
+	probes    int // evalBestT calls, for the probe-count tests and benchmark
 }
 
 // begin fills the per-solve item state: centers, the identity permutation
@@ -171,6 +172,31 @@ func alignObjective(items []alignItem, T float64, x []float64) float64 {
 // alignHeuristic is weighted-median coordinate descent over the buffer
 // lattice: T is re-optimized in closed form; each touched buffer scans its
 // lattice, skipping values that violate any hold bound of the batch.
+//
+// The scans stop early only where a certificate proves that no skipped
+// probe could pass the `obj < best − 1e-12` test, so the chain of running-
+// best updates — and with it T, X and Obj — is bit-identical to probing
+// every lattice value. Along one coordinate x_f, with the others fixed:
+//
+//   - G(x_f) = min_{T≥0} Σ w_i|T − (c_i + x_from − x_to)| is convex (the
+//     partial minimum of a jointly convex function), and the lattice values
+//     Lo + k·step are non-decreasing in k, so once G rises between two
+//     probed values it never falls again;
+//   - every hold bound x_from − x_to ≥ λ is monotone in x_f, so the
+//     hold-feasible values form an interval;
+//   - evalBestT's rounded objective g̃ is within δ (certSlack) of G, so a
+//     rise of g̃ by more than 2δ proves a rise of G, after which every
+//     later value's g̃ is at least the risen one's minus 2δ.
+//
+// A descent coordinate that sits exactly on lattice index kc, at a
+// hold-feasible point, first probes kc−1: when that probe is infeasible or
+// worse than the current value by more than 2δ, nothing left of kc can win
+// and the scan starts right of kc. Every scan stops at the first probe
+// whose g̃ exceeds the last probed value by more than 2δ and sits 2δ above
+// the running best, and (from a feasible kc) at the first infeasible probe
+// right of kc. A coordinate off the lattice (a Hi restart that misses it
+// by an ulp) or at a start repairHolds could not make feasible gets
+// neither the left skip nor the hold stop: its scan starts at k = 0.
 func alignHeuristic(c *circuit.Circuit, items []alignItem, prev []float64, scr *alignScratch) alignResult {
 	scr.x = resizeF(scr.x, c.NumFF)
 	x := scr.x
@@ -199,11 +225,13 @@ func alignHeuristic(c *circuit.Circuit, items []alignItem, prev []float64, scr *
 
 	scr.begin(items)
 	ctr, vals, ord := scr.ctr, scr.vals, scr.ord
+	delta2 := 2 * certSlack(c, items, ctr, x)
 	// evalBestT returns the objective with T re-optimized in closed form
 	// (the weighted median of the shifted centers) for the current x. The
 	// shifted centers and the objective sum are alignObjective's float ops
 	// in its order, so the result is bit-identical to a full re-evaluation.
 	evalBestT := func() (float64, float64) {
+		scr.probes++
 		for i, it := range items {
 			vals[i] = ctr[i] + x[it.from] - x[it.to]
 		}
@@ -226,11 +254,31 @@ func alignHeuristic(c *circuit.Circuit, items []alignItem, prev []float64, scr *
 		}
 		return false
 	}
+	// risen reports that the objective rose by more than 2δ from the last
+	// probed value and sits 2δ above best, so no later lattice value of
+	// this coordinate can beat best. A NaN last (nothing probed yet) never
+	// certifies.
+	risen := func(obj, last, best float64) bool {
+		return obj-last > delta2 && obj-delta2 >= best
+	}
 
 	latticeValue := func(f, k int) float64 { return c.Buf.Lo[f] + float64(k)*c.Buf.StepSize(f) }
 	steps := c.Buf.Steps
 	if steps < 0 {
 		steps = 0
+	}
+	// latticeIndex returns the k with latticeValue(f, k) == v exactly and
+	// both neighbours distinct from v, or -1.
+	latticeIndex := func(f int, v float64) int {
+		r := math.Round((v - c.Buf.Lo[f]) / c.Buf.StepSize(f))
+		if !(r >= 0 && r <= float64(steps)) {
+			return -1
+		}
+		k := int(r)
+		if latticeValue(f, k) != v || k > 0 && latticeValue(f, k-1) == v || k < steps && latticeValue(f, k+1) == v {
+			return -1
+		}
+		return k
 	}
 
 	if len(bufs) <= 2 && steps > 0 && steps <= 64 {
@@ -243,30 +291,87 @@ func alignHeuristic(c *circuit.Circuit, items []alignItem, prev []float64, scr *
 		if holdViolated() {
 			best = math.Inf(1)
 		}
-		scan := func() {
-			if _, obj := evalBestT(); obj < best-1e-12 && !holdViolated() {
-				best = obj
-				copy(bestX, x)
+		// row scans buffer f's lattice upward with the others fixed.
+		row := func(f int) {
+			last := math.NaN()
+			for k := 0; k <= steps; k++ {
+				x[f] = latticeValue(f, k)
+				_, obj := evalBestT()
+				if obj < best-1e-12 && !holdViolated() {
+					best = obj
+					copy(bestX, x)
+				}
+				if risen(obj, last, best) {
+					return
+				}
+				last = obj
 			}
 		}
 		switch len(bufs) {
 		case 1:
-			for k := 0; k <= steps; k++ {
-				x[bufs[0]] = latticeValue(bufs[0], k)
-				scan()
-			}
+			row(bufs[0])
 		case 2:
 			for k0 := 0; k0 <= steps; k0++ {
 				x[bufs[0]] = latticeValue(bufs[0], k0)
-				for k1 := 0; k1 <= steps; k1++ {
-					x[bufs[1]] = latticeValue(bufs[1], k1)
-					scan()
-				}
+				row(bufs[1])
 			}
 		}
 		copy(x, bestX)
 		t, obj := evalBestT()
 		return alignResult{T: t, X: x, Obj: obj}
+	}
+
+	// scanCoord moves buffer f to its lattice value of lowest objective and
+	// returns that objective; best is the objective at x. A value replaces
+	// the running best only by beating it by 1e-12, so ties keep the
+	// current value or the lowest k.
+	scanCoord := func(f int, best float64) float64 {
+		cur := x[f]
+		bestV, bestObj := cur, best
+		kc := -1 // cur's lattice index at a hold-feasible x; -1: no certificate
+		if !holdViolated() {
+			kc = latticeIndex(f, cur)
+		}
+		k, last, left := 0, math.NaN(), 0.0
+		if kc > 0 {
+			x[f] = latticeValue(f, kc-1)
+			if holdViolated() {
+				k = kc
+			} else if _, left = evalBestT(); left-best > delta2 {
+				k = kc
+			}
+		}
+	scan:
+		for ; k <= steps; k++ {
+			v := latticeValue(f, k)
+			var obj float64
+			switch {
+			case k == kc:
+				obj = best // the current value never beats bestObj ≤ best
+			case v == cur:
+				continue
+			case k == kc-1:
+				obj = left
+			default:
+				x[f] = v
+				if holdViolated() {
+					if kc >= 0 && k > kc {
+						break scan // the feasible interval around kc ended
+					}
+					continue
+				}
+				_, obj = evalBestT()
+			}
+			if obj < bestObj-1e-12 {
+				bestObj, bestV = obj, v
+			}
+			if risen(obj, last, bestObj) {
+				break
+			}
+			last = obj
+		}
+		x[f] = bestV
+		return bestObj
 	}
 
 	// Multi-start coordinate descent for batches touching many buffers.
@@ -277,24 +382,8 @@ func alignHeuristic(c *circuit.Circuit, items []alignItem, prev []float64, scr *
 		for pass := 0; pass < maxPasses; pass++ {
 			improved := false
 			for _, f := range bufs {
-				cur := x[f]
-				bestV, bestObj := cur, best
-				for k := 0; k <= steps; k++ {
-					v := latticeValue(f, k)
-					if v == cur {
-						continue
-					}
-					x[f] = v
-					if holdViolated() {
-						continue
-					}
-					if _, obj := evalBestT(); obj < bestObj-1e-12 {
-						bestObj, bestV = obj, v
-					}
-				}
-				x[f] = bestV
-				if bestObj < best-1e-12 {
-					best = bestObj
+				if obj := scanCoord(f, best); obj < best-1e-12 {
+					best = obj
 					improved = true
 				}
 			}
@@ -353,6 +442,46 @@ func alignHeuristic(c *circuit.Circuit, items []alignItem, prev []float64, scr *
 	copy(x, bestX)
 	t, obj := evalBestT()
 	return alignResult{T: t, X: x, Obj: obj}
+}
+
+// certSlack returns δ, an a-priori bound on |g̃(x) − G(x)| at every point one
+// alignHeuristic solve can visit, where g̃ is evalBestT's rounded objective
+// and G(x) = min_{T≥0} Σ w_i|T − (c_i + x_from − x_to)| its exact value. x is
+// the solve's start; only touched buffers move, within [Lo, Hi], and
+// restarts only zero the rest. With u = 2⁻⁵³, n items, W = Σw and M bounding
+// |c_i| + |x_from| + |x_to| over the items:
+//
+//   - each shifted centre is two roundings from exact, ≤ 2uM, which moves
+//     the minimum over T by ≤ 2uMW;
+//   - the weighted median compares rounded prefix sums with a rounded half
+//     total, each within nuW of exact, so the chosen T (clamped at 0) has a
+//     subgradient within 4nuW of zero and lies within M of the constrained
+//     optimum: ≤ 4nuMW;
+//   - the objective's n products and sums lose ≤ (n+1)u·Σ w|T − v_i| ≤
+//     2(n+1)uMW.
+//
+// That totals (3n+2)·2⁻⁵²·MW. The returned 8(n+4)·2⁻⁵²·W·(M+1) more than
+// doubles it, covering the second-order terms and the rounding of the
+// certificate's own comparisons; the last term covers rounding in the
+// subnormal range. With a negative or NaN weight G need not be convex, and
+// δ = +Inf disables every objective certificate. A loose δ only costs probes.
+func certSlack(c *circuit.Circuit, items []alignItem, ctr, x []float64) float64 {
+	reach := func(f int) float64 {
+		if c.Buf.Buffered[f] {
+			return max(math.Abs(c.Buf.Lo[f]), math.Abs(c.Buf.Hi[f]))
+		}
+		return math.Abs(x[f])
+	}
+	w, m := 0.0, 0.0
+	for i, it := range items {
+		if !(it.weight >= 0) {
+			return math.Inf(1)
+		}
+		w += it.weight
+		m = max(m, math.Abs(ctr[i])+reach(it.from)+reach(it.to))
+	}
+	n := float64(len(items))
+	return 8*(n+4)*0x1p-52*w*(m+1) + (n+4)*0x1p-1022
 }
 
 // repairHolds makes x hold-feasible for the batch: as long as some item's

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"slices"
 	"sort"
@@ -72,11 +73,11 @@ func oracleWeightedMedian(vals, weights []float64) float64 {
 	return vals[idx[len(idx)-1]]
 }
 
-// oracleAlignHeuristic is the full-resort evaluator alignHeuristic
-// replaced: every lattice probe rebuilds the shifted centers from the
-// items, re-sorts them with their weights from item order, re-derives the
-// objective through alignObjective and scans every item for hold
-// violations. The search is alignHeuristic's, step for step, on fresh
+// oracleAlignHeuristic is alignHeuristic's search without its shortcuts:
+// every coordinate scan probes every lattice value, and every probe
+// rebuilds the shifted centers from the items, re-sorts them with their
+// weights from item order, re-derives the objective through
+// alignObjective and scans every item for hold violations, on fresh
 // buffers.
 func oracleAlignHeuristic(c *circuit.Circuit, items []alignItem, prev []float64) alignResult {
 	x := make([]float64, c.NumFF)
@@ -220,39 +221,70 @@ func touchedBufs(c *circuit.Circuit, items []alignItem) []int {
 	return bufs
 }
 
-// TestAlignHeuristicMatchesOracle pins the incremental evaluator bitwise
-// to the full-resort oracle on random batches: sizes 1–40, exact-tie
-// centers and duplicated items, hold bounds, cold solves, warm re-solves
-// from the previous result (aliasing the scratch, as runBatchTest does)
-// and from off-lattice vectors, and integer and non-integer weights. One
-// scratch serves every solve, so stale state from a larger batch would
-// show.
+// requireSameAlign fails unless got equals the oracle's want bit for bit.
+func requireSameAlign(t testing.TB, what string, got, want alignResult) {
+	t.Helper()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !same(got.T, want.T) || !same(got.Obj, want.Obj) {
+		t.Fatalf("%s: T %v vs oracle %v, Obj %v vs oracle %v", what, got.T, want.T, got.Obj, want.Obj)
+	}
+	for f := range want.X {
+		if !same(got.X[f], want.X[f]) {
+			t.Fatalf("%s: X[%d] %v vs oracle %v", what, f, got.X[f], want.X[f])
+		}
+	}
+}
+
+// checkAlignOracle runs the three solves a batch sees against the oracle:
+// cold; warm after the windows shrink, handing back the scratch-aliased X
+// as runBatchTest does; and warm from an off-lattice vector. k re-weights
+// the shrunk items.
+func checkAlignOracle(t testing.TB, what string, c *circuit.Circuit, items []alignItem, k [2]float64, r *rand.Rand, scr *alignScratch) {
+	t.Helper()
+	cold := alignHeuristic(c, items, nil, scr)
+	requireSameAlign(t, what+", cold", cold, oracleAlignHeuristic(c, items, nil))
+
+	prev := slices.Clone(cold.X)
+	for i := range items {
+		items[i].lo += 0.25 * (items[i].hi - items[i].lo) * r.Float64()
+	}
+	assignWeights(items, k[0], k[1])
+	requireSameAlign(t, what+", warm", alignHeuristic(c, items, cold.X, scr), oracleAlignHeuristic(c, items, prev))
+
+	for f := range prev {
+		if c.Buf.Buffered[f] {
+			prev[f] = c.Buf.Lo[f] + (c.Buf.Hi[f]-c.Buf.Lo[f])*r.Float64()
+		}
+	}
+	requireSameAlign(t, what+", off-lattice prev", alignHeuristic(c, items, prev, scr), oracleAlignHeuristic(c, items, prev))
+}
+
+// TestAlignHeuristicMatchesOracle pins the incremental evaluator and the
+// certified early exits bitwise to the full-scan, full-resort oracle on
+// random batches: sizes 1–40, exact-tie centers and duplicated items, hold
+// bounds, cold solves, warm re-solves from the previous result and from
+// off-lattice vectors, and integer, non-integer and plateau-making weights
+// ({5,5} and {1,1} give most items weight 1). One scratch serves every
+// solve, so stale state from a larger batch would show. -short runs 240
+// batches, the full run 9,600.
 func TestAlignHeuristicMatchesOracle(t *testing.T) {
 	six, err := tinyCircuitErr(24, 200, 6, 30, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	circuits := []*circuit.Circuit{tinyCircuit(t, 1), tinyCircuit(t, 8), six}
-	weights := [][2]float64{{1000, 1}, {7.3, 0.37}, {1000.5, 0.1}}
+	weights := [][2]float64{{1000, 1}, {7.3, 0.37}, {1000.5, 0.1}, {5, 5}, {1, 1}, {3, 1}}
+	trials := 80
+	if testing.Short() {
+		trials = 2
+	}
 	r := rng.New(11, "alignoracle")
 	var scr alignScratch
 
-	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	check := func(what string, got, want alignResult) {
-		t.Helper()
-		if !same(got.T, want.T) || !same(got.Obj, want.Obj) {
-			t.Fatalf("%s: T %v vs oracle %v, Obj %v vs oracle %v", what, got.T, want.T, got.Obj, want.Obj)
-		}
-		for f := range want.X {
-			if !same(got.X[f], want.X[f]) {
-				t.Fatalf("%s: X[%d] %v vs oracle %v", what, f, got.X[f], want.X[f])
-			}
-		}
-	}
 	descents, holds := 0, 0
 	for ci, c := range circuits {
 		for n := 1; n <= 40; n++ {
-			for trial := 0; trial < 2; trial++ {
+			for trial := 0; trial < trials; trial++ {
 				what := fmt.Sprintf("circuit %d, %d items, trial %d", ci, n, trial)
 				items := randomAlignItems(c, n, r)
 				k := weights[(n+trial)%len(weights)]
@@ -265,26 +297,7 @@ func TestAlignHeuristicMatchesOracle(t *testing.T) {
 				if len(touchedBufs(c, items)) > 2 {
 					descents++
 				}
-
-				cold := alignHeuristic(c, items, nil, &scr)
-				check(what+", cold", cold, oracleAlignHeuristic(c, items, nil))
-
-				// Warm re-solve after the windows shrink, handing back the
-				// scratch-aliased X.
-				prev := slices.Clone(cold.X)
-				for i := range items {
-					items[i].lo += 0.25 * (items[i].hi - items[i].lo) * r.Float64()
-				}
-				assignWeights(items, k[0], k[1])
-				check(what+", warm", alignHeuristic(c, items, cold.X, &scr), oracleAlignHeuristic(c, items, prev))
-
-				// Warm start from an off-lattice vector.
-				for f := range prev {
-					if c.Buf.Buffered[f] {
-						prev[f] = c.Buf.Lo[f] + (c.Buf.Hi[f]-c.Buf.Lo[f])*r.Float64()
-					}
-				}
-				check(what+", off-lattice prev", alignHeuristic(c, items, prev, &scr), oracleAlignHeuristic(c, items, prev))
+				checkAlignOracle(t, what, c, items, k, r, &scr)
 
 				centers := make([]float64, n)
 				ws := make([]float64, n)
@@ -292,13 +305,173 @@ func TestAlignHeuristicMatchesOracle(t *testing.T) {
 					centers[i], ws[i] = it.center(), it.weight
 				}
 				tOff := oracleWeightedMedian(centers, ws)
-				check(what+", off", alignOff(c, items, &scr),
+				requireSameAlign(t, what+", off", alignOff(c, items, &scr),
 					alignResult{T: tOff, X: make([]float64, c.NumFF), Obj: alignObjective(items, tOff, make([]float64, c.NumFF))})
 			}
 		}
 	}
 	if descents == 0 || holds == 0 {
 		t.Fatalf("coverage: %d coordinate-descent batches, %d hold-bounded items", descents, holds)
+	}
+}
+
+// TestAlignHeuristicOracleEdgeCases pins the three places the early exits
+// must fall back or lean on the hold interval against the oracle: Hi
+// restarts that miss the lattice by an ulp, starts repairHolds cannot make
+// feasible, and hold bounds pinning a buffer to one lattice value.
+func TestAlignHeuristicOracleEdgeCases(t *testing.T) {
+	r := rng.New(12, "alignedges")
+	var scr alignScratch
+	k := [2]float64{1000, 1}
+	const batches = 40
+	circ := func() *circuit.Circuit {
+		c, err := tinyCircuitErr(24, 200, 6, 30, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// descentItems draws a batch touching at least three buffers, so the
+	// cold solve runs the restarts.
+	descentItems := func(c *circuit.Circuit) []alignItem {
+		for {
+			if items := randomAlignItems(c, 8+r.Intn(16), r); len(touchedBufs(c, items)) > 2 {
+				return items
+			}
+		}
+	}
+
+	offLat := circ()
+	offLatticeHi(offLat)
+	for b := 0; b < batches; b++ {
+		items := descentItems(offLat)
+		assignWeights(items, k[0], k[1])
+		checkAlignOracle(t, fmt.Sprintf("off-lattice Hi, batch %d", b), offLat, items, k, r, &scr)
+	}
+
+	c := circ()
+	span := c.Buf.Hi[c.Buffered[0]] - c.Buf.Lo[c.Buffered[0]]
+	for b := 0; b < batches; b++ {
+		items := randomAlignItems(c, 2+r.Intn(20), r)
+		i := r.Intn(len(items))
+		items[i].from = c.Buffered[r.Intn(len(c.Buffered))]
+		items[i].lambda = 3 * span // beyond any buffer setting
+		assignWeights(items, k[0], k[1])
+		checkAlignOracle(t, fmt.Sprintf("infeasible start, batch %d", b), c, items, k, r, &scr)
+	}
+
+	var free []int // unbuffered FFs: x stays 0 there
+	for ff := 0; ff < c.NumFF; ff++ {
+		if !c.Buf.Buffered[ff] {
+			free = append(free, ff)
+		}
+	}
+	for b := 0; b < batches; b++ {
+		items := randomAlignItems(c, 2+r.Intn(20), r)
+		for i := range items {
+			items[i].lambda = math.Inf(-1) // no bound may contradict the pin
+		}
+		f, g := c.Buffered[r.Intn(len(c.Buffered))], free[r.Intn(len(free))]
+		v := c.Buf.Lo[f] + float64(r.Intn(c.Buf.Steps+1))*c.Buf.StepSize(f)
+		src := items[r.Intn(len(items))]
+		// v ≤ x_f − 0 and 0 − x_f ≥ −v pin x_f to v.
+		items = append(items,
+			alignItem{path: src.path, from: f, to: g, lo: src.lo, hi: src.hi, lambda: v},
+			alignItem{path: src.path, from: g, to: f, lo: src.lo, hi: src.hi, lambda: -v})
+		assignWeights(items, k[0], k[1])
+		res := alignHeuristic(c, items, nil, &scr)
+		if res.X[f] != v {
+			t.Fatalf("pinned batch %d: x[%d] = %v, want %v", b, f, res.X[f], v)
+		}
+		checkAlignOracle(t, fmt.Sprintf("pinned buffer, batch %d", b), c, items, k, r, &scr)
+	}
+}
+
+// TestAlignWarmResolveProbes pins the early exits' saving: a warm re-solve
+// started from its own optimum makes one pass that probes at most the two
+// lattice neighbours of each touched buffer — against all 20 other values
+// without the certificates — plus the start and final evaluations.
+func TestAlignWarmResolveProbes(t *testing.T) {
+	c, err := tinyCircuitErr(24, 200, 6, 30, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scr alignScratch
+	checked := 0
+	for _, b := range FormBatches(c, rangeInts(c.NumPaths()), DefaultConfig()) {
+		items := batchItems(c, b, nil)
+		nb := len(touchedBufs(c, items))
+		if nb <= 2 {
+			continue
+		}
+		assignWeights(items, 1000, 1)
+		opt := slices.Clone(alignHeuristic(c, items, nil, &scr).X)
+		scr.probes = 0
+		alignHeuristic(c, items, opt, &scr)
+		if lattice := scr.probes - 2; lattice > 2*nb {
+			t.Fatalf("batch %v: warm re-solve from its optimum probed %d lattice values over %d buffers, want ≤ %d",
+				b, lattice, nb, 2*nb)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no batch touches more than two buffers")
+	}
+}
+
+// TestCertSlackBoundsRounding checks certSlack's δ against the exact
+// objective: at random lattice points of random batches, the rounded
+// objective (the oracle's, bit-identical to evalBestT) is within δ of
+// G = min_{T≥0} Σ w|T − (c + x_from − x_to)| evaluated in 512-bit floats.
+func TestCertSlackBoundsRounding(t *testing.T) {
+	c, err := tinyCircuitErr(24, 200, 6, 30, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(14, "certslack")
+	bf := func(v float64) *big.Float { return new(big.Float).SetPrec(512).SetFloat64(v) }
+	x := make([]float64, c.NumFF)
+	for trial := 0; trial < 400; trial++ {
+		items := randomAlignItems(c, 1+r.Intn(40), r)
+		assignWeights(items, []float64{1000, 7.3, 1}[trial%3], []float64{1, 0.37, 1}[trial%3])
+		for _, f := range c.Buffered {
+			x[f] = c.Buf.Lo[f] + float64(r.Intn(c.Buf.Steps+1))*c.Buf.StepSize(f)
+		}
+		ctr := make([]float64, len(items))
+		vals := make([]float64, len(items))
+		ws := make([]float64, len(items))
+		exact := make([]*big.Float, len(items))
+		half := bf(0)
+		for i, it := range items {
+			ctr[i], ws[i] = it.center(), it.weight
+			vals[i] = ctr[i] + x[it.from] - x[it.to]
+			exact[i] = bf(ctr[i])
+			exact[i].Add(exact[i], bf(x[it.from])).Sub(exact[i], bf(x[it.to]))
+			half.Add(half, bf(it.weight/2))
+		}
+		tr := max(oracleWeightedMedian(vals, ws), 0)
+		got := alignObjective(items, tr, x)
+
+		idx := rangeInts(len(items))
+		sort.Slice(idx, func(a, b int) bool { return exact[idx[a]].Cmp(exact[idx[b]]) < 0 })
+		acc, te := bf(0), bf(0)
+		for _, i := range idx {
+			if acc.Add(acc, bf(ws[i])); acc.Cmp(half) >= 0 {
+				if exact[i].Sign() > 0 {
+					te = exact[i]
+				}
+				break
+			}
+		}
+		g := bf(0)
+		for i := range items {
+			d := new(big.Float).SetPrec(512).Sub(te, exact[i])
+			g.Add(g, d.Abs(d).Mul(d, bf(ws[i])))
+		}
+		diff, _ := g.Sub(g, bf(got)).Float64()
+		if delta := certSlack(c, items, ctr, x); !(math.Abs(diff) <= delta) {
+			t.Fatalf("trial %d: |g̃ − G| = %g exceeds δ = %g", trial, math.Abs(diff), delta)
+		}
 	}
 }
 

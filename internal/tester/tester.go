@@ -169,6 +169,7 @@ type ATE struct {
 	ScanBits   int64 // configuration bits shifted
 
 	jitterStream *rand.Rand
+	effective    []float64 // scanIn's realized buffer values, reused per step
 }
 
 // NewATE opens a test session.
@@ -231,7 +232,8 @@ func (a *ATE) Step(T float64, x []float64, batch []int) (applied float64, pass [
 }
 
 // scanIn routes the requested buffer values through the device scan chain
-// and returns the values the hardware actually realizes.
+// and returns the values the hardware actually realizes, in a buffer the
+// session reuses on its next step.
 func (a *ATE) scanIn(x []float64) ([]float64, error) {
 	chain := a.Chip.Circuit.Devices
 	if len(chain.Devices) == 0 {
@@ -250,7 +252,10 @@ func (a *ATE) scanIn(x []float64) ([]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tester: scan decode: %w", err)
 	}
-	effective := make([]float64, len(x))
+	if cap(a.effective) < len(x) {
+		a.effective = make([]float64, len(x))
+	}
+	effective := a.effective[:len(x)]
 	copy(effective, x)
 	for i, d := range chain.Devices {
 		effective[d.FF] = d.Value(decoded[i])
