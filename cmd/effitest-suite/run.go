@@ -163,29 +163,14 @@ func runLocal(ctx context.Context, m *fleet.Manager, camp manifest.Campaign) (Ca
 }
 
 func runLocalSpec(ctx context.Context, m *fleet.Manager, camp manifest.Campaign, backend effitest.Backend) (CampaignReport, error) {
-	req := camp.Request
-	circ, err := req.Circuit.Build()
-	if err != nil {
-		return CampaignReport{}, err
-	}
-	opts, err := req.Config.Options()
+	spec, err := camp.Request.Spec()
 	if err != nil {
 		return CampaignReport{}, err
 	}
 	if backend != nil {
-		opts = append(opts, effitest.WithBackend(backend))
+		spec.Options = append(spec.Options, effitest.WithBackend(backend))
 	}
-	c, err := m.Submit(fleet.CampaignSpec{
-		Name:      req.Name,
-		Circuit:   circ,
-		Options:   opts,
-		ChipSeed:  req.Chips.Seed,
-		ChipCount: req.Chips.Count,
-		ChipFirst: req.Chips.First,
-		Workload:  req.Workload,
-		BinEdges:  req.BinEdges,
-		Drift:     req.Drift,
-	})
+	c, err := m.Submit(spec)
 	if err != nil {
 		return CampaignReport{}, err
 	}
@@ -205,19 +190,19 @@ func runLocalSpec(ctx context.Context, m *fleet.Manager, camp manifest.Campaign,
 
 // runOnDaemon executes one campaign against a single effitestd and reads
 // back the served aggregate — the identical bytes the local path computes.
+// Aggregate blocks until the campaign settles and refuses (409) one that
+// settled failed or cancelled, so one Status call afterwards only fetches
+// the calibrated period.
 func runOnDaemon(ctx context.Context, cl *client.Client, camp manifest.Campaign) (CampaignReport, error) {
 	st, err := cl.Submit(ctx, camp.Request)
 	if err != nil {
 		return CampaignReport{}, err
 	}
-	fin, err := cl.WaitSettled(ctx, st.ID)
+	agg, err := cl.Aggregate(ctx, st.ID)
 	if err != nil {
 		return CampaignReport{}, err
 	}
-	if fin.State != string(fleet.StateDone) {
-		return CampaignReport{}, fmt.Errorf("campaign settled %s: %s", fin.State, fin.Error)
-	}
-	agg, err := cl.Aggregate(ctx, st.ID)
+	fin, err := cl.Status(ctx, st.ID)
 	if err != nil {
 		return CampaignReport{}, err
 	}

@@ -58,7 +58,7 @@ type CampaignSpec struct {
 	Name string
 	// Circuit is the circuit under test. When another campaign already
 	// registered the same content, the registry's instance is used; chips
-	// are always manufactured from the engine's circuit.
+	// are always sampled from the engine's circuit.
 	Circuit *effitest.Circuit
 	// Options configure the engine (see effitest.New). Execution knobs
 	// (WithWorkers) are irrelevant here: each campaign chip runs alone on
@@ -67,12 +67,8 @@ type CampaignSpec struct {
 	// Plan, when non-nil, supplies a pre-built plan artifact; the engine is
 	// built around it, caller-private (the registry never shares it).
 	Plan *effitest.Plan
-	// Chips is an explicit chip population. Every chip must reference the
-	// engine's circuit instance; prefer ChipSeed/ChipCount, which sample
-	// from it deterministically.
-	Chips []*effitest.Chip
-	// ChipSeed/ChipCount sample the population deterministically (see
-	// Engine.SampleChips) when Chips is nil.
+	// ChipSeed/ChipCount sample the population deterministically from the
+	// engine's circuit (see Engine.SampleChips); ChipCount must be positive.
 	ChipSeed  int64
 	ChipCount int
 	// ChipFirst offsets the sampled population: the campaign runs the chips
@@ -121,7 +117,7 @@ type Status struct {
 	Workload string
 
 	// ChipsTotal is the population size (0 until the engine is resolved
-	// when the spec sampled by seed/count).
+	// and the population sampled).
 	ChipsTotal int
 	// ChipsDone counts chips with a result, including per-chip errors.
 	ChipsDone int
@@ -165,10 +161,8 @@ type Campaign struct {
 
 	// journaled marks a campaign with a segment in the manager's journal;
 	// replay carries chip records recovered from it, consumed by prepare.
-	// journalSettleOnce writes the segment's terminal record exactly once.
-	journaled         bool
-	replay            []journal.ChipRecord
-	journalSettleOnce sync.Once
+	journaled bool
+	replay    []journal.ChipRecord
 
 	// nextDispatch is the index of the first undispatched chip; it is owned
 	// by the manager and only touched under m.mu.
@@ -185,13 +179,9 @@ type Campaign struct {
 	agg       yield.Agg
 	bins      *workload.BinAgg // clock-binning histogram (nil otherwise)
 	failed    int              // per-chip errors
-	cancelled bool
 	// journalSettled marks a journaled campaign whose terminal record is
 	// written (or was skipped by a draining manager); Wait waits for it.
 	journalSettled bool
-	// settleOnce releases this campaign's admission-control slot exactly
-	// once, on its first transition to a terminal state.
-	settleOnce sync.Once
 
 	submitted time.Time
 	started   time.Time
@@ -256,37 +246,44 @@ func (c *Campaign) Cancel() {
 	c.m.mu.Unlock()
 
 	c.mu.Lock()
-	c.settleLocked(start, ErrCampaignCancelled)
+	settled := c.settleLocked(start, ErrCampaignCancelled)
 	c.mu.Unlock()
-	c.journalSettle()
-}
-
-// noteTerminalLocked releases the campaign's admission slot on its first
-// transition into a terminal state. Called with c.mu held; it only touches
-// manager atomics, so the m.mu-before-c.mu lock order is respected.
-func (c *Campaign) noteTerminalLocked() {
-	c.settleOnce.Do(func() { c.m.backlog.Add(-1) })
-}
-
-// settleLocked abandons every unresolved chip from start on with err and
-// settles the campaign as Cancelled; a no-op when already terminal.
-// In-flight chips (indices below start without a result) still deliver
-// afterwards — the finished stamp lands when the last one does, or here
-// when nothing is left in flight. Called with c.mu held.
-func (c *Campaign) settleLocked(start int, err error) {
-	if c.state.Terminal() {
-		return
+	if settled {
+		c.journalSettle()
 	}
-	c.cancelled = true
-	c.fillFromLocked(start, err)
-	c.state = StateCancelled
-	c.noteTerminalLocked()
-	// A campaign with no population (cancelled mid-prepare) settles here;
-	// one with in-flight chips gets its stamp from the last deliver.
-	if (c.results == nil || c.completed == len(c.results)) && c.finished.IsZero() {
+}
+
+// finishLocked is the campaign's one terminal transition. The first call
+// sets state and err and releases the admission-control slot; every call
+// stamps finished once no chip is in flight and wakes waiters. It reports
+// whether this call made the transition: that caller alone runs
+// journalSettle, after unlocking, so the settle record is written at most
+// once. Called with c.mu held; it only touches manager atomics, so the
+// m.mu-before-c.mu lock order is respected.
+func (c *Campaign) finishLocked(st State, err error) bool {
+	first := !c.state.Terminal()
+	if first {
+		c.state, c.err = st, err
+		c.m.backlog.Add(-1)
+	}
+	if c.finished.IsZero() && (c.results == nil || c.completed == len(c.results)) {
 		c.finished = time.Now()
 	}
 	c.cond.Broadcast()
+	return first
+}
+
+// settleLocked abandons every unresolved chip from start on with err and
+// settles the campaign as Cancelled, reporting whether it made the terminal
+// transition (see finishLocked); a no-op when already terminal. In-flight
+// chips (indices below start without a result) still deliver afterwards,
+// and the last of them stamps finished. Called with c.mu held.
+func (c *Campaign) settleLocked(start int, err error) bool {
+	if c.state.Terminal() {
+		return false
+	}
+	c.fillFromLocked(start, err)
+	return c.finishLocked(StateCancelled, nil)
 }
 
 // fillFromLocked tags every unresolved chip from start on with err. Called
@@ -359,8 +356,7 @@ func (c *Campaign) Wait(ctx context.Context) (Status, error) {
 	})
 	defer stop()
 	c.mu.Lock()
-	for !(c.state.Terminal() && (c.results == nil || c.completed == len(c.results)) &&
-		(!c.journaled || c.journalSettled)) {
+	for c.finished.IsZero() || (c.journaled && !c.journalSettled) {
 		if err := ctx.Err(); err != nil {
 			c.mu.Unlock()
 			return Status{}, err
@@ -385,12 +381,10 @@ func (c *Campaign) prepare(spec CampaignSpec) {
 		c.failPrep(err)
 		return
 	}
-	chips := spec.Chips
-	if chips == nil {
-		if chips, err = eng.SampleChipRange(c.ctx, spec.ChipSeed, spec.ChipFirst, spec.ChipCount); err != nil {
-			c.failPrep(err)
-			return
-		}
+	chips, err := eng.SampleChipRange(c.ctx, spec.ChipSeed, spec.ChipFirst, spec.ChipCount)
+	if err != nil {
+		c.failPrep(err)
+		return
 	}
 	// Aging-drift campaigns age the population here — after deterministic
 	// sampling, before journal replay or dispatch. The transform is a pure
@@ -407,15 +401,9 @@ func (c *Campaign) prepare(spec CampaignSpec) {
 	c.chips = chips
 	c.results = make([]*effitest.ChipResult, len(chips))
 	c.applyReplayLocked()
-	settled := false
-	if len(c.results) > 0 && c.completed == len(c.results) {
-		// Every chip replayed from the journal: the campaign is already
-		// done, it just never got to write its settle record.
-		c.state = StateDone
-		c.noteTerminalLocked()
-		c.finished = time.Now()
-		settled = true
-	}
+	// Every chip replayed from the journal: the campaign is already done,
+	// it just never got to write its settle record.
+	settled := len(c.results) > 0 && c.completed == len(c.results) && c.finishLocked(StateDone, nil)
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	if settled {
@@ -454,22 +442,16 @@ func (c *Campaign) applyReplayLocked() {
 // failPrep marks a campaign that never reached the pool as failed (or
 // cancelled, when the failure was its own cancellation).
 func (c *Campaign) failPrep(err error) {
+	st := StateFailed
+	if c.ctx.Err() != nil {
+		st = StateCancelled
+	}
 	c.mu.Lock()
-	if c.state.Terminal() {
-		c.mu.Unlock()
-		return
-	}
-	if c.cancelled || c.ctx.Err() != nil {
-		c.state = StateCancelled
-	} else {
-		c.state = StateFailed
-	}
-	c.noteTerminalLocked()
-	c.err = err
-	c.finished = time.Now()
-	c.cond.Broadcast()
+	settled := c.finishLocked(st, err)
 	c.mu.Unlock()
-	c.journalSettle()
+	if settled {
+		c.journalSettle()
+	}
 }
 
 // run executes one chip on the caller's (worker) goroutine and delivers
@@ -487,10 +469,8 @@ func (c *Campaign) run(idx int) {
 	res := effitest.ChipResult{Index: idx, Chip: ch}
 	if err := c.ctx.Err(); err != nil {
 		res.Err = err
-	} else if obs := c.m.obs; obs != nil {
-		res.Outcome, res.Err = eng.RunChipObserved(c.ctx, ch, obs)
 	} else {
-		res.Outcome, res.Err = eng.RunChip(c.ctx, ch)
+		res.Outcome, res.Err = eng.RunChipObserved(c.ctx, ch, c.m.obs)
 	}
 	c.m.chipsExecuted.Add(1)
 	c.journalChip(&res)
@@ -512,20 +492,9 @@ func (c *Campaign) deliver(res effitest.ChipResult) {
 	} else {
 		c.observeLocked(&res)
 	}
-	settled := false
-	if c.completed == len(c.results) {
-		switch {
-		case c.cancelled:
-			c.state = StateCancelled
-		default:
-			c.state = StateDone
-		}
-		c.noteTerminalLocked()
-		if c.finished.IsZero() {
-			c.finished = time.Now()
-		}
-		settled = true
-	}
+	// A cancelled campaign stays Cancelled: its last in-flight chip only
+	// stamps finished.
+	settled := c.completed == len(c.results) && c.finishLocked(StateDone, nil)
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	if settled {
@@ -700,11 +669,8 @@ func (m *Manager) Submit(spec CampaignSpec) (*Campaign, error) {
 	if spec.Circuit == nil {
 		return nil, fmt.Errorf("fleet: campaign needs a circuit")
 	}
-	if spec.Chips == nil && spec.ChipCount <= 0 {
-		return nil, fmt.Errorf("fleet: campaign needs chips (explicit, or a positive ChipCount)")
-	}
-	if spec.Chips != nil && len(spec.Chips) == 0 {
-		return nil, fmt.Errorf("fleet: campaign chip population is empty")
+	if spec.ChipCount <= 0 {
+		return nil, fmt.Errorf("fleet: campaign needs a positive ChipCount, got %d", spec.ChipCount)
 	}
 	if spec.ChipFirst < 0 {
 		return nil, fmt.Errorf("fleet: campaign chip range start must be non-negative, got %d", spec.ChipFirst)
@@ -733,7 +699,7 @@ func (m *Manager) Submit(spec CampaignSpec) (*Campaign, error) {
 	}
 	// Admission control: bound the non-terminal backlog. Checked under m.mu
 	// so concurrent submits serialize against the increment; the slot is
-	// released (via noteTerminalLocked) when the campaign settles.
+	// released (by finishLocked) when the campaign settles.
 	if m.maxQueued > 0 && m.backlog.Load() >= int64(m.maxQueued) {
 		m.rejected.Add(1)
 		m.mu.Unlock()
@@ -937,9 +903,11 @@ func (m *Manager) enqueue(c *Campaign) {
 	if m.closed {
 		m.mu.Unlock()
 		c.mu.Lock()
-		c.settleLocked(0, ErrManagerClosed)
+		settled := c.settleLocked(0, ErrManagerClosed)
 		c.mu.Unlock()
-		c.journalSettle()
+		if settled {
+			c.journalSettle()
+		}
 		return
 	}
 	m.active = append(m.active, c)
@@ -1074,6 +1042,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		m.mu.Unlock()
 
 		c.mu.Lock()
+		settled := false
 		switch {
 		case c.state.Terminal():
 		case c.results == nil:
@@ -1083,12 +1052,14 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 			c.mu.Lock()
 			c.cond.Broadcast()
 		case start < len(c.results):
-			c.settleLocked(start, ErrManagerClosed)
+			settled = c.settleLocked(start, ErrManagerClosed)
 		}
 		// Fully dispatched campaigns are left to finish: their running
 		// chips are exactly what the drain waits for.
 		c.mu.Unlock()
-		c.journalSettle() // draining: writes nothing, releases Wait once settled
+		if settled {
+			c.journalSettle() // draining: writes nothing, releases Wait
+		}
 	}
 
 	done := make(chan struct{})

@@ -331,7 +331,10 @@ func TestManagerShutdownMidCampaignNoLeak(t *testing.T) {
 // worker budget: an 8-worker pool at GOMAXPROCS=8, with engines at the
 // default Workers=0, runs each chip on its manager worker alone — no
 // within-chip fan-out — so the live goroutine count stays within baseline
-// + workers + a small constant for the whole campaign.
+// + workers + a small constant while the campaign's chips execute. The
+// sampler starts once the first chip is done: chip sampling fans out over
+// the engine's workers before dispatch, just as Prepare does, and is not
+// chip execution.
 func TestManagerGoroutineHighWater(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	const workers = 8
@@ -364,20 +367,25 @@ func TestManagerGoroutineHighWater(t *testing.T) {
 	if predicting < 2 {
 		t.Fatalf("circuit has %d predicting groups; the test needs a multi-group circuit", predicting)
 	}
-	chips := effitest.SampleChips(c, 7, 300)
 
 	before := runtime.NumGoroutine()
 	m := newTestManager(t, WithWorkers(workers))
 	ctx := context.Background()
 	// Warm the registry first, so the measured campaign skips Prepare and
 	// period calibration (which fan out on their own, before any chip runs).
-	warm, err := m.Submit(CampaignSpec{Circuit: c, Options: fastOpts(), Chips: chips[:1]})
+	warm, err := m.Submit(CampaignSpec{Circuit: c, Options: fastOpts(), ChipSeed: 7, ChipCount: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st, err := warm.Wait(ctx); err != nil || st.State != StateDone {
 		t.Fatalf("warm-up campaign: %v %v", st.State, err)
 	}
+
+	camp, err := m.Submit(CampaignSpec{Circuit: c, Options: fastOpts(), ChipSeed: 7, ChipCount: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the first chip to finish", func() bool { return camp.Status().ChipsDone > 0 })
 
 	var peak atomic.Int64
 	stop, sampled := make(chan struct{}), make(chan struct{})
@@ -395,10 +403,6 @@ func TestManagerGoroutineHighWater(t *testing.T) {
 			runtime.Gosched()
 		}
 	}()
-	camp, err := m.Submit(CampaignSpec{Circuit: c, Options: fastOpts(), Chips: chips})
-	if err != nil {
-		t.Fatal(err)
-	}
 	st, err := camp.Wait(ctx)
 	close(stop)
 	<-sampled

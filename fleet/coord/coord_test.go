@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -350,6 +351,115 @@ func TestKillNodeMidCampaignStaysBitIdentical(t *testing.T) {
 	// No wall-clock backoff: every sleep went through the fake clock.
 	if len(clock.delays()) == 0 {
 		t.Fatal("retries bypassed the injected clock")
+	}
+}
+
+// failStream holds a daemon's result streams open until fail is closed,
+// then refuses them with 400 — a permanent error that fails the whole run.
+type failStream struct {
+	inner http.Handler
+	fail  chan struct{}
+}
+
+func (f *failStream) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet || !strings.HasSuffix(r.URL.Path, "/results") {
+		f.inner.ServeHTTP(w, r)
+		return
+	}
+	select {
+	case <-f.fail:
+	case <-r.Context().Done():
+		return
+	}
+	http.Error(w, `{"error":"injected stream refusal"}`, http.StatusBadRequest)
+}
+
+// detachedStreams lets result-stream requests outlive their caller's
+// context, so a shard runner reading a held-open stream stays live after
+// its run fails and is cancelled.
+type detachedStreams struct{ base http.RoundTripper }
+
+func (d detachedStreams) RoundTrip(req *http.Request) (*http.Response, error) {
+	if strings.HasSuffix(req.URL.Path, "/results") {
+		req = req.WithContext(context.WithoutCancel(req.Context()))
+	}
+	return d.base.RoundTrip(req)
+}
+
+// A run that fails still summarizes every chip it accepted: node 0 streams
+// chips 0 and 1 and then holds its stream open (its other chips are gated
+// at the tester, and the stream ignores the run's cancellation), node 1
+// fails the run, and the summary's aggregate must count exactly the
+// error-free results already merged — including node 0's, whose shard
+// runner is still live when the summary is taken.
+func TestFailedRunSummaryCountsAcceptedChips(t *testing.T) {
+	sc := tiny64Scenario(t)
+	ctx := context.Background()
+
+	gate := &gateBackend{allowBelow: 2, release: make(chan struct{})}
+	nodes := startNodes(t, 2, func(i int) []fleet.ManagerOption {
+		opts := []fleet.ManagerOption{fleet.WithWorkers(2)}
+		if i == 0 {
+			reg, err := fleet.NewRegistry(fleet.WithEngineOptions(effitest.WithBackend(gate)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts = append(opts, fleet.WithRegistry(reg))
+		}
+		return opts
+	})
+	t.Cleanup(func() { close(gate.release) })
+	refuse := &failStream{inner: nodes[1].kill.inner, fail: make(chan struct{})}
+	nodes[1].kill.inner = refuse
+
+	co, err := coord.New(urlsOf(nodes), coord.WithClock(&instantClock{}), coord.WithAuthToken(coordToken),
+		coord.WithHTTPClient(&http.Client{Transport: detachedStreams{http.DefaultTransport}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := co.Start(ctx, tiny64Spec(sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if asg := run.Assignments(); len(asg) != 2 || asg[0].Node != nodes[0].ts.URL || asg[0].First != 0 || asg[0].Count <= 2 {
+		t.Fatalf("unexpected initial placement: %+v", asg)
+	}
+
+	var streamed []httpapi.ChipResult
+	var runErr error
+	for res, err := range run.Results(ctx) {
+		if err != nil {
+			runErr = err
+			break
+		}
+		streamed = append(streamed, res)
+		if len(streamed) == 2 {
+			close(refuse.fail) // node 0 is now held open: fail the run from node 1
+		}
+	}
+	if runErr == nil || len(streamed) != 2 {
+		t.Fatalf("streamed %d results then %v, want 2 then the injected failure", len(streamed), runErr)
+	}
+	sum, err := run.Wait(ctx)
+	if err == nil {
+		t.Fatal("Wait reported success for a failed run")
+	}
+	var want yield.Agg
+	for _, res := range streamed {
+		if res.Error != "" {
+			t.Fatalf("chip %d: %s", res.Index, res.Error)
+		}
+		want.Observe(&effitest.ChipOutcome{
+			Iterations: res.Iterations, ScanBits: res.ScanBits,
+			Configured: res.Configured, Passed: res.Passed,
+		})
+	}
+	st := want.Stats()
+	if sum.Chips != len(streamed) || sum.Aggregate.Chips != want.Chips ||
+		sum.Aggregate.Yield != st.Yield || sum.Aggregate.AvgIterations != st.AvgIterations ||
+		sum.Aggregate.AvgScanBits != st.AvgScanBits || sum.Aggregate.ConfiguredFrac != st.ConfiguredFrac {
+		t.Fatalf("failed run summary %d chips, aggregate %+v; want %d chips aggregating to %+v",
+			sum.Chips, sum.Aggregate, len(streamed), st)
 	}
 }
 

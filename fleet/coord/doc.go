@@ -10,7 +10,7 @@
 //	stream   each shard's NDJSON results concurrently, resuming across
 //	         transient breaks via ?from=
 //	merge    into one in-order iter.Seq with exactly-once emission
-//	fold     per-shard aggregates through yield.Agg's exact integer sums
+//	fold     each accepted chip into one yield.Agg of exact integer sums
 //
 // Determinism is the load-bearing property. Chip i of a (seed-keyed)
 // population depends only on (seed, i), and the engine's flow is

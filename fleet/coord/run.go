@@ -13,6 +13,7 @@ import (
 	"sort"
 	"sync"
 
+	"effitest"
 	"effitest/fleet"
 	"effitest/fleet/client"
 	"effitest/fleet/httpapi"
@@ -35,10 +36,10 @@ type Summary struct {
 	// Chips is the number of merged results emitted (== the spec count on
 	// success).
 	Chips int
-	// Aggregate is the merged per-shard aggregate, folded through
-	// yield.Agg's exact integer sums — bit-identical to the aggregate a
-	// single daemon (or in-process Engine.RunChips) would have served for
-	// the whole population.
+	// Aggregate folds every accepted error-free chip through yield.Agg's
+	// exact integer sums — bit-identical to the aggregate a single daemon
+	// (or in-process Engine.RunChips) would have served for the whole
+	// population. A failed run's summary covers the chips accepted so far.
 	Aggregate httpapi.Aggregate
 	// Period is the calibrated test period, identical on every shard (a
 	// mismatch fails the run: it would mean the fleet is nondeterministic).
@@ -71,8 +72,8 @@ type Run struct {
 	cond        *sync.Cond
 	results     []*httpapi.ChipResult // by run position; nil = pending
 	accepted    int
-	running     int // live shard runners
-	aggs        []yield.Agg
+	running     int              // live shard runners
+	agg         yield.Agg        // error-free accepted chips
 	bins        *workload.BinAgg // clock-binning histogram (nil otherwise)
 	retries     int
 	rebalanced  int
@@ -148,9 +149,9 @@ func (r *Run) launch(n *node, pos, count int) {
 
 // accept records one final result at a run position, exactly once: a
 // duplicate (late stream delivery racing a rebalanced re-run) is dropped.
-// Error-free results fold into the runner's shard aggregate under the same
-// lock, so the dedup and the fold are atomic.
-func (r *Run) accept(pos int, res httpapi.ChipResult, agg *yield.Agg) bool {
+// Error-free results fold into the run's aggregate under the same lock, so
+// the dedup and the fold are atomic.
+func (r *Run) accept(pos int, res httpapi.ChipResult) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.results[pos] != nil {
@@ -160,15 +161,12 @@ func (r *Run) accept(pos int, res httpapi.ChipResult, agg *yield.Agg) bool {
 	r.results[pos] = &res
 	r.accepted++
 	if res.Error == "" {
-		agg.Chips++
-		agg.Iterations += res.Iterations
-		agg.ScanBits += res.ScanBits
-		if res.Configured {
-			agg.Configured++
-		}
-		if res.Passed {
-			agg.Passed++
-		}
+		r.agg.Observe(&effitest.ChipOutcome{
+			Iterations: res.Iterations,
+			ScanBits:   res.ScanBits,
+			Configured: res.Configured,
+			Passed:     res.Passed,
+		})
 		// Clock binning folds here, exactly once per position: the daemon
 		// computed the chip's achieved period from the same chip and the
 		// same configured vector the coordinator would have, so classifying
@@ -252,10 +250,8 @@ func isNotFound(err error) bool {
 // over on a bare one — the merge's dedup keeps every chip exactly-once
 // either way.
 func (r *Run) runShard(n *node, pos, count int) {
-	var agg yield.Agg
 	defer func() {
 		r.mu.Lock()
-		r.aggs = append(r.aggs, agg)
 		r.running--
 		r.cond.Broadcast()
 		r.mu.Unlock()
@@ -340,7 +336,7 @@ func (r *Run) runShard(n *node, pos, count int) {
 				held[res.Index] = res
 				continue
 			}
-			r.accept(pos+res.Index, res, &agg)
+			r.accept(pos+res.Index, res)
 		}
 		switch {
 		case streamErr == nil:
@@ -357,7 +353,7 @@ func (r *Run) runShard(n *node, pos, count int) {
 				switch fleet.State(fin.State) {
 				case fleet.StateDone:
 					for li, res := range held {
-						r.accept(pos+li, res, &agg)
+						r.accept(pos+li, res)
 					}
 					r.observePeriod(n, fin.Period)
 					return
@@ -537,20 +533,15 @@ func (r *Run) Wait(ctx context.Context) (Summary, error) {
 	return r.summaryLocked(), nil
 }
 
-// summaryLocked merges the per-shard aggregates and snapshots the run
-// accounting. Called with r.mu held. Agg.Merge is associative and
-// commutative over exact integer sums, so the (completion-ordered) fold is
+// summaryLocked snapshots the run accounting. Called with r.mu held. The
+// aggregate's fields are exact integer sums, so its arrival-ordered fold is
 // bit-identical to sequential aggregation.
 func (r *Run) summaryLocked() Summary {
-	var merged yield.Agg
-	for _, a := range r.aggs {
-		merged.Merge(a)
-	}
-	st := merged.Stats()
+	st := r.agg.Stats()
 	sum := Summary{
 		Chips: r.accepted,
 		Aggregate: httpapi.Aggregate{
-			Chips:          merged.Chips,
+			Chips:          r.agg.Chips,
 			Yield:          st.Yield,
 			AvgIterations:  st.AvgIterations,
 			AvgScanBits:    st.AvgScanBits,

@@ -20,9 +20,9 @@
 //     queued/running/done, chips completed, running yield), streamable
 //     (Results yields every per-chip result in input order, exactly as
 //     Engine.RunChips would have), cancellable, and aggregate their
-//     outcomes through the exactly-mergeable streaming aggregator in
-//     internal/yield — so sharded partial results combine bit-identically
-//     to a sequential pass.
+//     outcomes through the exact-sum streaming aggregator in
+//     internal/yield — so any completion order folds bit-identically to a
+//     sequential pass.
 //
 // cmd/effitestd exposes a Manager over HTTP/JSON (see fleet/httpapi and
 // the fleet/client package); in-process callers use the Manager directly:

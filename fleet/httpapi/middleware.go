@@ -30,7 +30,6 @@ type serverOptions struct {
 	pprof     bool
 	readTO    time.Duration
 	writeTO   time.Duration
-	now       func() time.Time
 }
 
 // WithAuthToken enables bearer-token auth: every mutating endpoint
@@ -87,11 +86,6 @@ func WithRouteTimeouts(read, write time.Duration) Option {
 		o.readTO = read
 		o.writeTO = write
 	}
-}
-
-// withNow substitutes the rate limiter's clock (tests).
-func withNow(now func() time.Time) Option {
-	return func(o *serverOptions) { o.now = now }
 }
 
 // ---- request identity and logging ----

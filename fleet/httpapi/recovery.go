@@ -9,9 +9,9 @@ import (
 
 // SpecDecoder returns the journal-payload decoder fleet.Manager.Recover
 // needs when the journal was populated through this HTTP surface: each
-// payload is the original POST /v1/campaigns body, rebuilt with the same
-// circuit and config construction the submit handler used, so a recovered
-// campaign is the campaign the client submitted.
+// payload is the original POST /v1/campaigns body, decoded through the same
+// CampaignRequest.Spec the submit handler used, so a recovered campaign is
+// the campaign the client submitted.
 //
 // One deliberate divergence from the submit path: a plan_id that no longer
 // resolves is dropped instead of failing the decode. The plan store is
@@ -26,28 +26,11 @@ func SpecDecoder(plans *fleet.PlanStore) func([]byte) (fleet.CampaignSpec, error
 		if err := json.Unmarshal(payload, &req); err != nil {
 			return fleet.CampaignSpec{}, fmt.Errorf("decoding journaled campaign request: %w", err)
 		}
-		c, err := req.Circuit.Build()
+		spec, err := req.Spec()
 		if err != nil {
 			return fleet.CampaignSpec{}, err
 		}
-		opts, err := req.Config.Options()
-		if err != nil {
-			return fleet.CampaignSpec{}, err
-		}
-		spec := fleet.CampaignSpec{
-			Name:           req.Name,
-			Circuit:        c,
-			Options:        opts,
-			ChipSeed:       req.Chips.Seed,
-			ChipCount:      req.Chips.Count,
-			ChipFirst:      req.Chips.First,
-			Workload:       req.Workload,
-			BinEdges:       req.BinEdges,
-			Drift:          req.Drift,
-			Key:            req.Key,
-			PlanID:         req.PlanID,
-			JournalPayload: payload,
-		}
+		spec.JournalPayload = payload
 		if req.PlanID != "" && plans != nil {
 			if pl, ok, err := plans.Decode(req.PlanID); err == nil && ok {
 				spec.Plan = pl

@@ -74,7 +74,7 @@ func New(m *fleet.Manager, opts ...Option) *Server {
 		s.log = slog.New(slog.DiscardHandler)
 	}
 	if o.rateRPS > 0 {
-		s.limiter = newRateLimiter(o.rateRPS, o.rateBurst, o.now)
+		s.limiter = newRateLimiter(o.rateRPS, o.rateBurst, nil)
 	}
 
 	s.handle("GET /healthz", s.health, modeOpen)
@@ -177,30 +177,12 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	c, err := req.Circuit.Build()
+	spec, err := req.Spec()
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	opts, err := req.Config.Options()
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	spec := fleet.CampaignSpec{
-		Name:           req.Name,
-		Circuit:        c,
-		Options:        opts,
-		ChipSeed:       req.Chips.Seed,
-		ChipCount:      req.Chips.Count,
-		ChipFirst:      req.Chips.First,
-		Workload:       req.Workload,
-		BinEdges:       req.BinEdges,
-		Drift:          req.Drift,
-		Key:            req.Key,
-		PlanID:         req.PlanID,
-		JournalPayload: body,
-	}
+	spec.JournalPayload = body
 	if req.PlanID != "" {
 		pl, ok, err := s.m.Plans().Decode(req.PlanID)
 		code, err := planLookupError(req.PlanID, !ok, err)

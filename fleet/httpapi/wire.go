@@ -64,6 +64,37 @@ type CampaignRequest struct {
 	Key string `json:"key,omitempty"`
 }
 
+// Spec decodes the request into the campaign it names: the circuit built,
+// the config translated into engine options, and every other field copied
+// through. It is the one request-to-campaign translation shared by the
+// submit handler, journal recovery and in-process runners. JournalPayload
+// and Plan are left to the caller: only the caller holds the raw body, and
+// a plan_id that does not resolve means different things on submit (an
+// error) and on recovery (dropped — the registry re-Prepares identically).
+func (req CampaignRequest) Spec() (fleet.CampaignSpec, error) {
+	c, err := req.Circuit.Build()
+	if err != nil {
+		return fleet.CampaignSpec{}, err
+	}
+	opts, err := req.Config.Options()
+	if err != nil {
+		return fleet.CampaignSpec{}, err
+	}
+	return fleet.CampaignSpec{
+		Name:      req.Name,
+		Circuit:   c,
+		Options:   opts,
+		ChipSeed:  req.Chips.Seed,
+		ChipCount: req.Chips.Count,
+		ChipFirst: req.Chips.First,
+		Workload:  req.Workload,
+		BinEdges:  req.BinEdges,
+		Drift:     req.Drift,
+		Key:       req.Key,
+		PlanID:    req.PlanID,
+	}, nil
+}
+
 // CircuitSpec names a circuit three ways: a Table-1 benchmark profile, a
 // custom synthetic profile, or an inline netlist (the text form produced by
 // effitest.WriteNetlist). Exactly one must be set.

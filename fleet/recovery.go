@@ -210,9 +210,10 @@ func (c *Campaign) journalChip(res *effitest.ChipResult) {
 }
 
 // journalSettle writes the campaign's terminal record and compacts its
-// segment, exactly once — unless the manager is draining: Shutdown leaves
-// campaigns unsettled in the log so the next boot resumes them. Either way
-// it then releases Wait; every path that settles a campaign calls it.
+// segment — unless the manager is draining: Shutdown leaves campaigns
+// unsettled in the log so the next boot resumes them. Either way it then
+// releases Wait. Only the caller whose finishLocked made the terminal
+// transition runs it, so the record is written at most once.
 func (c *Campaign) journalSettle() {
 	j := c.m.journal
 	if j == nil || !c.journaled {
@@ -221,17 +222,12 @@ func (c *Campaign) journalSettle() {
 	c.mu.Lock()
 	st, err := c.state, c.err
 	c.mu.Unlock()
-	if !st.Terminal() {
-		return
-	}
 	if !c.m.draining() {
-		c.journalSettleOnce.Do(func() {
-			msg := ""
-			if err != nil {
-				msg = err.Error()
-			}
-			j.Settle(c.id, string(st), msg)
-		})
+		msg := ""
+		if err != nil {
+			msg = err.Error()
+		}
+		j.Settle(c.id, string(st), msg)
 	}
 	c.mu.Lock()
 	c.journalSettled = true

@@ -98,15 +98,6 @@ func (c *Circuit) MaxCanons() []ssta.Canon {
 	return out
 }
 
-// Means returns the mean max delay per path.
-func (c *Circuit) Means() []float64 {
-	out := make([]float64, len(c.Paths))
-	for i := range c.Paths {
-		out[i] = c.Paths[i].Max.Mean
-	}
-	return out
-}
-
 // Cov returns the covariance of two paths' max delays (including private
 // variance on the diagonal).
 func (c *Circuit) Cov(i, j int) float64 {

@@ -122,12 +122,6 @@ func (p *Problem) AddConstraint(name string, terms []Term, sense Sense, rhs floa
 	p.cons = append(p.cons, constraint{name: name, terms: ts, sense: sense, rhs: rhs})
 }
 
-// NumVars returns the number of variables added so far.
-func (p *Problem) NumVars() int { return len(p.vars) }
-
-// NumConstraints returns the number of constraints added so far.
-func (p *Problem) NumConstraints() int { return len(p.cons) }
-
 // VarBounds returns the bounds of variable v.
 func (p *Problem) VarBounds(v int) (lo, hi float64) { return p.vars[v].lo, p.vars[v].hi }
 

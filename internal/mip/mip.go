@@ -62,9 +62,6 @@ func (p *Problem) AddConstraint(name string, terms []lp.Term, sense lp.Sense, rh
 	p.base.AddConstraint(name, terms, sense, rhs)
 }
 
-// NumVars returns the number of variables.
-func (p *Problem) NumVars() int { return p.base.NumVars() }
-
 const intTol = 1e-6
 
 type node struct {

@@ -6,16 +6,16 @@ import (
 	"effitest/internal/core"
 )
 
-// Agg is a mergeable streaming aggregator over chip outcomes: every field is
-// an exact sum (integers and durations, never floating-point partials), so
-// sharded partial aggregates combine with Merge into exactly the aggregate a
+// Agg is a streaming aggregator over chip outcomes: every field is an exact
+// sum (integers and durations, never floating-point partials), so observing
+// a population's outcomes in any order yields exactly the aggregate a
 // single sequential pass would have produced — the property fleet campaigns
-// rely on when chips of one population are executed on different workers,
+// rely on when chips of one population complete on different workers,
 // processes or shards.
 //
-// The zero value is ready to use. Agg is not safe for concurrent use; give
-// each shard its own Agg and Merge the shards afterwards (or serialize
-// Observe calls, as the campaign scheduler does).
+// The zero value is ready to use. Agg is not safe for concurrent use;
+// serialize Observe calls, as the campaign scheduler and the shard
+// coordinator do.
 type Agg struct {
 	Chips      int   // outcomes observed
 	Passed     int   // final pass/fail test passed
@@ -40,19 +40,6 @@ func (a *Agg) Observe(out *core.ChipOutcome) {
 	if out.Passed {
 		a.Passed++
 	}
-}
-
-// Merge folds another shard's aggregate into a. Because every field is an
-// exact sum, Merge is associative and commutative: any partition of a chip
-// population into shards merges to the identical Agg.
-func (a *Agg) Merge(b Agg) {
-	a.Chips += b.Chips
-	a.Passed += b.Passed
-	a.Configured += b.Configured
-	a.Iterations += b.Iterations
-	a.ScanBits += b.ScanBits
-	a.AlignDuration += b.AlignDuration
-	a.ConfigDuration += b.ConfigDuration
 }
 
 // Stats finalizes the aggregate into the per-chip averages of ProposedStats.

@@ -19,9 +19,10 @@ func randOutcome(r *rand.Rand) *core.ChipOutcome {
 	}
 }
 
-// Any partition of an outcome stream into shards must merge to exactly the
-// aggregate of a single sequential pass — the campaign scheduler depends on
-// this when chips of one population complete on different workers.
+// Any partition of an outcome stream into shards, each shard's outcomes
+// observed into one Agg as it arrives, must equal the aggregate of a single
+// sequential pass — the coordinator depends on this when chips of one
+// population complete on different nodes.
 func TestAggShardedMergeExact(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	outs := make([]*core.ChipOutcome, 257)
@@ -34,13 +35,16 @@ func TestAggShardedMergeExact(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 3, 8, 64, len(outs)} {
-		partials := make([]Agg, shards)
+		partials := make([][]*core.ChipOutcome, shards)
 		for _, out := range outs {
-			partials[r.Intn(shards)].Observe(out)
+			s := r.Intn(shards)
+			partials[s] = append(partials[s], out)
 		}
 		var merged Agg
-		for _, p := range partials {
-			merged.Merge(p)
+		for _, s := range r.Perm(shards) {
+			for _, out := range partials[s] {
+				merged.Observe(out)
+			}
 		}
 		if merged != whole {
 			t.Fatalf("%d shards: merged %+v != sequential %+v", shards, merged, whole)
@@ -51,31 +55,36 @@ func TestAggShardedMergeExact(t *testing.T) {
 	}
 }
 
-// Merge must be order-independent: reversing the shard fold order cannot
+// Shard arrival order must not matter: folding the shards in reverse cannot
 // change a single bit of the result.
 func TestAggMergeCommutes(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	partials := make([]Agg, 9)
+	partials := make([][]*core.ChipOutcome, 9)
 	for i := range partials {
 		for j := 0; j < r.Intn(40); j++ {
-			partials[i].Observe(randOutcome(r))
+			partials[i] = append(partials[i], randOutcome(r))
 		}
 	}
 	var fwd, rev Agg
 	for i := range partials {
-		fwd.Merge(partials[i])
-		rev.Merge(partials[len(partials)-1-i])
+		for _, out := range partials[i] {
+			fwd.Observe(out)
+		}
+		for _, out := range partials[len(partials)-1-i] {
+			rev.Observe(out)
+		}
 	}
 	if fwd != rev {
-		t.Fatalf("merge order changed the aggregate: %+v != %+v", fwd, rev)
+		t.Fatalf("shard order changed the aggregate: %+v != %+v", fwd, rev)
 	}
 }
 
-// Adversarial shard arrival, as the fleet coordinator produces it: shards
-// complete out of order, a rebalanced retry re-delivers chips that already
-// arrived (suppressed by position before they reach Observe), and some
-// shards land empty (a node died before finishing a single chip). The
-// merged aggregate must still equal the sequential pass bit-for-bit.
+// Adversarial arrival, as the fleet coordinator produces it: the population
+// is split into shards that stream concurrently, so their chips interleave
+// in any order; a rebalanced retry re-delivers chips that already arrived
+// (suppressed by position before they reach Observe); and some shards land
+// empty (a node died before finishing a single chip). Observing the deduped
+// arrivals into one Agg must equal the sequential pass bit-for-bit.
 func TestAggMergeAdversarialShardArrival(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	outs := make([]*core.ChipOutcome, 193)
@@ -87,12 +96,12 @@ func TestAggMergeAdversarialShardArrival(t *testing.T) {
 		whole.Observe(out)
 	}
 
-	for trial := 0; trial < 50; trial++ {
+	shardCounts := []int{1, 2, 3, 7, 64, len(outs)}
+	for trial := 0; trial < 60; trial++ {
 		// Partition positions into shards, then append duplicate "retry"
 		// shards re-covering random prefixes of earlier shards, plus empty
-		// shards. seen dedups by position before Observe — the coordinator's
-		// exactly-once merge.
-		shards := 1 + r.Intn(7)
+		// shards.
+		shards := shardCounts[trial%len(shardCounts)]
 		assign := make([][]int, shards)
 		for pos := range outs {
 			s := r.Intn(shards)
@@ -108,27 +117,36 @@ func TestAggMergeAdversarialShardArrival(t *testing.T) {
 			}
 		}
 
-		partials := make([]Agg, len(assign))
+		// Each step delivers the next chip of a random unfinished shard;
+		// seen dedups by position before Observe — the coordinator's
+		// exactly-once merge.
+		var got Agg
 		seen := make([]bool, len(outs))
-		// Arrival order is adversarial: process shards in a random order.
-		for _, s := range r.Perm(len(assign)) {
-			for _, pos := range assign[s] {
-				if seen[pos] {
-					continue // duplicate suppressed after retry
-				}
-				seen[pos] = true
-				partials[s].Observe(outs[pos])
+		next := make([]int, len(assign))
+		var live []int
+		for s := range assign {
+			if len(assign[s]) > 0 {
+				live = append(live, s)
 			}
 		}
-		var merged Agg
-		for _, s := range r.Perm(len(partials)) {
-			merged.Merge(partials[s])
+		for len(live) > 0 {
+			k := r.Intn(len(live))
+			s := live[k]
+			pos := assign[s][next[s]]
+			if next[s]++; next[s] == len(assign[s]) {
+				live = append(live[:k], live[k+1:]...)
+			}
+			if seen[pos] {
+				continue // duplicate suppressed after retry
+			}
+			seen[pos] = true
+			got.Observe(outs[pos])
 		}
-		if merged != whole {
-			t.Fatalf("trial %d: adversarial merge %+v != sequential %+v", trial, merged, whole)
+		if got != whole {
+			t.Fatalf("trial %d (%d shards): arrival-order aggregate %+v != sequential %+v", trial, shards, got, whole)
 		}
-		if merged.Stats() != whole.Stats() {
-			t.Fatalf("trial %d: stats diverge after adversarial merge", trial)
+		if got.Stats() != whole.Stats() {
+			t.Fatalf("trial %d: stats diverge after adversarial arrival", trial)
 		}
 	}
 }

@@ -150,8 +150,8 @@ func CurveCtx(ctx context.Context, c *circuit.Circuit, chips []*tester.Chip, loT
 // (Config.Workers) with the given measurement backend and event observer;
 // the per-chip ATE accounting (iterations, scan bits) is reduced from the
 // ordered result stream as a sequential fold through Agg, so the aggregate
-// is bit-identical to a sequential run and a sharded fleet reducing
-// through Agg.Merge lands on the identical stats.
+// is bit-identical to a sequential run and a sharded fleet folding the
+// same outcomes through Agg, in any order, lands on the identical stats.
 func ProposedOpts(ctx context.Context, plan *core.Plan, chips []*tester.Chip, T float64, opts core.RunOptions) (ProposedStats, error) {
 	if len(chips) == 0 {
 		return ProposedStats{}, nil

@@ -61,9 +61,10 @@ func Classify(edges []float64, achieved float64) int {
 
 // BinAgg is the exactly-mergeable clock-binning histogram: one integer
 // chip count per period bin plus an unbinned bucket for chips slower than
-// the last edge or never configured. Like yield.Agg, Merge is elementwise
-// integer addition — associative and commutative — so sharded campaigns
-// fold bit-identically to a single-process run.
+// the last edge or never configured. Like yield.Agg it holds only exact
+// integer counts: Merge is elementwise integer addition — associative and
+// commutative — so sharded campaigns fold bit-identically to a
+// single-process run.
 type BinAgg struct {
 	// Edges are the ascending period bin edges; bin i counts chips whose
 	// achieved period is <= Edges[i] (and > Edges[i-1] for i > 0).
