@@ -227,8 +227,9 @@ var (
 func SavePlan(path string, pl *Plan) error { return core.SavePlan(path, pl) }
 
 // LoadPlan reads a binary plan artifact and binds it to the circuit,
-// verifying the embedded circuit fingerprint and range-checking every
-// index. Feed the result to WithPlan to skip Prepare.
+// verifying the embedded circuit fingerprint, range-checking every index
+// and baking the prediction kernels. Feed the result to WithPlan to skip
+// Prepare.
 func LoadPlan(path string, c *Circuit) (*Plan, error) { return core.LoadPlan(path, c) }
 
 // ConfigFingerprint returns the stable hash of every Prepare-relevant flow

@@ -344,6 +344,10 @@ func resolvePlan(ctx context.Context, c *Circuit, s *engineSettings) (*core.Plan
 		// hold bounds) is never written, by Bind or by a run, so sharing it
 		// is safe.
 		pl := *s.plan
+		// The plan's configuration governs the flow; only the engine's
+		// worker count applies on top — set before Bind, so its kernel bake
+		// fans out at the engine's width.
+		pl.Cfg.Workers = s.cfg.Workers
 		if pl.Circuit == nil {
 			if err := pl.Bind(c); err != nil {
 				return nil, false, err
@@ -351,9 +355,6 @@ func resolvePlan(ctx context.Context, c *Circuit, s *engineSettings) (*core.Plan
 		} else if pl.Circuit != c {
 			return nil, false, core.ErrChipCircuitMismatch
 		}
-		// The plan's configuration governs the flow; only the engine's
-		// worker count applies on top.
-		pl.Cfg.Workers = s.cfg.Workers
 		if err := pl.Cfg.Validate(); err != nil {
 			return nil, false, err
 		}

@@ -249,7 +249,7 @@ func TestRunChipAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // warm the scratch pool and the lazily baked prediction kernels
+	run() // warm the scratch pool
 	if allocs := testing.AllocsPerRun(20, run); allocs > runChipAllocCeiling {
 		t.Fatalf("warm RunChip makes %v allocations, ceiling %d", allocs, runChipAllocCeiling)
 	}

@@ -218,14 +218,6 @@ func (r *Registry) evictLocked() {
 	}
 }
 
-// Len returns the number of registered engines (including in-flight
-// constructions).
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.items)
-}
-
 // Stats returns a snapshot of the registry counters.
 func (r *Registry) Stats() RegistryStats {
 	r.mu.Lock()

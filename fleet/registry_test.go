@@ -104,7 +104,7 @@ func TestRegistryKeysSeparateConfigs(t *testing.T) {
 	if a2 != a {
 		t.Fatal("worker count changed the registry key")
 	}
-	if got := r.Len(); got != 2 {
+	if got := r.Stats().Live; got != 2 {
 		t.Fatalf("expected 2 live engines, got %d", got)
 	}
 }
@@ -172,7 +172,7 @@ func TestRegistryWaiterSurvivesConstructorCancellation(t *testing.T) {
 		aErr <- err
 	}()
 	// Wait for A's in-flight entry, attach B as a waiter, then cancel A.
-	for r.Len() == 0 {
+	for r.Stats().Live == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	bErr := make(chan error, 1)
@@ -203,7 +203,7 @@ func TestRegistryConstructionErrorForgotten(t *testing.T) {
 	if _, err := r.Engine(ctx, c, effitest.WithEpsilon(-1)); err == nil {
 		t.Fatal("expected an option validation error")
 	}
-	if got := r.Len(); got != 0 {
+	if got := r.Stats().Live; got != 0 {
 		t.Fatalf("failed construction left %d registry entries", got)
 	}
 	// Same circuit, valid options: works.
@@ -248,7 +248,7 @@ func TestRegistryBackendAndObserverBypass(t *testing.T) {
 	if private == shared {
 		t.Fatal("a WithBackend request was served the shared transport-neutral engine")
 	}
-	if got := r.Len(); got != 1 {
+	if got := r.Stats().Live; got != 1 {
 		t.Fatalf("backend engine was cached: %d entries", got)
 	}
 	chips, err := private.SampleChips(ctx, 1, 2)
@@ -265,7 +265,7 @@ func TestRegistryBackendAndObserverBypass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obs == shared || r.Len() != 1 {
+	if obs == shared || r.Stats().Live != 1 {
 		t.Fatal("a WithObserver engine was shared or cached")
 	}
 }
@@ -295,7 +295,7 @@ func TestRegistryWithPlanBypasses(t *testing.T) {
 	if eng == base {
 		t.Fatal("expected a fresh engine around the supplied plan")
 	}
-	if got := r.Len(); got != 0 {
+	if got := r.Stats().Live; got != 0 {
 		t.Fatalf("WithPlan engine was cached: %d entries", got)
 	}
 }
@@ -329,7 +329,7 @@ func TestPlanCampaignGetsRegistryDefaults(t *testing.T) {
 	if st.Period != period {
 		t.Fatalf("plan campaign period %v, want the registry default %v", st.Period, period)
 	}
-	if got := r.Len(); got != 0 {
+	if got := r.Stats().Live; got != 0 {
 		t.Fatalf("plan campaign engine was cached: %d entries", got)
 	}
 }

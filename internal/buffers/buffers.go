@@ -151,15 +151,3 @@ func (c Chain) Decode(bits []bool) ([]int, error) {
 	}
 	return steps, nil
 }
-
-// ValuesFor maps per-device step indices to delay values.
-func (c Chain) ValuesFor(steps []int) ([]float64, error) {
-	if len(steps) != len(c.Devices) {
-		return nil, errors.New("buffers: step count mismatch")
-	}
-	out := make([]float64, len(steps))
-	for i, d := range c.Devices {
-		out[i] = d.Value(steps[i])
-	}
-	return out, nil
-}

@@ -131,18 +131,4 @@ func TestChainErrors(t *testing.T) {
 	if _, err := ch.Decode(make([]bool, 9)); err == nil {
 		t.Error("long stream should fail")
 	}
-	if _, err := ch.ValuesFor([]int{1, 2}); err == nil {
-		t.Error("values length mismatch should fail")
-	}
-}
-
-func TestValuesFor(t *testing.T) {
-	ch := Chain{Devices: []Device{dev(), {FF: 1, Lo: 0, Hi: 1, Steps: 2}}}
-	vals, err := ch.ValuesFor([]int{10, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(vals[0]) > 1e-12 || math.Abs(vals[1]-0.5) > 1e-12 {
-		t.Fatalf("values = %v", vals)
-	}
 }

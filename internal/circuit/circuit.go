@@ -168,13 +168,6 @@ func (c *Circuit) IsBuffered(ff int) bool {
 	return ff >= 0 && ff < c.NumFF && c.Buf.Buffered[ff]
 }
 
-// HoldBoundMean returns the mean of the paper's d_ij = h_j - d_ij(min) for
-// path p: the statistical quantity sampled when computing hold-time tuning
-// bounds λ.
-func (c *Circuit) HoldBoundMean(p int) float64 {
-	return c.HoldTime - c.Paths[p].Min.Mean
-}
-
 // WithInflatedSigma returns a copy of the circuit in which every path's
 // max-delay standard deviation is inflated by the given factor without
 // changing any path-to-path covariance — the paper's Figure 7 experiment

@@ -311,13 +311,3 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		}
 	}
 }
-
-func TestHoldBoundMean(t *testing.T) {
-	c := tinyCircuit(t)
-	for i := range c.Paths {
-		want := c.HoldTime - c.Paths[i].Min.Mean
-		if got := c.HoldBoundMean(i); got != want {
-			t.Fatalf("path %d hold bound %v, want %v", i, got, want)
-		}
-	}
-}

@@ -232,7 +232,10 @@ func alignHeuristic(c *circuit.Circuit, items []alignItem, prev []float64, scr *
 	// in its order, so the result is bit-identical to a full re-evaluation.
 	evalBestT := func() (float64, float64) {
 		scr.probes++
-		for i, it := range items {
+		// Index, never range by value: a by-value range copies each
+		// alignItem onto the stack once per item per probe.
+		for i := range items {
+			it := &items[i]
 			vals[i] = ctr[i] + x[it.from] - x[it.to]
 		}
 		t := weightedMedian(items, vals, ord)
@@ -240,8 +243,8 @@ func alignHeuristic(c *circuit.Circuit, items []alignItem, prev []float64, scr *
 			t = 0
 		}
 		obj := 0.0
-		for i, it := range items {
-			obj += it.weight * math.Abs(t-vals[i])
+		for i := range items {
+			obj += items[i].weight * math.Abs(t-vals[i])
 		}
 		return t, obj
 	}

@@ -36,13 +36,12 @@ type Plan struct {
 	circuitHash string
 	circuitName string
 
-	// kernels holds the per-group conditional predictors (see kernels.go)
-	// and scratch the pool of per-worker workspaces. Both are derived state
-	// — never serialized, shared safely by shallow copies. Prepare stores
-	// already-baked kernels; Bind leaves the holder empty and the first chip
-	// run bakes through it (the pointer is shared by shallow copies, so the
-	// bake happens exactly once).
-	kernels *lazyKernels
+	// kernels holds the per-group conditional predictors (see kernels.go),
+	// baked by Prepare or Bind, and scratch the pool of per-worker
+	// workspaces. Both are derived state — never serialized, read-only once
+	// installed and shared safely by shallow copies. A plan built by neither
+	// has nil kernels and fails every chip with errNoKernels.
+	kernels *predictKernels
 	scratch *sync.Pool
 }
 
@@ -258,6 +257,16 @@ func (pl *Plan) runChipBatch(ctx context.Context, first int, chips []*tester.Chi
 	bs := slices.Grow(scr.bs[:0], len(chips))[:len(chips)]
 	clear(bs)
 	scr.res, scr.bs = res, bs
+	ks := pl.kernels
+	if ks == nil {
+		// A plan without kernels cannot predict: fail every chip before any
+		// tester session opens rather than measure them for nothing.
+		for i, ch := range chips {
+			res[i] = ChipResult{Index: first + i, Chip: ch, Err: errNoKernels}
+			chipDone(obs, ch.Index, nil, errNoKernels)
+		}
+		return res
+	}
 	for i, ch := range chips {
 		res[i] = ChipResult{Index: first + i, Chip: ch}
 		if ch.Circuit != pl.Circuit {
@@ -289,9 +298,8 @@ func (pl *Plan) runChipBatch(ctx context.Context, first int, chips []*tester.Chi
 		}
 	}
 	scr.bounds = live
-	ks, kerr := pl.predictorKernels(ctx)
 	var share time.Duration
-	if kerr == nil && len(live) > 0 {
+	if len(live) > 0 {
 		predStart := time.Now()
 		ks.predictInto(live, &scr.ws)
 		share = time.Since(predStart) / time.Duration(len(live))
@@ -302,11 +310,6 @@ func (pl *Plan) runChipBatch(ctx context.Context, first int, chips []*tester.Chi
 			continue
 		}
 		out, b := res[i].Outcome, bs[i]
-		if kerr != nil {
-			res[i].Outcome, res[i].Err = nil, kerr
-			chipDone(obs, ch.Index, nil, kerr)
-			continue
-		}
 		out.PredictDuration = share
 		if obs != nil {
 			obs.Observe(PredictEvent{Chip: ch.Index, Duration: share, Groups: ks.predGroups, Predicted: ks.predPaths})

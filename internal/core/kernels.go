@@ -3,12 +3,13 @@ package core
 // This file holds the plan-time prediction kernels: the conditional
 // structure of §3.2/§3.4 — which tested paths condition which untested
 // paths, per correlation group — is fixed the moment the Plan's tested set
-// is final, so Prepare (or the first chip on a plan restored from an
-// artifact) prefactorizes it once. Per batch of chips, conditional
-// prediction then reduces to one multi-RHS triangular solve + matrix product
-// per group over a pooled scratch workspace: no maps, no matrix allocation,
-// no re-factorization, and results bit-identical to the naive
-// groupMVN+Conditional oracle (pinned by the differential tests).
+// is final, so Prepare (or Bind, on a plan restored from an artifact)
+// prefactorizes it once: every runnable plan carries its kernels. Per batch
+// of chips, conditional prediction then reduces to one multi-RHS triangular
+// solve + matrix product per group over a pooled scratch workspace: no
+// maps, no matrix allocation, no re-factorization, and results
+// bit-identical to the naive groupMVN+Conditional oracle (pinned by the
+// differential tests).
 
 import (
 	"context"
@@ -16,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"effitest/internal/circuit"
 	"effitest/internal/la"
@@ -185,85 +185,26 @@ func (ks *predictKernels) predictSigmas(numPaths int) []float64 {
 	return out
 }
 
-// installKernels sets up the plan's kernel holder — holding ks, or empty
-// to bake on first use when ks is nil — and its per-worker scratch pool.
+// installKernels installs the plan's baked kernels and its per-worker
+// scratch pool.
 func (pl *Plan) installKernels(ks *predictKernels) {
-	pl.kernels = &lazyKernels{}
-	if ks != nil {
-		pl.kernels.ks.Store(ks)
-	}
+	pl.kernels = ks
 	pl.scratch = &sync.Pool{New: func() any { return pl.newChipScratch() }}
 }
 
-// lazyKernels defers bakePredictKernels to the first chip that needs it.
-// Baking is the expensive tail of a warm plan-cache load — one ridged
-// Cholesky per group — and a process that loads a plan only to inspect or
-// re-serve it should not pay it, so Bind installs an empty holder instead
-// of baking eagerly; Prepare stores its eager bake in the same holder. The
-// state is held behind a pointer shared by every shallow copy of the plan
-// (resolvePlan copies Plan by value), so the bake happens once no matter
-// which copy runs the first chip.
-type lazyKernels struct {
-	mu  sync.Mutex
-	ks  atomic.Pointer[predictKernels]
-	err error // sticky bake failure (never a caller's context error)
-}
-
 // errNoKernels is returned for a plan built by neither Prepare nor Bind (a
-// hand-assembled literal): it has no kernel holder to predict with.
+// hand-assembled literal): it has no kernels to predict with.
 var errNoKernels = errors.New("core: plan has no prediction kernels (build it with Prepare or Bind)")
 
-// predictorKernels resolves the plan's baked kernels, baking them on first
-// use for lazily-bound plans. A bake failure is sticky and returned to
-// every subsequent chip; a context cancellation during the bake is returned
-// to that caller only, leaving the plan bakeable.
-func (pl *Plan) predictorKernels(ctx context.Context) (*predictKernels, error) {
-	lz := pl.kernels
-	if lz == nil {
-		return nil, errNoKernels
-	}
-	if ks := lz.ks.Load(); ks != nil {
-		return ks, nil
-	}
-	lz.mu.Lock()
-	defer lz.mu.Unlock()
-	if ks := lz.ks.Load(); ks != nil {
-		return ks, nil
-	}
-	if lz.err != nil {
-		return nil, lz.err
-	}
-	ks, err := bakePredictKernels(ctx, pl.Circuit, pl.Groups, pl.Tested, pl.Cfg.Workers)
-	if err != nil {
-		if ctx.Err() == nil {
-			lz.err = err
-		}
-		return nil, err
-	}
-	lz.ks.Store(ks)
-	return ks, nil
-}
-
-// bakedKernels returns the kernels if they exist right now — eagerly or
-// already lazily baked — without triggering a bake.
-func (pl *Plan) bakedKernels() *predictKernels {
+// PredictorSigmas returns the baked conditional σ′ per path for the plan's
+// tested set, or nil when the plan has no kernels (a hand-assembled
+// literal). The differential tests pin it bitwise against an independent
+// MVN.Conditional oracle.
+func (pl *Plan) PredictorSigmas() []float64 {
 	if pl.kernels == nil {
 		return nil
 	}
-	return pl.kernels.ks.Load()
-}
-
-// PredictorSigmas returns the baked conditional σ′ per path for the plan's
-// tested set (baking lazily-bound plans on demand), or nil when the plan
-// has no kernels at all (a hand-assembled literal or a kernel bake
-// failure). The differential tests pin it bitwise against an independent
-// MVN.Conditional oracle.
-func (pl *Plan) PredictorSigmas() []float64 {
-	ks, err := pl.predictorKernels(context.Background())
-	if err != nil {
-		return nil
-	}
-	return ks.predictSigmas(pl.Circuit.NumPaths())
+	return pl.kernels.predictSigmas(pl.Circuit.NumPaths())
 }
 
 // chipScratch is the reusable per-worker state of the online flow: the
@@ -284,8 +225,8 @@ type chipScratch struct {
 // baked high-water mark and the alignment buffers at the largest batch.
 func (pl *Plan) newChipScratch() *chipScratch {
 	scr := &chipScratch{}
-	if ks := pl.bakedKernels(); ks != nil {
-		scr.ws.Require(ks.scratchLen)
+	if pl.kernels != nil {
+		scr.ws.Require(pl.kernels.scratchLen)
 	}
 	maxBatch := 0
 	for _, b := range pl.Batches {

@@ -100,8 +100,9 @@ func (pc *PlanCache) Get(c *circuit.Circuit, cfg Config) (*Plan, error) {
 		return nil, nil // corrupt entry: miss, Put will overwrite
 	}
 	// Adopt the live request's config before binding: the cache key pins
-	// every field except Workers, and the first chip's lazy kernel bake
-	// should fan out at the caller's width, not the writing process's.
+	// every field except Workers, and Bind's kernel bake should fan out at
+	// the caller's width, not the writing process's. A Bind failure —
+	// including a failed bake — reads as a miss.
 	pl.Cfg = cfg
 	if err := pl.Bind(c); err != nil {
 		return nil, nil // stale or tampered entry: miss

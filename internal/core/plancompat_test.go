@@ -69,18 +69,15 @@ func TestPlanCacheSelfHealsAcrossVersions(t *testing.T) {
 	if hit {
 		t.Fatal("stale entry must not count as a cache hit")
 	}
-	if pl.bakedKernels() == nil {
+	if pl.kernels == nil {
 		t.Fatal("re-prepared plan has no baked kernels")
 	}
-	// The overwritten entry now loads — kernels defer to first use.
+	// The overwritten entry now loads, and Bind bakes its kernels.
 	warm, err := pc.Get(c, cfg)
 	if err != nil || warm == nil {
 		t.Fatalf("self-healed entry should hit, got plan=%v err=%v", warm, err)
 	}
 	if warm.kernels == nil {
-		t.Fatal("cache-loaded plan has no kernel holder")
-	}
-	if ks, err := warm.predictorKernels(context.Background()); err != nil || ks == nil {
-		t.Fatalf("cache-loaded plan could not bake kernels on demand: ks=%v err=%v", ks, err)
+		t.Fatal("cache-loaded plan has no baked kernels")
 	}
 }

@@ -10,6 +10,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -451,16 +452,13 @@ func sortedHoldPairs(h *HoldBounds) []holdPair {
 // Bind attaches a decoded plan to its circuit: the circuit's fingerprint
 // must match the one embedded in the artifact (ErrPlanCircuitMismatch
 // otherwise), every path / flip-flop index is range-checked against the
-// circuit and the flow configuration is re-validated. Bind writes nothing
-// into the plan's Groups, Tested or Batches. After a successful Bind the
-// plan behaves exactly like one produced by Prepare on this process, with
-// one deliberate difference in timing: the conditional-prediction kernels
-// are baked lazily, by the first chip run on the plan, instead of eagerly
-// here — so a warm plan-cache load stays cheap and a process that only
-// inspects or re-serves the plan never pays the per-group Cholesky work. A
-// kernel bake failure (possible only on a tampered-but-plausible artifact,
-// e.g. a group whose covariance is singular) correspondingly surfaces on
-// that first chip run rather than from Bind.
+// circuit and the flow configuration is re-validated. Bind then bakes the
+// conditional-prediction kernels, fanned out across the plan's Workers, so
+// after a successful Bind the plan behaves exactly like one produced by
+// Prepare on this process. Bind writes nothing into the plan's Groups,
+// Tested or Batches, and a failed Bind — including a kernel bake failure,
+// possible only on a tampered-but-plausible artifact such as a group whose
+// covariance is singular — leaves the plan unbound.
 func (pl *Plan) Bind(c *circuit.Circuit) error {
 	hash, err := c.Fingerprint()
 	if err != nil {
@@ -476,16 +474,15 @@ func (pl *Plan) Bind(c *circuit.Circuit) error {
 	if err := pl.validateAgainst(c); err != nil {
 		return err
 	}
+	// The kernels are derived state — recomputed here, never shipped.
+	ks, err := bakePredictKernels(context.Background(), c, pl.Groups, pl.Tested, pl.Cfg.Workers)
+	if err != nil {
+		return err
+	}
 	pl.Circuit = c
 	pl.circuitHash = hash
 	pl.circuitName = c.Name
-	// The conditional-prediction kernels are derived state — recomputed,
-	// never shipped — but baking them (a ridged Cholesky per group) is the
-	// expensive tail of a warm plan-cache load, and a process that binds a
-	// plan to inspect or re-serve it never needs them.
-	// Defer the bake to first use: the first chip executed on this plan
-	// pays it once, under the plan's Workers fan-out.
-	pl.installKernels(nil)
+	pl.installKernels(ks)
 	return nil
 }
 

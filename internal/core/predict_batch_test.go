@@ -47,7 +47,7 @@ func cloneBounds(c *Bounds, pl *Plan) *Bounds {
 // every batch width, including a width far beyond the auto default.
 func TestPredictIntoBatchMatchesSequential(t *testing.T) {
 	_, pl := kernelTestPlan(t)
-	ks := pl.bakedKernels()
+	ks := pl.kernels
 	maxK := batchTestWidths[len(batchTestWidths)-1]
 	src := measuredBounds(t, pl, maxK)
 
@@ -84,7 +84,7 @@ func TestPredictIntoBatchZeroAlloc(t *testing.T) {
 
 	scr := pl.getScratch()
 	defer pl.putScratch(scr)
-	ks := pl.bakedKernels()
+	ks := pl.kernels
 	ks.predictInto(bs, &scr.ws) // warm-up: grows the arena to the batch high-water mark
 	allocs := testing.AllocsPerRun(100, func() {
 		ks.predictInto(bs, &scr.ws)
@@ -94,11 +94,10 @@ func TestPredictIntoBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBindLazyKernelBake asserts Bind defers the per-group Cholesky bake:
-// a warm plan load must do no eager kernel work, the first chip run must
-// bake exactly once, and the lazily baked plan must match the eagerly
-// prepared one bitwise.
-func TestBindLazyKernelBake(t *testing.T) {
+// TestBindBakesKernels asserts Bind bakes the per-group Cholesky kernels
+// itself: a freshly bound plan carries them before any chip runs, and its
+// outcomes match the eagerly prepared plan bitwise.
+func TestBindBakesKernels(t *testing.T) {
 	c, eager := kernelTestPlan(t)
 	data, err := eager.MarshalBinary()
 	if err != nil {
@@ -111,11 +110,8 @@ func TestBindLazyKernelBake(t *testing.T) {
 	if err := pl.Bind(c); err != nil {
 		t.Fatal(err)
 	}
-	if pl.bakedKernels() != nil {
-		t.Fatal("Bind baked prediction kernels eagerly; the bake must defer to first use")
-	}
 	if pl.kernels == nil {
-		t.Fatal("Bind installed no kernel holder")
+		t.Fatal("Bind left the plan without prediction kernels")
 	}
 
 	ch := tester.SampleChip(c, 9, 4)
@@ -127,16 +123,13 @@ func TestBindLazyKernelBake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.bakedKernels() == nil {
-		t.Fatal("first chip run did not bake the kernels")
-	}
 	if got.Iterations != want.Iterations || got.Passed != want.Passed || got.Xi != want.Xi {
-		t.Fatalf("lazily bound plan diverges: (%d, %v, %v) vs (%d, %v, %v)",
+		t.Fatalf("bound plan diverges: (%d, %v, %v) vs (%d, %v, %v)",
 			got.Iterations, got.Passed, got.Xi, want.Iterations, want.Passed, want.Xi)
 	}
 	for p := range want.Bounds.Lo {
 		if got.Bounds.Lo[p] != want.Bounds.Lo[p] || got.Bounds.Hi[p] != want.Bounds.Hi[p] {
-			t.Fatalf("path %d: lazily bound bounds diverge", p)
+			t.Fatalf("path %d: bound plan's bounds diverge", p)
 		}
 	}
 }

@@ -30,7 +30,7 @@ func kernelTestPlan(t *testing.T) (*circuit.Circuit, *Plan) {
 // conformance matrix; this is the white-box core variant).
 func TestBakedKernelsMatchNaivePredict(t *testing.T) {
 	c, pl := kernelTestPlan(t)
-	ks := pl.bakedKernels()
+	ks := pl.kernels
 	if ks == nil {
 		t.Fatal("Prepare left no baked kernels")
 	}
@@ -94,7 +94,7 @@ func TestPredictBoundsKernelZeroAlloc(t *testing.T) {
 
 	scr := pl.getScratch()
 	defer pl.putScratch(scr)
-	ks, one := pl.bakedKernels(), []*Bounds{b}
+	ks, one := pl.kernels, []*Bounds{b}
 	ks.predictInto(one, &scr.ws) // warm-up
 	allocs := testing.AllocsPerRun(100, func() {
 		ks.predictInto(one, &scr.ws)
@@ -105,14 +105,32 @@ func TestPredictBoundsKernelZeroAlloc(t *testing.T) {
 }
 
 // TestPlanWithoutKernelsFails pins the one-path contract: a plan built by
-// neither Prepare nor Bind has no kernel holder, so running a chip on it is
-// an error rather than a detour through a second predictor.
+// neither Prepare nor Bind has no kernels, so every chip of RunChip and
+// RunChips fails with errNoKernels rather than detouring through a second
+// predictor — and fails before measuring, so no tester session opens for
+// work prediction would discard.
 func TestPlanWithoutKernelsFails(t *testing.T) {
 	c, pl := kernelTestPlan(t)
 	literal := &Plan{Circuit: c, Cfg: pl.Cfg, Groups: pl.Groups, Tested: pl.Tested, Batches: pl.Batches, Hold: pl.Hold}
+	fb := tester.NewFaultBackend(nil) // no faults: it only counts sessions
+	opts := RunOptions{Backend: fb}
 	ch := tester.SampleChip(c, 9, 2)
-	if _, err := literal.RunChip(t.Context(), ch, c.TNominal, RunOptions{}); !errors.Is(err, errNoKernels) {
+	if _, err := literal.RunChip(t.Context(), ch, c.TNominal, opts); !errors.Is(err, errNoKernels) {
 		t.Fatalf("RunChip on a kernel-less plan: err = %v, want errNoKernels", err)
+	}
+	chips := tester.SampleChips(c, 9, 11)
+	n := 0
+	for r := range literal.RunChips(t.Context(), chips, c.TNominal, 2, opts) {
+		if !errors.Is(r.Err, errNoKernels) {
+			t.Fatalf("RunChips chip %d: err = %v, want errNoKernels", r.Index, r.Err)
+		}
+		n++
+	}
+	if n != len(chips) {
+		t.Fatalf("RunChips yielded %d results, want %d", n, len(chips))
+	}
+	if opens := fb.Stats().Opens; opens != 0 {
+		t.Fatalf("kernel-less plan opened %d tester sessions, want 0", opens)
 	}
 	if literal.PredictorSigmas() != nil {
 		t.Fatal("PredictorSigmas on a kernel-less plan returned sigmas")

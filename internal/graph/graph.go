@@ -1,8 +1,7 @@
 // Package graph provides the directed-graph algorithms behind EffiTest's
 // timing machinery: Bellman–Ford (difference-constraint feasibility with
-// negative-cycle detection), Karp's minimum/maximum cycle mean (minimum
-// clock period under skew scheduling), topological ordering and connected
-// components.
+// negative-cycle detection) and Karp's minimum/maximum cycle mean (minimum
+// clock period under skew scheduling).
 package graph
 
 import (
@@ -19,69 +18,46 @@ type Edge struct {
 type Digraph struct {
 	N     int
 	edges []Edge
-	adj   [][]int // adjacency as indices into edges
 }
 
 // NewDigraph returns an empty graph with n nodes.
 func NewDigraph(n int) *Digraph {
-	return &Digraph{N: n, adj: make([][]int, n)}
+	return &Digraph{N: n}
 }
 
 // AddEdge appends a directed edge from u to v with weight w.
 func (g *Digraph) AddEdge(u, v int, w float64) {
 	g.edges = append(g.edges, Edge{u, v, w})
-	g.adj[u] = append(g.adj[u], len(g.edges)-1)
 }
 
 // Edges returns the edge list (shared slice; callers must not modify).
 func (g *Digraph) Edges() []Edge { return g.edges }
 
-// BellmanFord computes single-source shortest paths from src. It returns the
-// distance slice and ok=false if a negative cycle is reachable from src.
-// Unreachable nodes have distance +Inf.
-func (g *Digraph) BellmanFord(src int) (dist []float64, ok bool) {
-	dist = make([]float64, g.N)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	return dist, g.relaxAll(dist)
-}
-
 // BellmanFordMulti runs Bellman–Ford with all nodes as sources (distance 0),
 // which detects any negative cycle in the graph and yields a feasible
-// potential for difference-constraint systems.
+// potential for difference-constraint systems. ok is false on a negative
+// cycle.
 func (g *Digraph) BellmanFordMulti() (dist []float64, ok bool) {
 	dist = make([]float64, g.N) // all zeros
-	return dist, g.relaxAll(dist)
-}
-
-func (g *Digraph) relaxAll(dist []float64) bool {
 	for iter := 0; iter < g.N; iter++ {
 		changed := false
 		for _, e := range g.edges {
-			if math.IsInf(dist[e.From], 1) {
-				continue
-			}
 			if nd := dist[e.From] + e.W; nd < dist[e.To]-1e-12 {
 				dist[e.To] = nd
 				changed = true
 			}
 		}
 		if !changed {
-			return true
+			return dist, true
 		}
 	}
 	// One more pass: any improvement means a negative cycle.
 	for _, e := range g.edges {
-		if math.IsInf(dist[e.From], 1) {
-			continue
-		}
 		if dist[e.From]+e.W < dist[e.To]-1e-9 {
-			return false
+			return dist, false
 		}
 	}
-	return true
+	return dist, true
 }
 
 // MinMeanCycle returns the minimum cycle mean using Karp's theorem, with
@@ -147,68 +123,4 @@ func (g *Digraph) MaxMeanCycle() (float64, bool) {
 	}
 	m, ok := neg.MinMeanCycle()
 	return -m, ok
-}
-
-// TopoSort returns a topological order of the nodes, with ok=false if the
-// graph has a cycle.
-func (g *Digraph) TopoSort() ([]int, bool) {
-	indeg := make([]int, g.N)
-	for _, e := range g.edges {
-		indeg[e.To]++
-	}
-	queue := make([]int, 0, g.N)
-	for v, d := range indeg {
-		if d == 0 {
-			queue = append(queue, v)
-		}
-	}
-	order := make([]int, 0, g.N)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, ei := range g.adj[v] {
-			e := g.edges[ei]
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return order, len(order) == g.N
-}
-
-// Components returns the weakly connected component id of every node and the
-// number of components.
-func (g *Digraph) Components() ([]int, int) {
-	und := make([][]int, g.N)
-	for _, e := range g.edges {
-		und[e.From] = append(und[e.From], e.To)
-		und[e.To] = append(und[e.To], e.From)
-	}
-	comp := make([]int, g.N)
-	for i := range comp {
-		comp[i] = -1
-	}
-	next := 0
-	var stack []int
-	for v := 0; v < g.N; v++ {
-		if comp[v] >= 0 {
-			continue
-		}
-		stack = append(stack[:0], v)
-		comp[v] = next
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range und[u] {
-				if comp[w] < 0 {
-					comp[w] = next
-					stack = append(stack, w)
-				}
-			}
-		}
-		next++
-	}
-	return comp, next
 }

@@ -7,18 +7,20 @@ import (
 	"effitest/internal/rng"
 )
 
+// Multi-source distances are shortest paths from a virtual source joined
+// to every node by a zero-weight edge.
 func TestBellmanFordShortestPath(t *testing.T) {
 	g := NewDigraph(5)
-	g.AddEdge(0, 1, 4)
-	g.AddEdge(0, 2, 1)
-	g.AddEdge(2, 1, 2)
-	g.AddEdge(1, 3, 1)
-	g.AddEdge(2, 3, 5)
-	dist, ok := g.BellmanFord(0)
+	g.AddEdge(0, 1, -4)
+	g.AddEdge(0, 2, -1)
+	g.AddEdge(2, 1, -2)
+	g.AddEdge(1, 3, -1)
+	g.AddEdge(2, 3, -5)
+	dist, ok := g.BellmanFordMulti()
 	if !ok {
 		t.Fatal("unexpected negative cycle")
 	}
-	want := []float64{0, 3, 1, 4, math.Inf(1)}
+	want := []float64{0, -4, -1, -6, 0}
 	for i, w := range want {
 		if dist[i] != w {
 			t.Errorf("dist[%d] = %v, want %v", i, dist[i], w)
@@ -30,8 +32,8 @@ func TestBellmanFordNegativeEdgesOK(t *testing.T) {
 	g := NewDigraph(3)
 	g.AddEdge(0, 1, 5)
 	g.AddEdge(1, 2, -3)
-	dist, ok := g.BellmanFord(0)
-	if !ok || dist[2] != 2 {
+	dist, ok := g.BellmanFordMulti()
+	if !ok || dist[0] != 0 || dist[1] != 0 || dist[2] != -3 {
 		t.Fatalf("dist = %v ok = %v", dist, ok)
 	}
 }
@@ -41,23 +43,17 @@ func TestBellmanFordNegativeCycle(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, -2)
 	g.AddEdge(2, 1, 1) // cycle 1->2->1 weight -1
-	if _, ok := g.BellmanFord(0); ok {
-		t.Fatal("negative cycle not detected")
-	}
 	if _, ok := g.BellmanFordMulti(); ok {
-		t.Fatal("negative cycle not detected (multi)")
+		t.Fatal("negative cycle not detected")
 	}
 }
 
 func TestBellmanFordUnreachableNegativeCycle(t *testing.T) {
-	// The cycle is not reachable from source 0, so single-source BF accepts,
-	// multi-source detects.
+	// No node reaches the cycle from node 0, but every node is a source, so
+	// the cycle is still found.
 	g := NewDigraph(4)
 	g.AddEdge(2, 3, -2)
 	g.AddEdge(3, 2, 1)
-	if _, ok := g.BellmanFord(0); !ok {
-		t.Fatal("unreachable cycle should not affect source 0")
-	}
 	if _, ok := g.BellmanFordMulti(); ok {
 		t.Fatal("multi-source must see the cycle")
 	}
@@ -176,44 +172,6 @@ func TestMaxMeanCycleAgainstEnumeration(t *testing.T) {
 		if !ok || math.Abs(got-want) > 1e-6 {
 			t.Fatalf("trial %d: Karp %v vs enumeration %v", trial, got, want)
 		}
-	}
-}
-
-func TestTopoSort(t *testing.T) {
-	g := NewDigraph(4)
-	g.AddEdge(0, 1, 0)
-	g.AddEdge(0, 2, 0)
-	g.AddEdge(1, 3, 0)
-	g.AddEdge(2, 3, 0)
-	order, ok := g.TopoSort()
-	if !ok {
-		t.Fatal("DAG reported cyclic")
-	}
-	pos := make([]int, 4)
-	for i, v := range order {
-		pos[v] = i
-	}
-	for _, e := range g.Edges() {
-		if pos[e.From] >= pos[e.To] {
-			t.Fatalf("order %v violates edge %v", order, e)
-		}
-	}
-	g.AddEdge(3, 0, 0)
-	if _, ok := g.TopoSort(); ok {
-		t.Fatal("cycle not detected")
-	}
-}
-
-func TestComponents(t *testing.T) {
-	g := NewDigraph(5)
-	g.AddEdge(0, 1, 0)
-	g.AddEdge(2, 3, 0)
-	comp, n := g.Components()
-	if n != 3 {
-		t.Fatalf("components = %d, want 3", n)
-	}
-	if comp[0] != comp[1] || comp[2] != comp[3] || comp[0] == comp[2] || comp[4] == comp[0] || comp[4] == comp[2] {
-		t.Fatalf("comp = %v", comp)
 	}
 }
 

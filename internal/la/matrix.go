@@ -145,18 +145,6 @@ func (m *Matrix) Scale(s float64) *Matrix {
 	return m
 }
 
-// AddM returns m + b as a new matrix.
-func (m *Matrix) AddM(b *Matrix) *Matrix {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("la: add shape mismatch")
-	}
-	out := m.Clone()
-	for i, v := range b.Data {
-		out.Data[i] += v
-	}
-	return out
-}
-
 // SubM returns m - b as a new matrix.
 func (m *Matrix) SubM(b *Matrix) *Matrix {
 	if m.Rows != b.Rows || m.Cols != b.Cols {
@@ -221,23 +209,4 @@ func Dot(a, b []float64) float64 {
 		s += v * b[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// AXPY computes y += a*x in place.
-func AXPY(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("la: axpy length mismatch")
-	}
-	for i, xv := range x {
-		y[i] += a * xv
-	}
 }

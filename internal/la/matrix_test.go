@@ -95,25 +95,11 @@ func TestDotNorm(t *testing.T) {
 	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
 		t.Fatalf("Dot = %v, want 32", got)
 	}
-	if got := Norm2([]float64{3, 4}); got != 5 {
-		t.Fatalf("Norm2 = %v, want 5", got)
-	}
-}
-
-func TestAXPY(t *testing.T) {
-	y := []float64{1, 1}
-	AXPY(2, []float64{3, 4}, y)
-	if y[0] != 7 || y[1] != 9 {
-		t.Fatalf("AXPY = %v, want [7 9]", y)
-	}
 }
 
 func TestAddSubScale(t *testing.T) {
 	a := NewMatrixFrom([][]float64{{1, 2}, {3, 4}})
 	b := NewMatrixFrom([][]float64{{5, 6}, {7, 8}})
-	if got := a.AddM(b).At(1, 1); got != 12 {
-		t.Fatalf("AddM = %v, want 12", got)
-	}
 	if got := b.SubM(a).At(0, 0); got != 4 {
 		t.Fatalf("SubM = %v, want 4", got)
 	}

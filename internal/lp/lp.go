@@ -86,9 +86,8 @@ type constraint struct {
 // Problem is a linear program under construction. The zero value is an empty
 // minimization problem.
 type Problem struct {
-	vars     []variable
-	cons     []constraint
-	maximize bool
+	vars []variable
+	cons []constraint
 
 	// MaxIter bounds simplex pivots; 0 means automatic (scales with size).
 	MaxIter int
@@ -96,9 +95,6 @@ type Problem struct {
 
 // NewProblem returns an empty minimization problem.
 func NewProblem() *Problem { return &Problem{} }
-
-// SetMaximize switches the objective direction.
-func (p *Problem) SetMaximize(max bool) { p.maximize = max }
 
 // AddVar adds a variable with bounds [lo, hi] (use -lp.Inf / lp.Inf for free
 // sides) and objective coefficient obj. It returns the variable index.
@@ -138,7 +134,7 @@ func (p *Problem) SetVarBounds(v int, lo, hi float64) {
 
 // Clone returns an independent copy of the problem.
 func (p *Problem) Clone() *Problem {
-	q := &Problem{maximize: p.maximize, MaxIter: p.MaxIter}
+	q := &Problem{MaxIter: p.MaxIter}
 	q.vars = make([]variable, len(p.vars))
 	copy(q.vars, p.vars)
 	q.cons = make([]constraint, len(p.cons))
@@ -269,18 +265,14 @@ func (p *Problem) toStandard() (*standard, error) {
 		sense Sense
 	}
 	rows := make([]row, 0, len(p.cons)+len(ubRows))
-	dir := 1.0
-	if p.maximize {
-		dir = -1
-	}
 	costs := make([]float64, structCols)
 	for i, v := range p.vars {
 		if s.col[i] < 0 || v.obj == 0 {
 			continue
 		}
-		costs[s.col[i]] += dir * v.obj * s.sign[i]
+		costs[s.col[i]] += v.obj * s.sign[i]
 		if s.negCol[i] >= 0 {
-			costs[s.negCol[i]] -= dir * v.obj
+			costs[s.negCol[i]] -= v.obj
 		}
 	}
 	for _, c := range p.cons {

@@ -17,12 +17,12 @@ func solveOrFail(t *testing.T, p *Problem) *Solution {
 }
 
 func TestSimpleMax(t *testing.T) {
-	// max 3x + 5y s.t. x <= 4; 2y <= 12; 3x + 2y <= 18; x,y >= 0.
-	// Classic Dantzig example: optimum (2, 6) with objective 36.
+	// max 3x + 5y s.t. x <= 4; 2y <= 12; 3x + 2y <= 18; x,y >= 0, stated
+	// as min -3x - 5y. Classic Dantzig example: optimum (2, 6) with
+	// objective 36.
 	p := NewProblem()
-	p.SetMaximize(true)
-	x := p.AddVar("x", 0, Inf, 3)
-	y := p.AddVar("y", 0, Inf, 5)
+	x := p.AddVar("x", 0, Inf, -3)
+	y := p.AddVar("y", 0, Inf, -5)
 	p.AddConstraint("c1", []Term{{x, 1}}, LE, 4)
 	p.AddConstraint("c2", []Term{{y, 2}}, LE, 12)
 	p.AddConstraint("c3", []Term{{x, 3}, {y, 2}}, LE, 18)
@@ -30,8 +30,8 @@ func TestSimpleMax(t *testing.T) {
 	if sol.Status != StatusOptimal {
 		t.Fatalf("status %v", sol.Status)
 	}
-	if math.Abs(sol.Objective-36) > 1e-8 {
-		t.Fatalf("objective %v, want 36", sol.Objective)
+	if math.Abs(sol.Objective+36) > 1e-8 {
+		t.Fatalf("objective %v, want -36", sol.Objective)
 	}
 	if math.Abs(sol.X[x]-2) > 1e-8 || math.Abs(sol.X[y]-6) > 1e-8 {
 		t.Fatalf("solution %v, want (2, 6)", sol.X)
@@ -99,13 +99,13 @@ func TestFreeVariable(t *testing.T) {
 }
 
 func TestUpperBoundedVariable(t *testing.T) {
-	// max x + y with x in [0,3], y in [1,2]: optimum 5 at (3,2).
+	// max x + y with x in [0,3], y in [1,2], stated as min -x - y:
+	// optimum -5 at (3,2).
 	p := NewProblem()
-	p.SetMaximize(true)
-	x := p.AddVar("x", 0, 3, 1)
-	y := p.AddVar("y", 1, 2, 1)
+	x := p.AddVar("x", 0, 3, -1)
+	y := p.AddVar("y", 1, 2, -1)
 	sol := solveOrFail(t, p)
-	if sol.Status != StatusOptimal || math.Abs(sol.Objective-5) > 1e-8 {
+	if sol.Status != StatusOptimal || math.Abs(sol.Objective+5) > 1e-8 {
 		t.Fatalf("got %v obj %v", sol.Status, sol.Objective)
 	}
 	_ = x

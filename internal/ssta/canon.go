@@ -33,11 +33,6 @@ func NewCanon(mean float64, coef []float64, rnd float64) Canon {
 	return Canon{Mean: mean, Coef: c, Rand: math.Abs(rnd)}
 }
 
-// Deterministic returns a canonical form with no variation.
-func Deterministic(mean float64, basis int) Canon {
-	return Canon{Mean: mean, Coef: make([]float64, basis), Rand: 0}
-}
-
 // Var returns the total variance.
 func (c Canon) Var() float64 {
 	v := c.Rand * c.Rand

@@ -57,7 +57,7 @@ func TestCovCorr(t *testing.T) {
 	if cr := Corr(a, d); math.Abs(cr-1/math.Sqrt2) > 1e-12 {
 		t.Fatalf("corr = %v, want %v", cr, 1/math.Sqrt2)
 	}
-	if Corr(a, Deterministic(3, 2)) != 0 {
+	if Corr(a, NewCanon(3, []float64{0, 0}, 0)) != 0 {
 		t.Fatal("deterministic corr must be 0")
 	}
 }

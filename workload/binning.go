@@ -62,9 +62,8 @@ func Classify(edges []float64, achieved float64) int {
 // BinAgg is the exactly-mergeable clock-binning histogram: one integer
 // chip count per period bin plus an unbinned bucket for chips slower than
 // the last edge or never configured. Like yield.Agg it holds only exact
-// integer counts: Merge is elementwise integer addition — associative and
-// commutative — so sharded campaigns fold bit-identically to a
-// single-process run.
+// integer counts, so observing a sharded campaign's chips in whatever order
+// they arrive folds bit-identically to a single-process run.
 type BinAgg struct {
 	// Edges are the ascending period bin edges; bin i counts chips whose
 	// achieved period is <= Edges[i] (and > Edges[i-1] for i > 0).
@@ -103,23 +102,6 @@ func (b *BinAgg) Chips() int {
 		n += c
 	}
 	return n
-}
-
-// Merge folds another histogram into b. The histograms must share edges —
-// merging across different binnings is meaningless and is an error rather
-// than a silent misfold.
-func (b *BinAgg) Merge(o *BinAgg) error {
-	if o == nil {
-		return nil
-	}
-	if !slices.Equal(b.Edges, o.Edges) {
-		return fmt.Errorf("bin edges differ: %v vs %v", b.Edges, o.Edges)
-	}
-	for i, c := range o.Counts {
-		b.Counts[i] += c
-	}
-	b.Unbinned += o.Unbinned
-	return nil
 }
 
 // Clone returns an independent copy.

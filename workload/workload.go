@@ -12,9 +12,10 @@
 // parameters, so the fleet layer, the manifest expander, and the
 // conformance matrix all agree on what a workload means.
 //
-// Like yield.Agg, every aggregate here is built from exact integer counts:
-// Merge is associative and commutative, so a sharded fleet campaign folds
-// bit-identically to a single-process run regardless of shard boundaries.
+// Like yield.Agg, every aggregate here is built from exact integer counts,
+// so a sharded fleet campaign that observes each chip as it arrives folds
+// bit-identically to a single-process run regardless of shard boundaries
+// and arrival order.
 package workload
 
 import "fmt"

@@ -87,29 +87,23 @@ func TestBinAggMergeExact(t *testing.T) {
 	whole.ObserveUnbinned()
 	whole.ObserveUnbinned()
 
-	// Every contiguous 3-way split must merge to the identical histogram,
-	// in either merge order.
+	// Every contiguous 3-way split, its shards' chips observed into one
+	// histogram in arrival order as a coordinator receives them, must fold
+	// to the identical histogram.
 	for i := 0; i <= len(achieved); i++ {
 		for j := i; j <= len(achieved); j++ {
-			parts := []*BinAgg{NewBinAgg(edges), NewBinAgg(edges), NewBinAgg(edges)}
-			for _, a := range achieved[:i] {
-				parts[0].Observe(a)
-			}
-			for _, a := range achieved[i:j] {
-				parts[1].Observe(a)
-			}
-			for _, a := range achieved[j:] {
-				parts[2].Observe(a)
-			}
-			parts[0].ObserveUnbinned()
-			parts[2].ObserveUnbinned()
-
+			shards := [][]float64{achieved[:i], achieved[i:j], achieved[j:]}
 			merged := NewBinAgg(edges)
-			for _, p := range []*BinAgg{parts[2], parts[0], parts[1]} { // shuffled order
-				if err := merged.Merge(p); err != nil {
-					t.Fatalf("merge: %v", err)
+			merged.ObserveUnbinned() // shard 2's unconfigured chip arrives first
+			for k := range achieved {
+				// Shards stream concurrently: their chips interleave.
+				for _, p := range []int{2, 0, 1} {
+					if k < len(shards[p]) {
+						merged.Observe(shards[p][k])
+					}
 				}
 			}
+			merged.ObserveUnbinned() // shard 0's arrives last
 			if !slices.Equal(merged.Counts, whole.Counts) || merged.Unbinned != whole.Unbinned {
 				t.Fatalf("split (%d,%d): merged %v/%d != whole %v/%d",
 					i, j, merged.Counts, merged.Unbinned, whole.Counts, whole.Unbinned)
@@ -118,17 +112,6 @@ func TestBinAggMergeExact(t *testing.T) {
 	}
 	if whole.Chips() != len(achieved)+2 {
 		t.Errorf("Chips() = %d, want %d", whole.Chips(), len(achieved)+2)
-	}
-}
-
-func TestBinAggMergeEdgeMismatch(t *testing.T) {
-	a := NewBinAgg([]float64{1, 2})
-	b := NewBinAgg([]float64{1, 3})
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merging mismatched edges did not error")
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Fatalf("merging nil errored: %v", err)
 	}
 }
 
