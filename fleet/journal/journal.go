@@ -283,17 +283,19 @@ func (j *Journal) compactLocked(id string, seg *segment, state, errMsg string) {
 }
 
 // readSpecLocked re-reads a segment's spec record (compaction needs it;
-// the journal does not keep specs in memory).
+// the journal does not keep specs in memory). Only the first frame is
+// decoded, under the checks parseSegment applies to it: the chip records
+// after it are dropped by compaction unread.
 func (j *Journal) readSpecLocked(id string) (Spec, bool) {
 	data, err := os.ReadFile(filepath.Join(j.dir, id+segSuffix))
 	if err != nil {
 		return Spec{}, false
 	}
-	camp, _, ok := parseSegment(id, data)
+	rec, _, ok := nextFrame(data)
 	if !ok {
 		return Spec{}, false
 	}
-	return camp.Spec, true
+	return decodeSpec(id, rec)
 }
 
 // writeFileSynced writes data to path and fsyncs the file.

@@ -212,6 +212,44 @@ func TestSettleCompacts(t *testing.T) {
 	if c.Spec.Key != sp.Key {
 		t.Fatal("compaction must keep the idempotency key")
 	}
+
+	// Compaction reads only the spec frame: a segment whose chip frames
+	// are intact but hold JSON that does not decode compacts to the same
+	// stub, byte for byte.
+	stub, err := os.ReadFile(filepath.Join(dir, "c000001.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2, dir2 := openT(t)
+	if err := j2.Begin(sp); err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.AppendChip(sp.ID, chip(0, true)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir2, "c000001.wal"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, garbage := range []string{`{"index": 1, "outcome": `, `not json`, `[1,2`} {
+		if _, err := f.Write(appendFrame(nil, recChip, []byte(garbage))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Close()
+	if err := j2.Settle(sp.ID, "done", ""); err != nil {
+		t.Fatalf("Settle: %v", err)
+	}
+	if st := j2.Stats(); st.Compactions != 1 {
+		t.Fatalf("segment with undecodable chip frames was not compacted: %+v", st)
+	}
+	got, err := os.ReadFile(filepath.Join(dir2, "c000001.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, stub) {
+		t.Fatalf("compacted stub differs:\n got %q\nwant %q", got, stub)
+	}
 }
 
 // TestTornTailTruncated simulates a crash mid-append: garbage after the

@@ -152,21 +152,29 @@ type rawRecord struct {
 // tail of an interrupted append (or tampering, which recovery treats the
 // same way: drop, never guess).
 func parseFrames(data []byte) (recs []rawRecord, good int) {
-	off := 0
 	for {
-		if len(data)-off < frameHeader {
-			return recs, off
+		rec, n, ok := nextFrame(data[good:])
+		if !ok {
+			return recs, good
 		}
-		n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		if n < 1 || n > maxBody || n > len(data)-off-frameHeader {
-			return recs, off
-		}
-		crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		body := data[off+frameHeader : off+frameHeader+n]
-		if crc32.Checksum(body, crcTable) != crc {
-			return recs, off
-		}
-		recs = append(recs, rawRecord{typ: body[0], payload: body[1:]})
-		off += frameHeader + n
+		recs = append(recs, rec)
+		good += n
 	}
+}
+
+// nextFrame decodes the frame at the start of data and its length in
+// bytes; ok is false on any framing violation parseFrames stops at.
+func nextFrame(data []byte) (rec rawRecord, size int, ok bool) {
+	if len(data) < frameHeader {
+		return rawRecord{}, 0, false
+	}
+	n := int(binary.LittleEndian.Uint32(data[:4]))
+	if n < 1 || n > maxBody || n > len(data)-frameHeader {
+		return rawRecord{}, 0, false
+	}
+	body := data[frameHeader : frameHeader+n]
+	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(data[4:8]) {
+		return rawRecord{}, 0, false
+	}
+	return rawRecord{typ: body[0], payload: body[1:]}, frameHeader + n, true
 }

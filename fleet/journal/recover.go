@@ -118,13 +118,10 @@ func (j *Journal) recoverSegmentLocked(id string) (Campaign, bool, error) {
 // unreachable by design and ignored.
 func parseSegment(id string, data []byte) (camp Campaign, good int, ok bool) {
 	recs, good := parseFrames(data)
-	if len(recs) == 0 || recs[0].typ != recSpec {
+	if len(recs) == 0 {
 		return Campaign{}, good, false
 	}
-	if err := json.Unmarshal(recs[0].payload, &camp.Spec); err != nil {
-		return Campaign{}, good, false
-	}
-	if camp.Spec.ID != id || camp.Spec.ChipCount < 0 {
+	if camp.Spec, ok = decodeSpec(id, recs[0]); !ok {
 		return Campaign{}, good, false
 	}
 	seen := map[int]bool{}
@@ -158,4 +155,17 @@ func parseSegment(id string, data []byte) (camp Campaign, good int, ok bool) {
 		// writer may add kinds an older reader can ignore.
 	}
 	return camp, good, true
+}
+
+// decodeSpec decodes a segment's first record as the spec of campaign id:
+// ok is false when it is not a spec, does not decode, names another
+// campaign or has a negative chip count.
+func decodeSpec(id string, rec rawRecord) (sp Spec, ok bool) {
+	if rec.typ != recSpec || json.Unmarshal(rec.payload, &sp) != nil {
+		return Spec{}, false
+	}
+	if sp.ID != id || sp.ChipCount < 0 {
+		return Spec{}, false
+	}
+	return sp, true
 }

@@ -71,8 +71,16 @@ type Circuit struct {
 	Model *variation.Model
 
 	covCache    *covCacheT
-	fingerprint string // memoised Fingerprint, "" until first computed
+	fingerprint string     // memoised Fingerprint, "" until first computed
+	runs        []PathRuns // memoised LoadingRuns, nil until first computed
 }
+
+// Run is a half-open range [Lo, Hi) of factor indices.
+type Run struct{ Lo, Hi int }
+
+// PathRuns lists the maximal runs of nonzero factor loadings of one path's
+// max- and min-delay forms, in ascending order.
+type PathRuns struct{ Max, Min []Run }
 
 type covCacheT struct {
 	cov  [][]float64
@@ -163,6 +171,46 @@ func (c *Circuit) ensureCov() {
 	c.covCache = &covCacheT{cov: cov, corr: corr}
 }
 
+// runsMu serializes lazy LoadingRuns memoisation, as covMu does for the
+// covariance cache.
+var runsMu sync.Mutex
+
+// LoadingRuns returns, per path, where its factor loadings are nonzero,
+// computed once and cached (callers must not modify). The grid model fills
+// only the cells up to a gate's own in each parameter block, so a path's
+// loadings are a few nonzero runs separated by exact zeros; a dot product
+// that walks only the runs skips nothing but ±0 terms.
+func (c *Circuit) LoadingRuns() []PathRuns {
+	runsMu.Lock()
+	defer runsMu.Unlock()
+	if c.runs != nil {
+		return c.runs
+	}
+	runs := make([]PathRuns, len(c.Paths))
+	for i := range c.Paths {
+		p := &c.Paths[i]
+		runs[i] = PathRuns{Max: nonzeroRuns(p.Max.Coef), Min: nonzeroRuns(p.Min.Coef)}
+	}
+	c.runs = runs
+	return runs
+}
+
+// nonzeroRuns returns the maximal runs of nonzero entries of coef. −0.0
+// counts as zero.
+func nonzeroRuns(coef []float64) (runs []Run) {
+	for k := 0; k < len(coef); k++ {
+		if coef[k] == 0 {
+			continue
+		}
+		lo := k
+		for k < len(coef) && coef[k] != 0 {
+			k++
+		}
+		runs = append(runs, Run{Lo: lo, Hi: k})
+	}
+	return runs
+}
+
 // IsBuffered reports whether flip-flop ff carries a tuning buffer.
 func (c *Circuit) IsBuffered(ff int) bool {
 	return ff >= 0 && ff < c.NumFF && c.Buf.Buffered[ff]
@@ -182,7 +230,7 @@ func (c *Circuit) WithInflatedSigma(factor float64) (*Circuit, error) {
 	}
 	base, fpErr := c.Fingerprint() // before the copy, so the memo is settled
 	out := *c
-	out.covCache, out.fingerprint = nil, ""
+	out.covCache, out.fingerprint, out.runs = nil, "", nil
 	if fpErr == nil {
 		out.fingerprint = inflatedFingerprint(base, factor)
 	}

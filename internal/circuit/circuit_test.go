@@ -311,3 +311,52 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		}
 	}
 }
+
+func TestLoadingRuns(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		coef []float64
+		want []Run
+	}{
+		{nil, nil},
+		{[]float64{0, negZero, 0}, nil},
+		{[]float64{1, 2, 3}, []Run{{0, 3}}},
+		{[]float64{0, 1, 2, 0, negZero, 3, 0}, []Run{{1, 3}, {5, 6}}},
+		{[]float64{negZero, 1, negZero, 2}, []Run{{1, 2}, {3, 4}}},
+	} {
+		got := nonzeroRuns(tc.coef)
+		if len(got) != len(tc.want) {
+			t.Fatalf("nonzeroRuns(%v) = %v, want %v", tc.coef, got, tc.want)
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Fatalf("nonzeroRuns(%v) = %v, want %v", tc.coef, got, tc.want)
+			}
+		}
+	}
+
+	c := tinyCircuit(t)
+	runs := c.LoadingRuns()
+	if again := c.LoadingRuns(); &again[0] != &runs[0] {
+		t.Fatal("LoadingRuns is not memoised")
+	}
+	covers := func(coef []float64, rs []Run) bool {
+		in := make([]bool, len(coef))
+		for _, r := range rs {
+			for k := r.Lo; k < r.Hi; k++ {
+				in[k] = true
+			}
+		}
+		for k, v := range coef {
+			if in[k] != (v != 0) {
+				return false
+			}
+		}
+		return true
+	}
+	for i, p := range c.Paths {
+		if !covers(p.Max.Coef, runs[i].Max) || !covers(p.Min.Coef, runs[i].Min) {
+			t.Fatalf("path %d: runs %v do not cover exactly its nonzero loadings", i, runs[i])
+		}
+	}
+}

@@ -57,44 +57,86 @@ func parseFinite(s string) (float64, error) {
 func ff(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // WriteNetlist serializes the circuit. Only the default grid variation
-// model is serializable; quad-tree models are a programmatic option.
+// model is serializable; quad-tree models are a programmatic option. Every
+// line is built in one reused buffer with strconv's append forms (numbers
+// as %d and ff print them), since the fingerprint hashes these bytes.
 func WriteNetlist(w io.Writer, c *Circuit) error {
 	cfg := c.Model.Cfg
 	if cfg.Kind != variation.KindGrid {
 		return fmt.Errorf("netlist: only the grid variation model is serializable (got kind %d)", cfg.Kind)
 	}
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, netlistHeader)
-	fmt.Fprintf(bw, "circuit %s\n", c.Name)
-	fmt.Fprintf(bw, "ffs %d\n", c.NumFF)
-	fmt.Fprintf(bw, "setup %s\n", ff(c.SetupTime))
-	fmt.Fprintf(bw, "hold %s\n", ff(c.HoldTime))
-	fmt.Fprintf(bw, "tnominal %s\n", ff(c.TNominal))
-	fmt.Fprintf(bw, "variation %d %d %s %s %s %s %s %s %s %s %s\n",
-		cfg.GridW, cfg.GridH,
-		ff(cfg.SigmaL), ff(cfg.SigmaTox), ff(cfg.SigmaVth),
-		ff(cfg.CorrGlobal), ff(cfg.CorrDecay),
-		ff(cfg.SensL), ff(cfg.SensTox), ff(cfg.SensVth), ff(cfg.SigmaRand))
-	for i, b := range c.Buffered {
+	b := make([]byte, 0, 256)
+	// endLine writes the line built in b and empties b for the next one.
+	endLine := func() {
+		b = append(b, '\n')
+		bw.Write(b)
+		b = b[:0]
+	}
+	b = append(b, netlistHeader...)
+	endLine()
+	b = append(append(b, "circuit "...), c.Name...)
+	endLine()
+	b = appendInt(append(b, "ffs"...), c.NumFF)
+	endLine()
+	b = appendFloat(append(b, "setup"...), c.SetupTime)
+	endLine()
+	b = appendFloat(append(b, "hold"...), c.HoldTime)
+	endLine()
+	b = appendFloat(append(b, "tnominal"...), c.TNominal)
+	endLine()
+	b = appendInt(append(b, "variation"...), cfg.GridW)
+	b = appendInt(b, cfg.GridH)
+	for _, v := range []float64{cfg.SigmaL, cfg.SigmaTox, cfg.SigmaVth, cfg.CorrGlobal,
+		cfg.CorrDecay, cfg.SensL, cfg.SensTox, cfg.SensVth, cfg.SigmaRand} {
+		b = appendFloat(b, v)
+	}
+	endLine()
+	for i, f := range c.Buffered {
 		d := c.Devices.Devices[i]
-		fmt.Fprintf(bw, "buffer %d %s %s %d\n", b, ff(d.Lo), ff(d.Hi), d.Steps)
+		b = appendInt(append(b, "buffer"...), f)
+		b = appendFloat(b, d.Lo)
+		b = appendFloat(b, d.Hi)
+		b = appendInt(b, d.Steps)
+		endLine()
 	}
 	for _, g := range c.Gates {
-		fmt.Fprintf(bw, "gate %d %d %d %s\n", g.ID, g.CellX, g.CellY, ff(g.Nominal))
+		b = appendInt(append(b, "gate"...), g.ID)
+		b = appendInt(b, g.CellX)
+		b = appendInt(b, g.CellY)
+		b = appendFloat(b, g.Nominal)
+		endLine()
 	}
 	for _, p := range c.Paths {
-		ids := make([]string, len(p.Gates))
+		b = appendInt(append(b, "path"...), p.ID)
+		b = appendInt(b, p.From)
+		b = appendInt(b, p.To)
+		b = appendInt(b, p.Cluster)
+		b = appendFloat(b, p.MinScale)
+		b = append(b, ' ') // the comma-separated gate list, empty for no gates
 		for i, g := range p.Gates {
-			ids[i] = strconv.Itoa(g)
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(g), 10)
 		}
-		fmt.Fprintf(bw, "path %d %d %d %d %s %s\n",
-			p.ID, p.From, p.To, p.Cluster, ff(p.MinScale), strings.Join(ids, ","))
+		endLine()
 	}
 	for _, e := range c.Exclusive {
-		fmt.Fprintf(bw, "exclusive %d %d\n", e[0], e[1])
+		b = appendInt(append(b, "exclusive"...), e[0])
+		b = appendInt(b, e[1])
+		endLine()
 	}
-	fmt.Fprintln(bw, "end")
+	bw.WriteString("end\n")
 	return bw.Flush()
+}
+
+// appendInt appends a space and v in decimal.
+func appendInt(b []byte, v int) []byte { return strconv.AppendInt(append(b, ' '), int64(v), 10) }
+
+// appendFloat appends a space and v as ff formats it.
+func appendFloat(b []byte, v float64) []byte {
+	return strconv.AppendFloat(append(b, ' '), v, 'g', -1, 64)
 }
 
 // ParseNetlist reads a circuit back from the text form, reconstructing all

@@ -24,15 +24,23 @@ const BlockWidth = 8
 // worker owns its own.
 //
 // Chip i's values are bit-identical to drawing it alone: its stream is
-// seeded with rng.Seed(seed, "chip", name, i); it draws z[0..basis) and
+// seeded with rng.Seed(seed, "chip", name, i) (math/rand's stream, which
+// rng.Source reproduces with a faster Seed); it draws z[0..basis) and
 // then (ε_max, ε_min) per path in path order; every delay is
 // Mean + Σ_k Coef[k]·z[k] + Rand·ε with the sum accumulated from 0.0 in
 // ascending k (la.Dot's sequence, as ssta.Canon.Sample computes it); and
 // the clamps run min ≤ max first, then max ≥ 0, then min ≥ 0.
+//
+// The sum skips the loadings that are exactly ±0 (circuit.LoadingRuns).
+// That is exact: z is finite, so each skipped product is ±0, and an
+// accumulator that starts at +0.0 can never become −0.0, so adding ±0
+// never changes it. Every product and sum is rounded on its own (an
+// explicit float64 conversion), so no platform fuses them into one FMA.
 type Sampler struct {
 	c     *circuit.Circuit
 	seed  int64
 	r     *rand.Rand
+	runs  []circuit.PathRuns
 	basis int
 	z     []float64 // factor block: z[k*BlockWidth+w] is chip w's factor k
 
@@ -54,7 +62,8 @@ func newSampler(c *circuit.Circuit, seed int64, lanes int) *Sampler {
 	return &Sampler{
 		c:     c,
 		seed:  seed,
-		r:     rand.New(rand.NewSource(0)),
+		r:     rand.New(new(rng.Source)),
+		runs:  c.LoadingRuns(),
 		basis: basis,
 		z:     make([]float64, basis*BlockWidth),
 		Max:   make([][]float64, lanes),
@@ -91,19 +100,19 @@ func (s *Sampler) draw(first, n int, withMin bool) {
 	}
 	for p := range paths {
 		pm, pn := &paths[p].Max, &paths[p].Min
-		hiDot := dotBlock(pm.Coef, s.z)
+		hiDot := dotRuns(pm.Coef, s.runs[p].Max, s.z)
 		var loDot [BlockWidth]float64
 		if withMin {
-			loDot = dotBlock(pn.Coef, s.z)
+			loDot = dotRuns(pn.Coef, s.runs[p].Min, s.z)
 		}
 		for w := range n {
-			hi := pm.Mean + hiDot[w] + pm.Rand*s.Max[w][p]
+			hi := pm.Mean + hiDot[w] + float64(pm.Rand*s.Max[w][p])
 			var lo float64
 			if withMin {
 				// The min-delay shares the die's correlated factors; its
 				// private part is drawn separately (a different
 				// sensitizable short path).
-				lo = pn.Mean + loDot[w] + pn.Rand*s.Min[w][p]
+				lo = pn.Mean + loDot[w] + float64(pn.Rand*s.Min[w][p])
 				if lo > hi {
 					lo = hi
 				}
@@ -122,20 +131,24 @@ func (s *Sampler) draw(first, n int, withMin bool) {
 	}
 }
 
-// dotBlock returns Σ_k coef[k]·z[k*BlockWidth+w] for every lane w, each
-// summed from 0.0 in ascending k — per lane, exactly la.Dot's operations.
-func dotBlock(coef, z []float64) [BlockWidth]float64 {
+// dotRuns returns Σ_k coef[k]·z[k*BlockWidth+w] over the runs' indices
+// for every lane w, each summed from 0.0 in ascending k — per lane, exactly
+// la.Dot's nonzero terms in la.Dot's order.
+func dotRuns(coef []float64, runs []circuit.Run, z []float64) [BlockWidth]float64 {
 	var a0, a1, a2, a3, a4, a5, a6, a7 float64
-	for k, cf := range coef {
-		zk := (*[BlockWidth]float64)(z[k*BlockWidth:])
-		a0 += cf * zk[0]
-		a1 += cf * zk[1]
-		a2 += cf * zk[2]
-		a3 += cf * zk[3]
-		a4 += cf * zk[4]
-		a5 += cf * zk[5]
-		a6 += cf * zk[6]
-		a7 += cf * zk[7]
+	for _, r := range runs {
+		zr := z[r.Lo*BlockWidth : r.Hi*BlockWidth]
+		for k, cf := range coef[r.Lo:r.Hi] {
+			zk := (*[BlockWidth]float64)(zr[k*BlockWidth:])
+			a0 += float64(cf * zk[0])
+			a1 += float64(cf * zk[1])
+			a2 += float64(cf * zk[2])
+			a3 += float64(cf * zk[3])
+			a4 += float64(cf * zk[4])
+			a5 += float64(cf * zk[5])
+			a6 += float64(cf * zk[6])
+			a7 += float64(cf * zk[7])
+		}
 	}
 	return [BlockWidth]float64{a0, a1, a2, a3, a4, a5, a6, a7}
 }

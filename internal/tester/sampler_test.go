@@ -60,6 +60,50 @@ func clampedCircuit(t *testing.T) *circuit.Circuit {
 	return &c
 }
 
+// sparseCircuit is tiny with its loadings rewritten into the shapes the
+// kernel's run table must handle: a dense row, an all-zero row, a row of
+// −0.0, interior zero runs, −0.0 loadings at both ends and inside a
+// nonzero run, and negative loadings.
+func sparseCircuit(t *testing.T) *circuit.Circuit {
+	c := *tiny(t)
+	c.Name = "sparse"
+	c.Paths = append([]circuit.Path(nil), c.Paths...)
+	negZero := math.Copysign(0, -1)
+	for i := range c.Paths {
+		p := &c.Paths[i]
+		mx := append([]float64(nil), p.Max.Coef...)
+		mn := append([]float64(nil), p.Min.Coef...)
+		switch i % 5 {
+		case 0: // dense
+			for k := range mx {
+				if mx[k] == 0 {
+					mx[k] = 1e-3 * float64(k%7+1)
+				}
+			}
+		case 1: // all zero, and all −0.0
+			clear(mx)
+			for k := range mn {
+				mn[k] = negZero
+			}
+		case 2: // interior zero runs
+			for k := range mx {
+				if k%4 == 1 || k%9 == 5 {
+					mx[k], mn[k] = 0, 0
+				}
+			}
+		case 3: // −0.0 at the ends and inside a run
+			mx[0], mx[len(mx)-1], mx[len(mx)/2] = negZero, negZero, negZero
+			mn[1] = negZero
+		case 4: // negative loadings
+			for k := 1; k < len(mx); k += 2 {
+				mx[k], mn[k] = -mx[k], -mn[k]
+			}
+		}
+		p.Max.Coef, p.Min.Coef = mx, mn
+	}
+	return &c
+}
+
 func sameBits(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -76,10 +120,12 @@ func sameBits(a, b []float64) bool {
 // — the chip population (min and max delays), the max-only calibration
 // draw, and the one-wide SampleChip — bitwise against the chip-at-a-time
 // oracle, across whole and ragged final blocks, a nonzero first index and worker
-// counts 1, 2 and 8.
+// counts 1, 2 and 8. The oracle draws from math/rand's own source, so it
+// also checks the kernel's rng.Source, and it sums every loading, so the
+// sparse circuit checks the skipped zero runs.
 func TestSamplerMatchesOracle(t *testing.T) {
 	ctx := context.Background()
-	circuits := []*circuit.Circuit{tiny(t), clampedCircuit(t)}
+	circuits := []*circuit.Circuit{tiny(t), clampedCircuit(t), sparseCircuit(t)}
 	for _, name := range []string{"s9234", "usb_funct"} {
 		p, _ := circuit.ProfileByName(name)
 		c, err := circuit.Generate(p, 1)

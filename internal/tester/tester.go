@@ -224,7 +224,7 @@ func (a *ATE) Step(T float64, x []float64, batch []int) (applied float64, pass [
 		}
 		threshold := applied
 		if a.Jitter > 0 && a.jitterStream != nil {
-			threshold += a.Jitter * a.jitterStream.NormFloat64()
+			threshold += float64(a.Jitter * a.jitterStream.NormFloat64())
 		}
 		pass[i] = a.Chip.SetupSlack(p, threshold, effective) >= 0
 	}
