@@ -109,7 +109,7 @@ func printStats(c *effitest.Circuit) {
 	fmt.Printf("  path delay means: [%.4f, %.4f] ns, avg sigma %.4f ns\n",
 		minMu, maxMu, sumSigma/float64(c.NumPaths()))
 	fmt.Printf("  exclusive (ATPG-masked) pairs: %d\n", len(c.Exclusive))
-	fmt.Printf("  scan chain: %d configuration bits\n", c.Devices.TotalBits())
+	fmt.Printf("  scan chain: %d configuration bits\n", c.ScanBits())
 }
 
 func fatal(err error) {

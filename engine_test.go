@@ -220,7 +220,7 @@ func TestRunChipsBreakBoundsWindow(t *testing.T) {
 // (BenchmarkFlowChip/s9234's allocs/op). The count is independent of the
 // hardware, so an exact ceiling catches any change that adds per-chip
 // allocation.
-const runChipAllocCeiling = 237
+const runChipAllocCeiling = 122
 
 // TestRunChipAllocCeiling holds warm Plan.RunChip (through Engine.RunChip,
 // which adds nothing) on s9234 at or below runChipAllocCeiling.

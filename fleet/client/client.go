@@ -212,7 +212,7 @@ func (c *Client) StreamResultsFrom(ctx context.Context, id string, from int) ite
 			return
 		}
 		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 1<<20), 1<<24)
+		sc.Buffer(nil, 1<<24) // grows from the default as long lines need
 		for sc.Scan() {
 			line := bytes.TrimSpace(sc.Bytes())
 			if len(line) == 0 {

@@ -3,6 +3,7 @@ package httpapi_test
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -380,7 +381,35 @@ func TestPlanUploadDownloadAndRun(t *testing.T) {
 	}
 }
 
-// Bad requests surface as client errors, not hung campaigns.
+// mixedStepNetlist returns a valid netlist with its second buffer line's
+// step count changed to 7. One lattice describes every buffer of a
+// circuit, so the netlist is invalid.
+func mixedStepNetlist(t *testing.T) string {
+	t.Helper()
+	c, err := effitest.Generate(effitest.NewProfile("wire24", 24, 200, 3, 24), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := effitest.WriteNetlist(&sb, c); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(sb.String(), "\n")
+	buffers := 0
+	for i, ln := range lines {
+		if strings.HasPrefix(ln, "buffer ") {
+			if buffers++; buffers == 2 {
+				lines[i] = ln[:strings.LastIndexByte(ln, ' ')] + " 7"
+			}
+		}
+	}
+	if buffers < 2 {
+		t.Fatalf("netlist has %d buffer lines, want at least 2", buffers)
+	}
+	return strings.Join(lines, "\n")
+}
+
+// Bad requests surface as client errors (HTTP 400), not hung campaigns.
 func TestSubmitValidation(t *testing.T) {
 	_, cl := newLoopback(t)
 	ctx := context.Background()
@@ -391,10 +420,13 @@ func TestSubmitValidation(t *testing.T) {
 		{Circuit: httpapi.CircuitSpec{Profile: "s9234"}},               // no chips
 		{Circuit: httpapi.CircuitSpec{Profile: "s9234", Netlist: "x"}}, // ambiguous
 		{Circuit: httpapi.CircuitSpec{Profile: "s9234"}, Config: httpapi.ConfigSpec{Align: "bogus"}, Chips: httpapi.ChipSpec{Count: 1}},
+		{Circuit: httpapi.CircuitSpec{Netlist: mixedStepNetlist(t)}, Chips: httpapi.ChipSpec{Count: 1}},
 	}
 	for i, req := range cases {
-		if _, err := cl.Submit(ctx, req); err == nil {
-			t.Fatalf("case %d: bad request accepted", i)
+		_, err := cl.Submit(ctx, req)
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
+			t.Fatalf("case %d: err %v, want HTTP 400", i, err)
 		}
 	}
 	if _, err := cl.Status(ctx, "c999999"); err == nil {

@@ -11,9 +11,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
-	"effitest/internal/buffers"
 	"effitest/internal/skew"
 	"effitest/internal/ssta"
 	"effitest/internal/variation"
@@ -50,10 +50,11 @@ type Circuit struct {
 	Paths    []Path
 	Buffered []int // flip-flop ids carrying tuning buffers, ascending
 
-	// Buf describes the buffer value space (ranges + lattice); Devices is
-	// the scan-chain device view of the same buffers.
-	Buf     skew.Buffers
-	Devices buffers.Chain
+	// Buf is the one description of the buffers' value space: each
+	// buffered FF's range and the lattice of Buf.Steps+1 values every
+	// buffer shares. The solvers configure on it and the tester realizes
+	// it, so a configured value is exactly the value applied.
+	Buf skew.Buffers
 
 	// Exclusive lists path-id pairs that ATPG cannot sensitize together
 	// (logic masking); they must not share a test batch.
@@ -95,6 +96,10 @@ func (c *Circuit) NumGates() int { return len(c.Gates) }
 
 // NumBuffers returns the number of tunable buffers.
 func (c *Circuit) NumBuffers() int { return len(c.Buffered) }
+
+// ScanBits returns the length of the buffer scan chain: one configuration
+// register of ⌈log2(Steps+1)⌉ bits per buffer (the paper's Figure 1).
+func (c *Circuit) ScanBits() int { return len(c.Buffered) * bits.Len(uint(c.Buf.Steps)) }
 
 // MaxCanons returns the max-delay canonical forms of all paths, in path
 // order (shared backing with the circuit; callers must not modify).
@@ -248,6 +253,43 @@ func (c *Circuit) WithInflatedSigma(factor float64) (*Circuit, error) {
 	return &out, nil
 }
 
+// pathCanon sums the canonical forms of the gates ids names, in path
+// order: the path's max delay before the sink setup time is folded in. The
+// first gate's fresh form is the accumulator.
+func pathCanon(m *variation.Model, gates []Gate, ids []int) ssta.Canon {
+	var sum ssta.Canon
+	for k, id := range ids {
+		g := gates[id]
+		gc := m.GateCanon(g.Nominal, g.CellX, g.CellY)
+		if k == 0 {
+			sum = gc
+		} else {
+			sum.Add(gc)
+		}
+	}
+	return sum
+}
+
+// packLoadings moves every path's factor loadings into one backing array,
+// the Max and Min rows in path order. Built path by path, the rows sit
+// among the gate forms' garbage and keep mostly empty heap spans alive
+// for as long as the circuit lives.
+func (c *Circuit) packLoadings() {
+	n := 0
+	for i := range c.Paths {
+		n += len(c.Paths[i].Max.Coef) + len(c.Paths[i].Min.Coef)
+	}
+	all := make([]float64, 0, n)
+	for i := range c.Paths {
+		p := &c.Paths[i]
+		for _, row := range []*[]float64{&p.Max.Coef, &p.Min.Coef} {
+			at := len(all)
+			all = append(all, *row...)
+			*row = all[at:len(all):len(all)]
+		}
+	}
+}
+
 // Validate checks structural invariants; generators and parsers run it
 // before returning a circuit.
 func (c *Circuit) Validate() error {
@@ -256,6 +298,9 @@ func (c *Circuit) Validate() error {
 	}
 	if len(c.Buf.Buffered) != c.NumFF {
 		return fmt.Errorf("circuit: buffer mask length %d != %d FFs", len(c.Buf.Buffered), c.NumFF)
+	}
+	if c.Buf.Steps < 1 {
+		return fmt.Errorf("circuit: buffer lattice has %d steps, want at least 1", c.Buf.Steps)
 	}
 	seen := make(map[int]bool, len(c.Buffered))
 	for _, b := range c.Buffered {

@@ -142,6 +142,18 @@ func TestGenerateBufferRange(t *testing.T) {
 	}
 }
 
+// A buffer without a lattice is not a circuit the tester can realize: the
+// generator must refuse it rather than hand the solvers a continuous range.
+func TestGenerateRejectsZeroBufferSteps(t *testing.T) {
+	for _, steps := range []int{0, -3} {
+		cfg := DefaultGenConfig()
+		cfg.BufferSteps = steps
+		if _, err := GenerateWith(TinyProfile("tiny", 20, 160, 3, 24), 1, cfg); err == nil {
+			t.Errorf("BufferSteps %d: generator accepted a buffer without a lattice", steps)
+		}
+	}
+}
+
 func TestCovMatrixConsistency(t *testing.T) {
 	c := tinyCircuit(t)
 	cov := c.CovMatrix()

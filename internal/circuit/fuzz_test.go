@@ -123,6 +123,9 @@ func requireEqualCircuits(t *testing.T, a, b *Circuit) {
 			t.Fatalf("buffer range changed at FF %d", fa)
 		}
 	}
+	if a.Buf.Steps != b.Buf.Steps {
+		t.Fatalf("buffer lattice changed: %d steps vs %d", a.Buf.Steps, b.Buf.Steps)
+	}
 }
 
 func truncate(s string, n int) string {
@@ -132,9 +135,25 @@ func truncate(s string, n int) string {
 	return s[:n] + "..."
 }
 
+// Two netlists that are valid except for their buffer lattices: one
+// whose buffers have no steps, and one whose two buffers disagree on the
+// step count. A circuit has one lattice, shared by every buffer.
+const (
+	zeroStepsNetlist = "effitest-netlist v1\ncircuit lattice\nffs 4\nsetup 0.02\nhold 0.02\ntnominal 1\n" +
+		"variation 2 2 .1 .1 .1 .25 1.2 .5 .4 .7 .03\n" +
+		"buffer 0 -0.06 0.06 0\nbuffer 2 -0.06 0.06 0\n" +
+		"gate 0 0 0 0.5\ngate 1 1 1 0.5\npath 0 1 0 0 0.4 0\npath 1 3 2 0 0.4 1\nend\n"
+	mixedStepsNetlist = "effitest-netlist v1\ncircuit lattice\nffs 4\nsetup 0.02\nhold 0.02\ntnominal 1\n" +
+		"variation 2 2 .1 .1 .1 .25 1.2 .5 .4 .7 .03\n" +
+		"buffer 0 -0.06 0.06 7\nbuffer 2 -0.06 0.06 20\n" +
+		"gate 0 0 0 0.5\ngate 1 1 1 0.5\npath 0 1 0 0 0.4 0\npath 1 3 2 0 0.4 1\nend\n"
+)
+
 // TestParseNetlistRejectsHostileInputs pins the parser hardening the
 // fuzzer drove: every one of these previously panicked (index out of
-// range, negative make) or allocated unboundedly.
+// range, negative make) or allocated unboundedly, except the lattice
+// cases, which parsed into circuits the tester realized on a lattice the
+// solvers did not use.
 func TestParseNetlistRejectsHostileInputs(t *testing.T) {
 	cases := []struct {
 		name, input string
@@ -152,8 +171,16 @@ func TestParseNetlistRejectsHostileInputs(t *testing.T) {
 		{"zero-decay", "effitest-netlist v1\nffs 4\nvariation 4 4 .1 .1 .1 .25 0 .5 .4 .7 .03\nend\n"},
 		{"inverted-buffer", "effitest-netlist v1\nffs 4\nbuffer 0 0.5 -0.5 8\nend\n"},
 		{"negative-steps", "effitest-netlist v1\nffs 4\nbuffer 0 -0.5 0.5 -8\nend\n"},
+		{"zero-steps", zeroStepsNetlist},
+		{"mixed-steps", mixedStepsNetlist},
 		{"nan-gate", "effitest-netlist v1\nffs 4\ngate 0 0 0 NaN\nend\n"},
 		{"negative-minscale", "effitest-netlist v1\nffs 4\ngate 0 0 0 0.1\npath 0 0 1 0 -1 0\nend\n"},
+	}
+	// The lattice cases differ from an accepted netlist only in their
+	// step counts.
+	uniform := strings.Replace(mixedStepsNetlist, " 7\n", " 20\n", 1)
+	if _, err := ParseNetlist(strings.NewReader(uniform)); err != nil {
+		t.Fatalf("uniform-lattice control netlist rejected: %v", err)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"effitest/internal/buffers"
 	"effitest/internal/rng"
 	"effitest/internal/skew"
 	"effitest/internal/ssta"
@@ -53,7 +52,8 @@ type GenConfig struct {
 	SetupTime, HoldTime float64
 
 	// BufferRangeDiv sets the buffer range: τ = TNominal / BufferRangeDiv
-	// (the paper uses 8); BufferSteps is the lattice resolution (paper: 20).
+	// (the paper uses 8); BufferSteps is the lattice resolution (paper: 20),
+	// at least 1.
 	BufferRangeDiv float64
 	BufferSteps    int
 }
@@ -214,7 +214,6 @@ func GenerateWith(p Profile, seed int64, cfg GenConfig) (*Circuit, error) {
 		return id
 	}
 
-	zeroBasis := make([]float64, model.BasisSize())
 	for i := 0; i < np; i++ {
 		cluster := i % nc
 		bs := clusterBufs[cluster]
@@ -296,22 +295,12 @@ func GenerateWith(p Profile, seed int64, cfg GenConfig) (*Circuit, error) {
 			sum += weights[k]
 		}
 		gates := make([]int, L)
-		canon := ssta.Canon{Mean: 0, Coef: zeroBasis, Rand: 0}
-		first := true
 		for k := 0; k < L; k++ {
 			nom := target * weights[k] / sum
 			cx, cy := cellFor(k, L)
-			id := newGate(cx, cy, nom)
-			g := c.Gates[id]
-			gc := model.GateCanon(g.Nominal, g.CellX, g.CellY)
-			if first {
-				canon = gc
-				first = false
-			} else {
-				canon = ssta.Add(canon, gc)
-			}
-			gates[k] = id
+			gates[k] = newGate(cx, cy, nom)
 		}
+		canon := pathCanon(model, c.Gates, gates)
 		minScale := cfg.MinScaleLo + (cfg.MinScaleHi-cfg.MinScaleLo)*r.Float64()
 		path := Path{
 			ID:       i,
@@ -337,11 +326,6 @@ func GenerateWith(p Profile, seed int64, cfg GenConfig) (*Circuit, error) {
 
 	tau := c.TNominal / cfg.BufferRangeDiv
 	c.Buf = skew.Uniform(ns, buffered, -tau/2, tau/2, cfg.BufferSteps)
-	devs := make([]buffers.Device, nb)
-	for i, b := range buffered {
-		devs[i] = buffers.Device{FF: b, Lo: -tau / 2, Hi: tau / 2, Steps: cfg.BufferSteps}
-	}
-	c.Devices = buffers.Chain{Devices: devs}
 
 	// ATPG logic-masking exclusions among otherwise batchable pairs.
 	nExcl := int(cfg.ExclusiveFrac * float64(np))
@@ -357,6 +341,7 @@ func GenerateWith(p Profile, seed int64, cfg GenConfig) (*Circuit, error) {
 		c.Exclusive = append(c.Exclusive, [2]int{a, b})
 	}
 
+	c.packLoadings()
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("circuit: generated circuit invalid: %w", err)
 	}

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"effitest/internal/buffers"
 	"effitest/internal/skew"
 	"effitest/internal/ssta"
 	"effitest/internal/variation"
@@ -92,12 +91,11 @@ func WriteNetlist(w io.Writer, c *Circuit) error {
 		b = appendFloat(b, v)
 	}
 	endLine()
-	for i, f := range c.Buffered {
-		d := c.Devices.Devices[i]
+	for _, f := range c.Buffered {
 		b = appendInt(append(b, "buffer"...), f)
-		b = appendFloat(b, d.Lo)
-		b = appendFloat(b, d.Hi)
-		b = appendInt(b, d.Steps)
+		b = appendFloat(b, c.Buf.Lo[f])
+		b = appendFloat(b, c.Buf.Hi[f])
+		b = appendInt(b, c.Buf.Steps)
 		endLine()
 	}
 	for _, g := range c.Gates {
@@ -168,8 +166,14 @@ func ParseNetlist(r io.Reader) (*Circuit, error) {
 	c := &Circuit{}
 	var cfg variation.Config
 	var haveVar bool
-	var bufFF []int
-	var bufDev []buffers.Device
+	// Buffer lines may precede the ffs line, so their FF ids are checked
+	// once the count is known.
+	type rawBuffer struct {
+		ff     int
+		lo, hi float64
+	}
+	var rawBufs []rawBuffer
+	steps := 0 // the lattice every buffer shares, set by the first buffer line
 	type rawPath struct {
 		id, from, to, cluster int
 		minScale              float64
@@ -258,18 +262,22 @@ func ParseNetlist(r io.Reader) (*Circuit, error) {
 			ffid, err1 := strconv.Atoi(fields[1])
 			lo, err2 := parseFinite(fields[2])
 			hi, err3 := parseFinite(fields[3])
-			steps, err4 := strconv.Atoi(fields[4])
+			n, err4 := strconv.Atoi(fields[4])
 			if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
 				return nil, fail("bad buffer line")
 			}
 			if lo > hi {
 				return nil, fail("buffer range [%g,%g] inverted", lo, hi)
 			}
-			if steps < 0 || steps > maxNetlistSteps {
-				return nil, fail("buffer steps %d outside [0, %d]", steps, maxNetlistSteps)
+			if n < 1 || n > maxNetlistSteps {
+				return nil, fail("buffer steps %d outside [1, %d]", n, maxNetlistSteps)
 			}
-			bufFF = append(bufFF, ffid)
-			bufDev = append(bufDev, buffers.Device{FF: ffid, Lo: lo, Hi: hi, Steps: steps})
+			if steps == 0 {
+				steps = n
+			} else if n != steps {
+				return nil, fail("buffer steps %d differ from the first buffer's %d", n, steps)
+			}
+			rawBufs = append(rawBufs, rawBuffer{ffid, lo, hi})
 		case "gate":
 			id, err1 := strconv.Atoi(fields[1])
 			x, err2 := strconv.Atoi(fields[2])
@@ -327,22 +335,21 @@ done:
 	}
 	c.Model = model
 
-	c.Buffered = bufFF
-	c.Devices = buffers.Chain{Devices: bufDev}
 	c.Buf = skew.Buffers{
 		N:        c.NumFF,
 		Buffered: make([]bool, c.NumFF),
 		Lo:       make([]float64, c.NumFF),
 		Hi:       make([]float64, c.NumFF),
+		Steps:    steps,
 	}
-	for _, d := range bufDev {
-		if d.FF < 0 || d.FF >= c.NumFF {
-			return nil, fmt.Errorf("netlist: buffer FF %d out of range", d.FF)
+	for _, rb := range rawBufs {
+		if rb.ff < 0 || rb.ff >= c.NumFF {
+			return nil, fmt.Errorf("netlist: buffer FF %d out of range", rb.ff)
 		}
-		c.Buf.Buffered[d.FF] = true
-		c.Buf.Lo[d.FF] = d.Lo
-		c.Buf.Hi[d.FF] = d.Hi
-		c.Buf.Steps = d.Steps
+		c.Buffered = append(c.Buffered, rb.ff)
+		c.Buf.Buffered[rb.ff] = true
+		c.Buf.Lo[rb.ff] = rb.lo
+		c.Buf.Hi[rb.ff] = rb.hi
 	}
 
 	// Rebuild canonical forms from gates.
@@ -350,19 +357,12 @@ done:
 		if rp.id != len(c.Paths) {
 			return nil, fmt.Errorf("netlist: path ids must be dense and ascending, got %d", rp.id)
 		}
-		var canon ssta.Canon
-		for k, gid := range rp.gates {
+		for _, gid := range rp.gates {
 			if gid < 0 || gid >= len(c.Gates) {
 				return nil, fmt.Errorf("netlist: path %d references gate %d", rp.id, gid)
 			}
-			g := c.Gates[gid]
-			gc := model.GateCanon(g.Nominal, g.CellX, g.CellY)
-			if k == 0 {
-				canon = gc
-			} else {
-				canon = ssta.Add(canon, gc)
-			}
 		}
+		canon := pathCanon(model, c.Gates, rp.gates)
 		c.Paths = append(c.Paths, Path{
 			ID: rp.id, From: rp.from, To: rp.to, Gates: rp.gates,
 			Cluster: rp.cluster, MinScale: rp.minScale,
@@ -370,6 +370,7 @@ done:
 			Min: ssta.Scale(canon, rp.minScale),
 		})
 	}
+	c.packLoadings()
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("netlist: %w", err)
 	}

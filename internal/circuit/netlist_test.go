@@ -26,9 +26,8 @@ func fprintfNetlist(w io.Writer, c *Circuit) error {
 		ff(cfg.SigmaL), ff(cfg.SigmaTox), ff(cfg.SigmaVth),
 		ff(cfg.CorrGlobal), ff(cfg.CorrDecay),
 		ff(cfg.SensL), ff(cfg.SensTox), ff(cfg.SensVth), ff(cfg.SigmaRand))
-	for i, b := range c.Buffered {
-		d := c.Devices.Devices[i]
-		fmt.Fprintf(bw, "buffer %d %s %s %d\n", b, ff(d.Lo), ff(d.Hi), d.Steps)
+	for _, b := range c.Buffered {
+		fmt.Fprintf(bw, "buffer %d %s %s %d\n", b, ff(c.Buf.Lo[b]), ff(c.Buf.Hi[b]), c.Buf.Steps)
 	}
 	for _, g := range c.Gates {
 		fmt.Fprintf(bw, "gate %d %d %d %s\n", g.ID, g.CellX, g.CellY, ff(g.Nominal))

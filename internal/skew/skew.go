@@ -83,7 +83,7 @@ func (b *Buffers) Quantize(i int, x float64) float64 {
 	if k > float64(b.Steps) {
 		k = float64(b.Steps)
 	}
-	return b.Lo[i] + k*s
+	return b.Lo[i] + float64(k*s)
 }
 
 // MinPeriodUnconstrained returns the minimum clock period achievable with
@@ -233,7 +233,7 @@ func FeasibleDiscrete(T float64, arcs []Timing, b Buffers) ([]float64, bool) {
 	x := make([]float64, b.N)
 	for i := 0; i < b.N; i++ {
 		if b.Buffered[i] {
-			x[i] = b.Lo[i] + step*float64(sol[id[i]])
+			x[i] = b.Lo[i] + float64(step*float64(sol[id[i]]))
 		}
 	}
 	return x, true

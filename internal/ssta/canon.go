@@ -45,22 +45,18 @@ func (c Canon) Var() float64 {
 // Sigma returns the standard deviation.
 func (c Canon) Sigma() float64 { return math.Sqrt(c.Var()) }
 
-// Add returns the sum of two canonical forms over the same basis. The
+// Add adds b to c in place over the same basis, writing into c's Coef. The
 // independent parts combine in quadrature (they are independent by
 // construction).
-func Add(a, b Canon) Canon {
-	if len(a.Coef) != len(b.Coef) {
-		panic(fmt.Sprintf("ssta: basis mismatch %d vs %d", len(a.Coef), len(b.Coef)))
+func (c *Canon) Add(b Canon) {
+	if len(c.Coef) != len(b.Coef) {
+		panic(fmt.Sprintf("ssta: basis mismatch %d vs %d", len(c.Coef), len(b.Coef)))
 	}
-	coef := make([]float64, len(a.Coef))
-	for i := range coef {
-		coef[i] = a.Coef[i] + b.Coef[i]
+	c.Mean += b.Mean
+	for i := range c.Coef {
+		c.Coef[i] += b.Coef[i]
 	}
-	return Canon{
-		Mean: a.Mean + b.Mean,
-		Coef: coef,
-		Rand: math.Hypot(a.Rand, b.Rand),
-	}
+	c.Rand = math.Hypot(c.Rand, b.Rand)
 }
 
 // Scale returns s*c.

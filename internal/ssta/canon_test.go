@@ -22,7 +22,8 @@ func TestCanonVarSigma(t *testing.T) {
 func TestAddMeansAndCoefs(t *testing.T) {
 	a := NewCanon(1, []float64{1, 0}, 3)
 	b := NewCanon(2, []float64{2, 5}, 4)
-	s := Add(a, b)
+	s := a
+	s.Add(b)
 	if s.Mean != 3 {
 		t.Fatalf("mean = %v", s.Mean)
 	}
@@ -211,7 +212,7 @@ func TestBasisMismatchPanics(t *testing.T) {
 	a := NewCanon(0, []float64{1}, 0)
 	b := NewCanon(0, []float64{1, 2}, 0)
 	for name, f := range map[string]func(){
-		"add": func() { Add(a, b) },
+		"add": func() { a.Add(b) },
 		"cov": func() { Cov(a, b) },
 	} {
 		func() {

@@ -151,9 +151,8 @@ func (ch *Chip) Arcs() []skew.Timing {
 
 // ATE is a simulated automatic test equipment session on one chip. It
 // accounts every frequency-step iteration and every scan-chain shift, and
-// routes buffer settings through the actual vernier scan-chain encoding
-// (devices quantize values to their step lattices exactly as hardware
-// would).
+// applies buffer settings as the hardware realizes them: quantized to the
+// circuit's buffer lattice.
 type ATE struct {
 	Chip *Chip
 	// Resolution is the clock-generator period granularity; applied periods
@@ -203,18 +202,14 @@ func (a *ATE) AppliedPeriod(T float64) float64 {
 // setup met). The applied (resolution-rounded) period is returned so callers
 // update bounds consistently with what the hardware actually did.
 //
-// The buffer values travel through the real scan-chain encoding: each value
-// is quantized to its device's step, encoded to configuration bits, shifted
-// (accounted in ScanBits) and decoded on-chip — so off-lattice requests see
+// Each buffer realizes the nearest point of the circuit's lattice (the one
+// alignment and configuration solve on), so off-lattice requests see
 // exactly the hardware's quantization.
 func (a *ATE) Step(T float64, x []float64, batch []int) (applied float64, pass []bool, err error) {
 	if len(x) != a.Chip.Circuit.NumFF {
 		return 0, nil, fmt.Errorf("tester: buffer vector length %d != %d FFs", len(x), a.Chip.Circuit.NumFF)
 	}
-	effective, err := a.scanIn(x)
-	if err != nil {
-		return 0, nil, err
-	}
+	effective := a.scanIn(x)
 	applied = a.AppliedPeriod(T)
 	a.Iterations++
 	pass = make([]bool, len(batch))
@@ -231,34 +226,19 @@ func (a *ATE) Step(T float64, x []float64, batch []int) (applied float64, pass [
 	return applied, pass, nil
 }
 
-// scanIn routes the requested buffer values through the device scan chain
-// and returns the values the hardware actually realizes, in a buffer the
-// session reuses on its next step.
-func (a *ATE) scanIn(x []float64) ([]float64, error) {
-	chain := a.Chip.Circuit.Devices
-	if len(chain.Devices) == 0 {
-		return x, nil
-	}
-	steps := make([]int, len(chain.Devices))
-	for i, d := range chain.Devices {
-		steps[i] = d.StepFor(x[d.FF])
-	}
-	bits, err := chain.Encode(steps)
-	if err != nil {
-		return nil, fmt.Errorf("tester: scan encode: %w", err)
-	}
-	a.ScanBits += int64(len(bits))
-	decoded, err := chain.Decode(bits)
-	if err != nil {
-		return nil, fmt.Errorf("tester: scan decode: %w", err)
-	}
+// scanIn shifts the buffer configuration through the scan chain and
+// returns the values the hardware realizes, in a buffer the session reuses
+// on its next step.
+func (a *ATE) scanIn(x []float64) []float64 {
+	c := a.Chip.Circuit
+	a.ScanBits += int64(c.ScanBits())
 	if cap(a.effective) < len(x) {
 		a.effective = make([]float64, len(x))
 	}
 	effective := a.effective[:len(x)]
 	copy(effective, x)
-	for i, d := range chain.Devices {
-		effective[d.FF] = d.Value(decoded[i])
+	for _, f := range c.Buffered {
+		effective[f] = c.Buf.Quantize(f, x[f])
 	}
-	return effective, nil
+	return effective
 }

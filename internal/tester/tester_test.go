@@ -165,8 +165,14 @@ func TestATEStepCountsAndResolution(t *testing.T) {
 	if ate.Iterations != 1 {
 		t.Fatalf("iterations = %d", ate.Iterations)
 	}
-	if ate.ScanBits != int64(c.Devices.TotalBits()) {
-		t.Fatalf("scan bits = %d, want %d", ate.ScanBits, c.Devices.TotalBits())
+	// One configuration register per buffer, wide enough for the step
+	// indices 0..Steps.
+	width := 0
+	for 1<<width <= c.Buf.Steps {
+		width++
+	}
+	if want := int64(len(c.Buffered) * width); ate.ScanBits != want {
+		t.Fatalf("scan bits = %d, want %d", ate.ScanBits, want)
 	}
 	ate.Step(1.0, x, []int{0})
 	if ate.Iterations != 2 {
@@ -174,25 +180,47 @@ func TestATEStepCountsAndResolution(t *testing.T) {
 	}
 }
 
+// latticeOracle returns the point of buffer f's lattice nearest to x,
+// found by trying every step: the value the hardware realizes for a
+// request of x.
+func latticeOracle(c *circuit.Circuit, f int, x float64) float64 {
+	s := (c.Buf.Hi[f] - c.Buf.Lo[f]) / float64(c.Buf.Steps)
+	best := c.Buf.Lo[f]
+	for k := 1; k <= c.Buf.Steps; k++ {
+		if v := c.Buf.Lo[f] + float64(float64(k)*s); math.Abs(v-x) < math.Abs(best-x) {
+			best = v
+		}
+	}
+	return best
+}
+
 func TestATEStepMatchesOracle(t *testing.T) {
 	c := tiny(t)
 	ch := SampleChip(c, 1, 0)
 	ate := NewATE(ch, 0)
-	// Requested values go through the scan chain, so the oracle must be
-	// evaluated at the device-quantized values.
+	// Requested values are realized on the buffer lattice, so the oracle
+	// must be evaluated at the nearest lattice points; requests out of
+	// range realize the range ends.
 	x := make([]float64, c.NumFF)
 	for p := range c.Paths {
 		x[c.Paths[p].To] = 0.01 // off-lattice sink shifts
 	}
+	x[c.Buffered[0]] = c.Buf.Hi[c.Buffered[0]] + 1
+	x[c.Buffered[1]] = c.Buf.Lo[c.Buffered[1]] - 1
 	effective := make([]float64, c.NumFF)
 	copy(effective, x)
-	for _, d := range c.Devices.Devices {
-		effective[d.FF] = d.Value(d.StepFor(x[d.FF]))
+	for _, f := range c.Buffered {
+		effective[f] = latticeOracle(c, f, x[f])
 	}
 	T := 1.05
 	_, pass, err := ate.Step(T, x, []int{0, 3, 7})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for f, v := range ate.effective {
+		if v != effective[f] {
+			t.Fatalf("FF %d: realized %v for request %v, oracle %v", f, v, x[f], effective[f])
+		}
 	}
 	for i, p := range []int{0, 3, 7} {
 		want := ch.SetupSlack(p, T, effective) >= 0
@@ -204,23 +232,21 @@ func TestATEStepMatchesOracle(t *testing.T) {
 
 func TestATEScanQuantizesOffLatticeValues(t *testing.T) {
 	c := tiny(t)
-	ch := SampleChip(c, 1, 0)
-	ate := NewATE(ch, 0)
-	bufFF := c.Buffered[0]
-	d := c.Devices.Devices[0]
-	// Request a value exactly halfway between two steps plus a hair: the
-	// hardware realizes the nearest lattice point, not the request.
-	request := d.Value(3) + 0.49*d.StepSize()
-	x := make([]float64, c.NumFF)
-	x[bufFF] = request
-	// Find a path whose pass/fail flips between request and quantized value.
-	// Construct the check directly through SetupSlack instead.
-	_, _, err := ate.Step(1.0, x, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Value(d.StepFor(request)); got != d.Value(3) {
-		t.Fatalf("StepFor quantized %v to %v, want %v", request, got, d.Value(3))
+	ate := NewATE(SampleChip(c, 1, 0), 0)
+	f := c.Buffered[0]
+	lo, hi, s := c.Buf.Lo[f], c.Buf.Hi[f], c.Buf.StepSize(f)
+	for _, tc := range []struct{ request, want float64 }{
+		// A hair short of halfway between two steps: the hardware realizes
+		// the nearest lattice point, not the request.
+		{lo + 3*s + 0.49*s, lo + float64(3*s)},
+		{hi + 1, lo + float64(float64(c.Buf.Steps)*s)},
+		{lo - 1, lo},
+	} {
+		x := make([]float64, c.NumFF)
+		x[f] = tc.request
+		if got := ate.scanIn(x)[f]; got != tc.want {
+			t.Errorf("request %v realized as %v, want %v", tc.request, got, tc.want)
+		}
 	}
 }
 
