@@ -461,7 +461,7 @@ var (
 	// AchievedPeriod returns a chip's post-tuning achievable period under
 	// a configured buffer vector — the clock-binning classification
 	// quantity.
-	AchievedPeriod = workload.AchievedPeriod
+	AchievedPeriod = (*Chip).AchievedPeriod
 	// ApplyDrift returns a copy of a chip aged by a delay-drift factor
 	// (aging-drift campaigns).
 	ApplyDrift = workload.ApplyDrift

@@ -132,7 +132,8 @@ type Status struct {
 	// the campaign settles. Sharded aggregation is exact: these are the
 	// same numbers a sequential Engine run would report.
 	Stats effitest.ProposedStats
-	// Period is the engine's calibrated test period (0 while queued).
+	// Period is the engine's calibrated test period (0 while queued). It is
+	// captured when the engine resolves, so it outlives the engine.
 	Period float64
 	// Bins is the clock-binning histogram snapshot (clock-binning
 	// campaigns only, nil otherwise). Like Stats, it folds exactly: a
@@ -154,6 +155,7 @@ type Campaign struct {
 	name     string
 	key      string // idempotency key ("" = none)
 	workload string // canonical workload type name
+	first    int    // manufacturing index of the first chip (CampaignSpec.ChipFirst)
 	m        *Manager
 
 	ctx    context.Context
@@ -168,12 +170,17 @@ type Campaign struct {
 	// by the manager and only touched under m.mu.
 	nextDispatch int
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	state     State
-	err       error
+	mu    sync.Mutex
+	cond  *sync.Cond
+	state State
+	err   error
+	// eng and chips are the resolved engine and population. Both are
+	// dropped once the campaign has settled (see finishLocked), so a
+	// finished campaign keeps only its results, none of which reference a
+	// chip, and the engine's circuit, plan and kernels can be collected.
 	eng       *effitest.Engine
 	chips     []*effitest.Chip
+	period    float64                // eng.Period(), kept past the engine
 	results   []*effitest.ChipResult // fixed size once chips resolve; nil entries pending
 	completed int
 	agg       yield.Agg
@@ -197,6 +204,11 @@ func (c *Campaign) Name() string { return c.name }
 // Key returns the campaign's idempotency key ("" when none was supplied).
 func (c *Campaign) Key() string { return c.key }
 
+// ChipFirst returns the manufacturing index of the campaign's first chip
+// (CampaignSpec.ChipFirst): the chip behind result Index i has
+// manufacturing index ChipFirst()+i.
+func (c *Campaign) ChipFirst() int { return c.first }
+
 // Status returns a point-in-time snapshot.
 func (c *Campaign) Status() Status {
 	c.mu.Lock()
@@ -211,6 +223,7 @@ func (c *Campaign) Status() Status {
 		ChipsPassed: c.agg.Passed,
 		ChipsFailed: c.failed,
 		Stats:       c.agg.Stats(),
+		Period:      c.period,
 		Bins:        c.bins.Clone(),
 		Err:         c.err,
 		SubmittedAt: c.submitted,
@@ -220,17 +233,7 @@ func (c *Campaign) Status() Status {
 	if c.agg.Chips > 0 {
 		st.RunningYield = float64(c.agg.Passed) / float64(c.agg.Chips)
 	}
-	if c.eng != nil {
-		st.Period = c.eng.Period()
-	}
 	return st
-}
-
-// Engine returns the campaign's resolved engine (nil while queued).
-func (c *Campaign) Engine() *effitest.Engine {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.eng
 }
 
 // Cancel stops the campaign: chips not yet dispatched to the pool get an
@@ -255,7 +258,9 @@ func (c *Campaign) Cancel() {
 
 // finishLocked is the campaign's one terminal transition. The first call
 // sets state and err and releases the admission-control slot; every call
-// stamps finished once no chip is in flight and wakes waiters. It reports
+// stamps finished once no chip is in flight and wakes waiters. Stamping
+// finished also drops the engine and the population: no worker can still
+// be reading them, and nothing after settling needs them. It reports
 // whether this call made the transition: that caller alone runs
 // journalSettle, after unlocking, so the settle record is written at most
 // once. Called with c.mu held; it only touches manager atomics, so the
@@ -268,6 +273,7 @@ func (c *Campaign) finishLocked(st State, err error) bool {
 	}
 	if c.finished.IsZero() && (c.results == nil || c.completed == len(c.results)) {
 		c.finished = time.Now()
+		c.eng, c.chips = nil, nil
 	}
 	c.cond.Broadcast()
 	return first
@@ -293,7 +299,7 @@ func (c *Campaign) settleLocked(start int, err error) bool {
 func (c *Campaign) fillFromLocked(start int, err error) {
 	for i := start; i < len(c.results); i++ {
 		if c.results[i] == nil {
-			c.results[i] = &effitest.ChipResult{Index: i, Chip: c.chips[i], Err: err}
+			c.results[i] = &effitest.ChipResult{Index: i, Err: err}
 			c.completed++
 			c.failed++
 		}
@@ -303,10 +309,11 @@ func (c *Campaign) fillFromLocked(start int, err error) {
 // Results streams the campaign's per-chip results strictly in input order,
 // blocking until each next result exists — so a consumer can attach while
 // the campaign runs (or long after it finished) and always observes the
-// exact sequence Engine.RunChips would have produced. Every attached
-// consumer gets the full stream; cancelling ctx detaches this consumer
-// only. A campaign that failed before resolving its population yields
-// nothing (see Status.Err).
+// exact sequence Engine.RunChips would have produced, except that a
+// result carries no Chip: the chip behind Index i has manufacturing index
+// ChipFirst()+i. Every attached consumer gets the full stream; cancelling
+// ctx detaches this consumer only. A campaign that failed before resolving
+// its population yields nothing (see Status.Err).
 func (c *Campaign) Results(ctx context.Context) iter.Seq[effitest.ChipResult] {
 	return func(yieldFn func(effitest.ChipResult) bool) {
 		stop := context.AfterFunc(ctx, func() {
@@ -399,6 +406,7 @@ func (c *Campaign) prepare(spec CampaignSpec) {
 	}
 	c.eng = eng
 	c.chips = chips
+	c.period = eng.Period()
 	c.results = make([]*effitest.ChipResult, len(chips))
 	c.applyReplayLocked()
 	// Every chip replayed from the journal: the campaign is already done,
@@ -466,7 +474,7 @@ func (c *Campaign) run(idx int) {
 	eng := c.eng
 	c.mu.Unlock()
 
-	res := effitest.ChipResult{Index: idx, Chip: ch}
+	res := effitest.ChipResult{Index: idx}
 	if err := c.ctx.Err(); err != nil {
 		res.Err = err
 	} else {
@@ -513,7 +521,7 @@ func (c *Campaign) observeLocked(res *effitest.ChipResult) {
 		return
 	}
 	if res.Outcome.Configured {
-		c.bins.Observe(workload.AchievedPeriod(c.chips[res.Index], res.Outcome.X))
+		c.bins.Observe(res.Outcome.AchievedPeriod)
 	} else {
 		c.bins.ObserveUnbinned()
 	}
@@ -735,6 +743,7 @@ func (m *Manager) newCampaign(spec CampaignSpec) *Campaign {
 		name:      spec.Name,
 		key:       spec.Key,
 		workload:  workload.Canonical(spec.Workload),
+		first:     spec.ChipFirst,
 		m:         m,
 		ctx:       ctx,
 		cancel:    cancel,

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"effitest"
 )
@@ -131,12 +132,14 @@ func TestCampaignsShareOnePrepare(t *testing.T) {
 			t.Fatalf("campaign %s: state %v err %v", camp.ID(), st.State, err)
 		}
 	}
-	if st := m.Registry().Stats(); st.Prepares != 1 {
+	st := m.Registry().Stats()
+	if st.Prepares != 1 {
 		t.Fatalf("expected exactly 1 Prepare across 4 concurrent campaigns, got %d", st.Prepares)
 	}
-	a, b := camps[0].Engine(), camps[1].Engine()
-	if a == nil || a != b {
-		t.Fatal("campaigns did not share the registry engine")
+	// One campaign built the engine; the other three were served it.
+	if st.Misses != 1 || st.Hits != 3 {
+		t.Fatalf("registry served %d hits and %d misses, want 3 and 1: campaigns did not share the engine",
+			st.Hits, st.Misses)
 	}
 }
 
@@ -536,5 +539,88 @@ func TestCampaignPrepFailure(t *testing.T) {
 	}
 	for range camp.Results(context.Background()) {
 		t.Fatal("failed campaign must stream no results")
+	}
+}
+
+// A settled campaign keeps its results, not its engine: once Wait returns,
+// the submitted circuit is unreachable although the campaign itself is
+// still in the manager's table. That holds for a campaign that finished,
+// one cancelled while a chip was in flight, and one whose engine was never
+// built. WithBackend makes every engine here caller-private, so none sits
+// in the registry's LRU, which keeps recent engines alive by design.
+func TestSettledCampaignReleasesCircuit(t *testing.T) {
+	m := newTestManager(t, WithWorkers(1))
+	ctx := context.Background()
+
+	// submit builds the circuit in its own frame, so the weak pointer is
+	// the test's only reference to it once submit returns.
+	submit := func(name string, h *holdBackend, extra ...effitest.Option) (*Campaign, weak.Pointer[effitest.Circuit]) {
+		t.Helper()
+		c := tinyCircuit(t, name, 3)
+		opts := append([]effitest.Option{effitest.WithBackend(h)}, extra...)
+		camp, err := m.Submit(CampaignSpec{Name: name, Circuit: c, Options: fastOpts(opts...), ChipSeed: 5, ChipCount: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return camp, weak.Make(c)
+	}
+	settle := func(camp *Campaign, want State) {
+		t.Helper()
+		st, err := camp.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != want {
+			t.Fatalf("campaign %s settled %s (err %v), want %s", camp.Name(), st.State, st.Err, want)
+		}
+	}
+
+	done, doneCircuit := submit("done", newHoldBackend())
+	settle(done, StateDone)
+
+	// The one worker blocks in chip 1's session open; cancelling then
+	// settles the campaign with that chip still in flight, and releasing it
+	// lets the chip deliver, the last event before the campaign finishes.
+	h := newHoldBackend(1)
+	cancelled, cancelledCircuit := submit("cancelled", h)
+	<-h.held
+	cancelled.Cancel()
+	if st := cancelled.Status(); st.State != StateCancelled || !st.FinishedAt.IsZero() {
+		t.Fatalf("cancel with a chip in flight: state %s, finished %v", st.State, st.FinishedAt)
+	}
+	close(h.release)
+	settle(cancelled, StateCancelled)
+
+	failed, failedCircuit := submit("failed", newHoldBackend(), effitest.WithPeriodQuantile(1.5, 100))
+	settle(failed, StateFailed)
+
+	// Two cycles: a plan's scratch sync.Pool, whose New closure holds the
+	// plan and so the circuit, is reachable from the runtime's pool list
+	// until one GC moves it to the victim list and the next drops it.
+	runtime.GC()
+	runtime.GC()
+	for _, tc := range []struct {
+		camp    *Campaign
+		circuit weak.Pointer[effitest.Circuit]
+	}{{done, doneCircuit}, {cancelled, cancelledCircuit}, {failed, failedCircuit}} {
+		if tc.circuit.Value() != nil {
+			t.Errorf("settled campaign %s still pins its circuit", tc.camp.Name())
+		}
+		if _, ok := m.Campaign(tc.camp.ID()); !ok {
+			t.Errorf("campaign %s left the manager's table", tc.camp.Name())
+		}
+	}
+	if st := done.Status(); st.ChipsDone != 6 || st.Period <= 0 {
+		t.Fatalf("settled campaign lost its status: %d chips done, period %v", st.ChipsDone, st.Period)
+	}
+	n := 0
+	for res := range done.Results(ctx) {
+		if res.Err != nil || res.Outcome == nil || res.Index != n {
+			t.Fatalf("settled campaign's result %d corrupt: %+v", n, res)
+		}
+		n++
+	}
+	if n != 6 {
+		t.Fatalf("settled campaign streamed %d results, want 6", n)
 	}
 }

@@ -19,10 +19,11 @@
 //     starve a small one. Campaigns are observable while they run (Status:
 //     queued/running/done, chips completed, running yield), streamable
 //     (Results yields every per-chip result in input order, exactly as
-//     Engine.RunChips would have), cancellable, and aggregate their
-//     outcomes through the exact-sum streaming aggregator in
-//     internal/yield — so any completion order folds bit-identically to a
-//     sequential pass.
+//     Engine.RunChips would have, minus the chip), cancellable, and
+//     aggregate their outcomes through the exact-sum streaming aggregator
+//     in internal/yield — so any completion order folds bit-identically to
+//     a sequential pass. A settled campaign keeps its results and
+//     aggregates but drops its engine and chips.
 //
 // cmd/effitestd exposes a Manager over HTTP/JSON (see fleet/httpapi and
 // the fleet/client package); in-process callers use the Manager directly:

@@ -343,7 +343,9 @@ func (s *Server) results(w http.ResponseWriter, r *http.Request) {
 		if i++; i <= from {
 			continue
 		}
-		if err := enc.Encode(ResultWire(res)); err != nil {
+		wr := ResultWire(res)
+		wr.ChipIndex = c.ChipFirst() + res.Index
+		if err := enc.Encode(wr); err != nil {
 			return
 		}
 		if flusher != nil {

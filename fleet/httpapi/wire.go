@@ -428,7 +428,10 @@ func StatusWire(st fleet.Status) CampaignStatus {
 	return ws
 }
 
-// ResultWire converts a per-chip result to its wire form.
+// ResultWire converts a per-chip result to its wire form. ChipIndex is
+// taken from r.Chip when the result carries its chip (Engine.RunChips); a
+// campaign's results carry none, and the caller sets ChipIndex from the
+// campaign's population (Campaign.ChipFirst).
 func ResultWire(r effitest.ChipResult) ChipResult {
 	w := ChipResult{Index: r.Index}
 	if r.Chip != nil {
@@ -445,9 +448,7 @@ func ResultWire(r effitest.ChipResult) ChipResult {
 	w.Passed = out.Passed
 	w.Xi = out.Xi
 	w.X = out.X
-	if out.Configured && r.Chip != nil {
-		w.AchievedPeriod = workload.AchievedPeriod(r.Chip, out.X)
-	}
+	w.AchievedPeriod = out.AchievedPeriod
 	if out.Bounds != nil {
 		for i := range out.Bounds.Lo {
 			w.BoundsLoSum += out.Bounds.Lo[i]

@@ -206,7 +206,7 @@ func (c *Campaign) journalChip(res *effitest.ChipResult) {
 	if res.Err != nil && !deterministicChipErr(res.Err) {
 		return
 	}
-	j.AppendChip(c.id, chipRecord(res))
+	j.AppendChip(c.id, chipRecord(res, c.first+res.Index))
 }
 
 // journalSettle writes the campaign's terminal record and compacts its
@@ -235,14 +235,11 @@ func (c *Campaign) journalSettle() {
 	c.mu.Unlock()
 }
 
-// chipRecord serializes a completed chip result for the journal. Durations
-// ride along as integer nanoseconds so the replayed aggregate's duration
-// sums are exact.
-func chipRecord(res *effitest.ChipResult) journal.ChipRecord {
-	rec := journal.ChipRecord{Index: res.Index}
-	if res.Chip != nil {
-		rec.ChipIndex = res.Chip.Index
-	}
+// chipRecord serializes a completed chip result, whose chip has
+// manufacturing index chipIndex, for the journal. Durations ride along as
+// integer nanoseconds so the replayed aggregate's duration sums are exact.
+func chipRecord(res *effitest.ChipResult, chipIndex int) journal.ChipRecord {
+	rec := journal.ChipRecord{Index: res.Index, ChipIndex: chipIndex}
 	if res.Err != nil {
 		rec.Error = res.Err.Error()
 		return rec
@@ -269,9 +266,11 @@ func chipRecord(res *effitest.ChipResult) journal.ChipRecord {
 // replayResult rebuilds a ChipResult from its journal record. Inverse of
 // chipRecord: every deterministic field round-trips exactly (Go's JSON
 // float encoding is lossless), so the replayed result is bit-identical on
-// the wire and in the aggregate.
+// the wire and in the aggregate. The record does not carry the achieved
+// period, so it is recomputed from ch, the re-sampled chip, and the
+// recorded buffer vector, as the flow computed it the first time.
 func replayResult(ch *effitest.Chip, rec journal.ChipRecord) *effitest.ChipResult {
-	res := &effitest.ChipResult{Index: rec.Index, Chip: ch}
+	res := &effitest.ChipResult{Index: rec.Index}
 	if rec.Error != "" {
 		res.Err = errors.New(rec.Error)
 		return res
@@ -287,6 +286,9 @@ func replayResult(ch *effitest.Chip, rec journal.ChipRecord) *effitest.ChipResul
 		Xi:              o.Xi,
 		Configured:      o.Configured,
 		Passed:          o.Passed,
+	}
+	if o.Configured {
+		res.Outcome.AchievedPeriod = ch.AchievedPeriod(o.X)
 	}
 	if o.BoundsLo != nil || o.BoundsHi != nil {
 		res.Outcome.Bounds = &effitest.Bounds{Lo: o.BoundsLo, Hi: o.BoundsHi}

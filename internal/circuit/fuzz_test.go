@@ -135,9 +135,11 @@ func truncate(s string, n int) string {
 	return s[:n] + "..."
 }
 
-// Two netlists that are valid except for their buffer lattices: one
-// whose buffers have no steps, and one whose two buffers disagree on the
-// step count. A circuit has one lattice, shared by every buffer.
+// Netlists that are valid except for one line. The first two differ in
+// their buffer lattices: one whose buffers have no steps, and one whose two
+// buffers disagree on the step count. A circuit has one lattice, shared by
+// every buffer. The third has no circuit line, so its circuit would have no
+// name for WriteNetlist to write.
 const (
 	zeroStepsNetlist = "effitest-netlist v1\ncircuit lattice\nffs 4\nsetup 0.02\nhold 0.02\ntnominal 1\n" +
 		"variation 2 2 .1 .1 .1 .25 1.2 .5 .4 .7 .03\n" +
@@ -146,6 +148,10 @@ const (
 	mixedStepsNetlist = "effitest-netlist v1\ncircuit lattice\nffs 4\nsetup 0.02\nhold 0.02\ntnominal 1\n" +
 		"variation 2 2 .1 .1 .1 .25 1.2 .5 .4 .7 .03\n" +
 		"buffer 0 -0.06 0.06 7\nbuffer 2 -0.06 0.06 20\n" +
+		"gate 0 0 0 0.5\ngate 1 1 1 0.5\npath 0 1 0 0 0.4 0\npath 1 3 2 0 0.4 1\nend\n"
+	noCircuitLineNetlist = "effitest-netlist v1\nffs 4\nsetup 0.02\nhold 0.02\ntnominal 1\n" +
+		"variation 2 2 .1 .1 .1 .25 1.2 .5 .4 .7 .03\n" +
+		"buffer 0 -0.06 0.06 20\nbuffer 2 -0.06 0.06 20\n" +
 		"gate 0 0 0 0.5\ngate 1 1 1 0.5\npath 0 1 0 0 0.4 0\npath 1 3 2 0 0.4 1\nend\n"
 )
 
@@ -173,6 +179,7 @@ func TestParseNetlistRejectsHostileInputs(t *testing.T) {
 		{"negative-steps", "effitest-netlist v1\nffs 4\nbuffer 0 -0.5 0.5 -8\nend\n"},
 		{"zero-steps", zeroStepsNetlist},
 		{"mixed-steps", mixedStepsNetlist},
+		{"no-circuit-line", noCircuitLineNetlist},
 		{"nan-gate", "effitest-netlist v1\nffs 4\ngate 0 0 0 NaN\nend\n"},
 		{"negative-minscale", "effitest-netlist v1\nffs 4\ngate 0 0 0 0.1\npath 0 0 1 0 -1 0\nend\n"},
 	}

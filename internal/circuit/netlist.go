@@ -326,6 +326,11 @@ done:
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	// WriteNetlist always writes the name, and "circuit" with no argument
+	// does not parse, so a nameless circuit could not round-trip.
+	if c.Name == "" {
+		return nil, fmt.Errorf("netlist: missing circuit line")
+	}
 	if !haveVar {
 		return nil, fmt.Errorf("netlist: missing variation line")
 	}

@@ -160,7 +160,7 @@ func RunPipeline(ctx context.Context, sc Scenario) (*PipelineResult, error) {
 	}
 	snap := &Snapshot{Format: SnapshotFormat, Scenario: sc.meta(), Pipeline: ps}
 	if sc.Kind == KindBinning {
-		snap.Binning = binningSnap(sc.BinEdges, chips, outs)
+		snap.Binning = binningSnap(sc.BinEdges, outs)
 	}
 	return &PipelineResult{
 		Circuit: c,
@@ -174,11 +174,11 @@ func RunPipeline(ctx context.Context, sc Scenario) (*PipelineResult, error) {
 // binningSnap classifies every chip of a finished run into the period bins:
 // configured chips by their post-tuning achievable period, unconfigured
 // chips as unbinned — the same fold the fleet layer aggregates on the wire.
-func binningSnap(edges []float64, chips []*tester.Chip, outs []*core.ChipOutcome) *BinningSnap {
+func binningSnap(edges []float64, outs []*core.ChipOutcome) *BinningSnap {
 	agg := workload.NewBinAgg(edges)
-	for i, out := range outs {
+	for _, out := range outs {
 		if out.Configured {
-			agg.Observe(workload.AchievedPeriod(chips[i], out.X))
+			agg.Observe(out.AchievedPeriod)
 		} else {
 			agg.ObserveUnbinned()
 		}

@@ -152,6 +152,11 @@ type ChipOutcome struct {
 	Xi         float64
 	Configured bool // a feasible configuration was found
 	Passed     bool // final pass/fail test at Td (setup + hold)
+	// AchievedPeriod is a configured chip's post-tuning achievable period
+	// under X (tester.Chip.AchievedPeriod), the quantity clock binning
+	// classifies on; 0 when unconfigured. finishChip computes it once, so
+	// consumers of the outcome never need the chip again.
+	AchievedPeriod float64
 }
 
 // RunChip executes the online flow on one manufactured chip: aligned delay
@@ -218,6 +223,7 @@ func (pl *Plan) finishChip(ch *tester.Chip, Td float64, out *ChipOutcome, b *Bou
 		out.X = res.X
 		out.Xi = res.Xi
 		out.Passed = ch.PassesAt(Td, res.X) && ch.HoldOK(res.X)
+		out.AchievedPeriod = ch.AchievedPeriod(res.X)
 	} else {
 		out.X = make([]float64, pl.Circuit.NumFF)
 	}

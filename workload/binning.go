@@ -4,30 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"effitest/internal/tester"
 )
-
-// AchievedPeriod returns the smallest clock period at which the chip meets
-// every setup constraint under the configured buffer vector x:
-//
-//	max over paths p of  TrueMax[p] + x[From(p)] - x[To(p)]
-//
-// This is the chip's post-tuning achievable period — the quantity clock
-// binning classifies on. Hold constraints are period-independent and so do
-// not enter; a chip whose configuration violates hold is reported
-// unconfigured by the flow and lands in the unbinned bucket upstream.
-func AchievedPeriod(ch *tester.Chip, x []float64) float64 {
-	achieved := 0.0
-	for p := range ch.Circuit.Paths {
-		pt := &ch.Circuit.Paths[p]
-		d := ch.TrueMax[p] + x[pt.From] - x[pt.To]
-		if d > achieved {
-			achieved = d
-		}
-	}
-	return achieved
-}
 
 // ValidateEdges checks clock-binning period bin edges: at least one edge,
 // every edge finite and positive, strictly ascending.

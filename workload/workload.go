@@ -7,10 +7,12 @@
 // (classify each chip into a frequency bin from its post-tuning achievable
 // period) and aging drift sweeps (re-run a population under deterministic
 // delay-drift schedules and report yield versus drift). This package names
-// those workloads, implements their per-chip measurements (AchievedPeriod,
-// ApplyDrift) and their mergeable aggregates (BinAgg), and validates their
-// parameters, so the fleet layer, the manifest expander, and the
-// conformance matrix all agree on what a workload means.
+// those workloads, implements the drift transform (ApplyDrift) and their
+// mergeable aggregates (BinAgg), and validates their parameters, so the
+// fleet layer, the manifest expander, and the conformance matrix all agree
+// on what a workload means. The binning quantity, a chip's achieved period,
+// is computed once per configured chip by the flow itself
+// (ChipOutcome.AchievedPeriod).
 //
 // Like yield.Agg, every aggregate here is built from exact integer counts,
 // so a sharded fleet campaign that observes each chip as it arrives folds

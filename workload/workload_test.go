@@ -144,7 +144,7 @@ func TestAchievedPeriod(t *testing.T) {
 	x := make([]float64, ch.Circuit.NumFF)
 
 	// With zero skew the achieved period is exactly the critical delay.
-	if got, want := AchievedPeriod(ch, x), ch.CriticalDelay(); got != want {
+	if got, want := ch.AchievedPeriod(x), ch.CriticalDelay(); got != want {
 		t.Errorf("zero-skew achieved %v != critical delay %v", got, want)
 	}
 
@@ -152,7 +152,7 @@ func TestAchievedPeriod(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i%3) * 0.01
 	}
-	ap := AchievedPeriod(ch, x)
+	ap := ch.AchievedPeriod(x)
 	if !ch.PassesAt(ap, x) {
 		t.Errorf("chip fails setup at its own achieved period %v", ap)
 	}
@@ -208,9 +208,9 @@ func TestDriftMonotoneAchieved(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i%2) * 0.02
 	}
-	prev := AchievedPeriod(ApplyDrift(ch, -0.1), x)
+	prev := ApplyDrift(ch, -0.1).AchievedPeriod(x)
 	for _, d := range []float64{0, 0.05, 0.1, 0.5} {
-		ap := AchievedPeriod(ApplyDrift(ch, d), x)
+		ap := ApplyDrift(ch, d).AchievedPeriod(x)
 		if ap < prev {
 			t.Fatalf("achieved period decreased with drift %v: %v < %v", d, ap, prev)
 		}
