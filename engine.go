@@ -449,19 +449,15 @@ func (e *Engine) Yield(ctx context.Context, chips []*Chip) (ProposedStats, error
 }
 
 // SampleChips manufactures n chips of the engine's circuit on the worker
-// pool, deterministically in (seed, index).
+// pool, deterministically in (seed, index). A negative n is an error.
 func (e *Engine) SampleChips(ctx context.Context, seed int64, n int) ([]*Chip, error) {
-	return tester.SampleChipsCtx(ctx, e.c, seed, n, e.plan.Cfg.Workers)
+	return tester.SampleChipRangeCtx(ctx, e.c, seed, 0, n, e.plan.Cfg.Workers)
 }
 
 // SampleChipRange manufactures the n chips with manufacturing indices
 // [first, first+n) of the seed-keyed population — exactly the chips
 // SampleChips(ctx, seed, first+n) would return at those positions, since
-// chip i depends only on (seed, i). Sharded fleet execution uses this to
-// hand each node a contiguous slice of one population.
+// chip i depends only on (seed, i). A negative first or n is an error.
 func (e *Engine) SampleChipRange(ctx context.Context, seed int64, first, n int) ([]*Chip, error) {
-	if first < 0 {
-		return nil, fmt.Errorf("effitest: chip range start must be non-negative, got %d", first)
-	}
 	return tester.SampleChipRangeCtx(ctx, e.c, seed, first, n, e.plan.Cfg.Workers)
 }

@@ -79,6 +79,22 @@ func TestEngineInvalidOptions(t *testing.T) {
 	}
 }
 
+// TestEngineSampleNegativeCount: a negative chip count is a caller error
+// (the CLI's -chips flag reaches it), not a makeslice panic.
+func TestEngineSampleNegativeCount(t *testing.T) {
+	eng, err := effitest.New(errorTestCircuit(t), effitest.WithPeriodQuantile(0.8413, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if chips, err := eng.SampleChips(ctx, 1, -1); err == nil || chips != nil {
+		t.Fatalf("SampleChips(-1) = %d chips, %v; want an error", len(chips), err)
+	}
+	if chips, err := eng.SampleChipRange(ctx, 1, 4, -2); err == nil || chips != nil {
+		t.Fatalf("SampleChipRange(4, -2) = %d chips, %v; want an error", len(chips), err)
+	}
+}
+
 // TestEngineChipMismatchThroughRunChips checks ErrChipCircuitMismatch
 // propagation through the streaming path: the mismatched chip carries the
 // sentinel, the healthy chips still complete, and RunChipsAll surfaces the

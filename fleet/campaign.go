@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -67,8 +68,8 @@ type CampaignSpec struct {
 	// Plan, when non-nil, supplies a pre-built plan artifact; the engine is
 	// built around it, caller-private (the registry never shares it).
 	Plan *effitest.Plan
-	// ChipSeed/ChipCount sample the population deterministically from the
-	// engine's circuit (see Engine.SampleChips); ChipCount must be positive.
+	// ChipSeed keys the population: chip i is SampleChip(engine circuit,
+	// ChipSeed, i), drawn only when a worker takes it. ChipCount > 0.
 	ChipSeed  int64
 	ChipCount int
 	// ChipFirst offsets the sampled population: the campaign runs the chips
@@ -116,8 +117,8 @@ type Status struct {
 	// Workload is the campaign's canonical workload type name.
 	Workload string
 
-	// ChipsTotal is the population size (0 until the engine is resolved
-	// and the population sampled).
+	// ChipsTotal is the population size (0 until the engine is resolved);
+	// its chips are sampled one at a time, as workers take them.
 	ChipsTotal int
 	// ChipsDone counts chips with a result, including per-chip errors.
 	ChipsDone int
@@ -153,9 +154,11 @@ type Status struct {
 type Campaign struct {
 	id       string
 	name     string
-	key      string // idempotency key ("" = none)
-	workload string // canonical workload type name
-	first    int    // manufacturing index of the first chip (CampaignSpec.ChipFirst)
+	key      string  // idempotency key ("" = none)
+	workload string  // canonical workload type name
+	first    int     // manufacturing index of the first chip (CampaignSpec.ChipFirst)
+	seed     int64   // population seed (CampaignSpec.ChipSeed)
+	drift    float64 // aging applied to every sampled chip (CampaignSpec.Drift)
 	m        *Manager
 
 	ctx    context.Context
@@ -174,14 +177,11 @@ type Campaign struct {
 	cond  *sync.Cond
 	state State
 	err   error
-	// eng and chips are the resolved engine and population. Both are
-	// dropped once the campaign has settled (see finishLocked), so a
-	// finished campaign keeps only its results, none of which reference a
-	// chip, and the engine's circuit, plan and kernels can be collected.
+	// eng is the resolved engine, dropped once the campaign has settled
+	// (see finishLocked) so its circuit, plan and kernels can be collected.
 	eng       *effitest.Engine
-	chips     []*effitest.Chip
 	period    float64                // eng.Period(), kept past the engine
-	results   []*effitest.ChipResult // fixed size once chips resolve; nil entries pending
+	results   []*effitest.ChipResult // fixed size once the engine resolves; nil entries pending
 	completed int
 	agg       yield.Agg
 	bins      *workload.BinAgg // clock-binning histogram (nil otherwise)
@@ -259,8 +259,8 @@ func (c *Campaign) Cancel() {
 // finishLocked is the campaign's one terminal transition. The first call
 // sets state and err and releases the admission-control slot; every call
 // stamps finished once no chip is in flight and wakes waiters. Stamping
-// finished also drops the engine and the population: no worker can still
-// be reading them, and nothing after settling needs them. It reports
+// finished also drops the engine: no worker can still be reading it, and
+// nothing after settling needs it. It reports
 // whether this call made the transition: that caller alone runs
 // journalSettle, after unlocking, so the settle record is written at most
 // once. Called with c.mu held; it only touches manager atomics, so the
@@ -273,7 +273,7 @@ func (c *Campaign) finishLocked(st State, err error) bool {
 	}
 	if c.finished.IsZero() && (c.results == nil || c.completed == len(c.results)) {
 		c.finished = time.Now()
-		c.eng, c.chips = nil, nil
+		c.eng = nil
 	}
 	c.cond.Broadcast()
 	return first
@@ -375,8 +375,8 @@ func (c *Campaign) Wait(ctx context.Context) (Status, error) {
 }
 
 // prepare resolves the campaign's engine (through the registry, which keeps
-// a plan campaign's engine caller-private) and population, then hands the
-// campaign to the worker pool. Runs once, asynchronously, per Submit.
+// a plan campaign's engine caller-private), replays journaled chips and hands
+// the campaign to the worker pool. Runs once, asynchronously, per Submit.
 func (c *Campaign) prepare(spec CampaignSpec) {
 	defer c.m.prepWG.Done()
 	opts := spec.Options
@@ -388,27 +388,16 @@ func (c *Campaign) prepare(spec CampaignSpec) {
 		c.failPrep(err)
 		return
 	}
-	chips, err := eng.SampleChipRange(c.ctx, spec.ChipSeed, spec.ChipFirst, spec.ChipCount)
-	if err != nil {
-		c.failPrep(err)
-		return
-	}
-	// Aging-drift campaigns age the population here — after deterministic
-	// sampling, before journal replay or dispatch. The transform is a pure
-	// per-chip function, so every shard of a sharded sweep ages its range
-	// identically and drifted campaigns keep the bit-identity guarantees
-	// of undrifted ones.
-	chips = workload.ApplyDriftAll(chips, spec.Drift)
+	replayed := c.replayResults(eng, spec.ChipCount)
 	c.mu.Lock()
 	if c.state.Terminal() {
 		c.mu.Unlock()
 		return
 	}
 	c.eng = eng
-	c.chips = chips
 	c.period = eng.Period()
-	c.results = make([]*effitest.ChipResult, len(chips))
-	c.applyReplayLocked()
+	c.results = make([]*effitest.ChipResult, spec.ChipCount)
+	c.applyReplayLocked(replayed)
 	// Every chip replayed from the journal: the campaign is already done,
 	// it just never got to write its settle record.
 	settled := len(c.results) > 0 && c.completed == len(c.results) && c.finishLocked(StateDone, nil)
@@ -421,21 +410,29 @@ func (c *Campaign) prepare(spec CampaignSpec) {
 	c.m.enqueue(c)
 }
 
-// applyReplayLocked folds journal-recovered chip records into the freshly
-// resolved result set. A record is replayed only when it names a pending
-// in-range position whose re-sampled chip carries the recorded
-// manufacturing index — anything else re-executes, which is always
-// correct, just slower. Called with c.mu held, before any dispatch.
-func (c *Campaign) applyReplayLocked() {
+// replayResults rebuilds the journaled chip records that name an in-range
+// position and its manufacturing index ChipFirst+Index; anything else
+// re-executes, which is always correct, just slower. Runs outside c.mu.
+func (c *Campaign) replayResults(eng *effitest.Engine, n int) []*effitest.ChipResult {
+	var out []*effitest.ChipResult
 	for _, rec := range c.replay {
-		if rec.Index < 0 || rec.Index >= len(c.results) || c.results[rec.Index] != nil {
+		if rec.Index < 0 || rec.Index >= n || rec.ChipIndex != c.first+rec.Index {
 			continue
 		}
-		if c.chips[rec.Index].Index != rec.ChipIndex {
+		out = append(out, c.replayResult(eng, rec))
+	}
+	c.replay = nil
+	return out
+}
+
+// applyReplayLocked folds replayed results into the fresh result set, the
+// first per position winning. Called with c.mu held, before any dispatch.
+func (c *Campaign) applyReplayLocked(replayed []*effitest.ChipResult) {
+	for _, res := range replayed {
+		if c.results[res.Index] != nil {
 			continue
 		}
-		res := replayResult(c.chips[rec.Index], rec)
-		c.results[rec.Index] = res
+		c.results[res.Index] = res
 		c.completed++
 		if res.Err != nil {
 			c.failed++
@@ -444,7 +441,6 @@ func (c *Campaign) applyReplayLocked() {
 		}
 		c.m.replayed.Add(1)
 	}
-	c.replay = nil
 }
 
 // failPrep marks a campaign that never reached the pool as failed (or
@@ -462,15 +458,20 @@ func (c *Campaign) failPrep(err error) {
 	}
 }
 
-// run executes one chip on the caller's (worker) goroutine and delivers
-// its result.
+// chip samples manufacturing index ChipFirst+idx and ages it by the drift:
+// a pure function of (seed, index), so shards run a whole campaign's chips.
+func (c *Campaign) chip(eng *effitest.Engine, idx int) *effitest.Chip {
+	return workload.ApplyDrift(effitest.SampleChip(eng.Circuit(), c.seed, c.first+idx), c.drift)
+}
+
+// run samples one chip, executes it on the caller's (worker) goroutine and
+// delivers its result.
 func (c *Campaign) run(idx int) {
 	c.mu.Lock()
 	if c.state == StateQueued {
 		c.state = StateRunning
 		c.started = time.Now()
 	}
-	ch := c.chips[idx]
 	eng := c.eng
 	c.mu.Unlock()
 
@@ -478,7 +479,7 @@ func (c *Campaign) run(idx int) {
 	if err := c.ctx.Err(); err != nil {
 		res.Err = err
 	} else {
-		res.Outcome, res.Err = eng.RunChipObserved(c.ctx, ch, c.m.obs)
+		res.Outcome, res.Err = eng.RunChipObserved(c.ctx, c.chip(eng, idx), c.m.obs)
 	}
 	c.m.chipsExecuted.Add(1)
 	c.journalChip(&res)
@@ -663,8 +664,8 @@ func (m *Manager) Plans() *PlanStore { return m.plans }
 func (m *Manager) Workers() int { return m.workers }
 
 // Submit registers a campaign and returns immediately; engine resolution
-// (possibly a cold Prepare), chip sampling and execution all happen
-// asynchronously. Watch it with Status, Results or Wait.
+// (possibly a cold Prepare) and execution happen asynchronously. Watch it
+// with Status, Results or Wait.
 //
 // When spec.Key names an already-registered campaign, that campaign is
 // returned instead of creating a duplicate (regardless of its state) —
@@ -680,8 +681,8 @@ func (m *Manager) Submit(spec CampaignSpec) (*Campaign, error) {
 	if spec.ChipCount <= 0 {
 		return nil, fmt.Errorf("fleet: campaign needs a positive ChipCount, got %d", spec.ChipCount)
 	}
-	if spec.ChipFirst < 0 {
-		return nil, fmt.Errorf("fleet: campaign chip range start must be non-negative, got %d", spec.ChipFirst)
+	if spec.ChipFirst < 0 || spec.ChipFirst > math.MaxInt-spec.ChipCount {
+		return nil, fmt.Errorf("fleet: campaign chip range start %d is negative or overflows with %d chips", spec.ChipFirst, spec.ChipCount)
 	}
 	if err := workload.Check(spec.Workload, spec.BinEdges, spec.Drift); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
@@ -744,6 +745,8 @@ func (m *Manager) newCampaign(spec CampaignSpec) *Campaign {
 		key:       spec.Key,
 		workload:  workload.Canonical(spec.Workload),
 		first:     spec.ChipFirst,
+		seed:      spec.ChipSeed,
+		drift:     spec.Drift,
 		m:         m,
 		ctx:       ctx,
 		cancel:    cancel,
@@ -948,7 +951,7 @@ func (m *Manager) nextJobLocked() (job, bool) {
 		}
 		c := m.active[m.rr]
 		c.mu.Lock()
-		n := len(c.chips)
+		n := len(c.results)
 		// Skip positions that already hold a result — chips replayed from
 		// the journal occupy their slots before dispatch ever starts.
 		for c.nextDispatch < len(c.results) && c.results[c.nextDispatch] != nil {

@@ -146,8 +146,8 @@ func TestCampaignsShareOnePrepare(t *testing.T) {
 // The workers' pick order must interleave one chip per campaign per turn —
 // exercised white-box on nextJobLocked, which owns the round-robin.
 func TestNextJobRoundRobin(t *testing.T) {
-	a := &Campaign{id: "a", chips: make([]*effitest.Chip, 3)}
-	b := &Campaign{id: "b", chips: make([]*effitest.Chip, 5)}
+	a := &Campaign{id: "a", results: make([]*effitest.ChipResult, 3)}
+	b := &Campaign{id: "b", results: make([]*effitest.ChipResult, 5)}
 	m := &Manager{active: []*Campaign{a, b}}
 
 	var order []string
@@ -622,5 +622,71 @@ func TestSettledCampaignReleasesCircuit(t *testing.T) {
 	}
 	if n != 6 {
 		t.Fatalf("settled campaign streamed %d results, want 6", n)
+	}
+}
+
+// weakBackend records a weak pointer to every chip it opens before handing
+// the open to inner, so a test can count which opened chips are still
+// alive without keeping any of them alive itself.
+type weakBackend struct {
+	inner effitest.Backend
+
+	mu     sync.Mutex
+	opened []weak.Pointer[effitest.Chip]
+}
+
+func (b *weakBackend) Open(ch *effitest.Chip, resolution float64) (effitest.Session, error) {
+	b.mu.Lock()
+	b.opened = append(b.opened, weak.Make(ch))
+	b.mu.Unlock()
+	return b.inner.Open(ch, resolution)
+}
+
+// alive reports how many opened chips are still reachable, of how many
+// were opened.
+func (b *weakBackend) alive() (alive, opened int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, p := range b.opened {
+		if p.Value() != nil {
+			alive++
+		}
+	}
+	return alive, len(b.opened)
+}
+
+// A campaign samples each chip when a worker takes it and holds no
+// population: with one worker held inside chip 20 of 2,000, the chips
+// already run are garbage, and only the chip in flight is alive.
+func TestCampaignHoldsNoPopulation(t *testing.T) {
+	const n, held = 2000, 20
+	m := newTestManager(t, WithWorkers(1))
+	h := newHoldBackend(held)
+	release := sync.OnceFunc(func() { close(h.release) })
+	t.Cleanup(release) // before the manager's Shutdown, should a check fail
+	b := &weakBackend{inner: h}
+	camp, err := m.Submit(CampaignSpec{
+		Name: "population", Circuit: tinyCircuit(t, "population", 3),
+		Options: fastOpts(effitest.WithBackend(b)), ChipSeed: 7, ChipCount: n,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-h.held
+	// Two cycles, so pooled scratch that might still point at a chip run
+	// earlier is dropped from the pools' victim lists as well.
+	runtime.GC()
+	runtime.GC()
+	alive, opened := b.alive()
+	if opened != held+1 {
+		t.Fatalf("opened %d chips before the held one, want %d", opened, held+1)
+	}
+	if alive > 1 {
+		t.Fatalf("%d of %d opened chips alive while chip %d runs, want at most 1", alive, opened, held)
+	}
+	camp.Cancel()
+	release()
+	if st, err := camp.Wait(context.Background()); err != nil || st.State != StateCancelled || st.ChipsTotal != n {
+		t.Fatalf("cancelled campaign: %v, %s, %d chips total", err, st.State, st.ChipsTotal)
 	}
 }

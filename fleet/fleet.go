@@ -16,14 +16,16 @@
 //     and returns immediately; the campaign resolves its engine through the
 //     registry, then its chips run on one shared bounded worker pool with
 //     per-campaign round-robin fair scheduling, so a huge campaign cannot
-//     starve a small one. Campaigns are observable while they run (Status:
+//     starve a small one. A worker samples each chip when it takes it, so
+//     a campaign never holds its population: at most one sampled chip per
+//     worker is alive, whatever the chip count. Campaigns are observable while they run (Status:
 //     queued/running/done, chips completed, running yield), streamable
 //     (Results yields every per-chip result in input order, exactly as
 //     Engine.RunChips would have, minus the chip), cancellable, and
 //     aggregate their outcomes through the exact-sum streaming aggregator
 //     in internal/yield — so any completion order folds bit-identically to
 //     a sequential pass. A settled campaign keeps its results and
-//     aggregates but drops its engine and chips.
+//     aggregates but drops its engine.
 //
 // cmd/effitestd exposes a Manager over HTTP/JSON (see fleet/httpapi and
 // the fleet/client package); in-process callers use the Manager directly:

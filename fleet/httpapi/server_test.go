@@ -3,6 +3,7 @@ package httpapi_test
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -429,6 +430,8 @@ func TestSubmitValidation(t *testing.T) {
 		{Circuit: httpapi.CircuitSpec{Profile: "s9234"}, Config: httpapi.ConfigSpec{Align: "bogus"}, Chips: httpapi.ChipSpec{Count: 1}},
 		{Circuit: httpapi.CircuitSpec{Netlist: mixedStepNetlist(t)}, Chips: httpapi.ChipSpec{Count: 1}},
 		{Circuit: httpapi.CircuitSpec{Netlist: noCircuitLineNetlist}, Chips: httpapi.ChipSpec{Count: 1}},
+		// The range's end overflows int: its manufacturing indices would wrap negative.
+		{Circuit: httpapi.CircuitSpec{Profile: "s9234"}, Chips: httpapi.ChipSpec{First: math.MaxInt, Count: 2}},
 	}
 	for i, req := range cases {
 		_, err := cl.Submit(ctx, req)

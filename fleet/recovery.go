@@ -267,9 +267,10 @@ func chipRecord(res *effitest.ChipResult, chipIndex int) journal.ChipRecord {
 // chipRecord: every deterministic field round-trips exactly (Go's JSON
 // float encoding is lossless), so the replayed result is bit-identical on
 // the wire and in the aggregate. The record does not carry the achieved
-// period, so it is recomputed from ch, the re-sampled chip, and the
-// recorded buffer vector, as the flow computed it the first time.
-func replayResult(ch *effitest.Chip, rec journal.ChipRecord) *effitest.ChipResult {
+// period, so a configured record re-samples its chip (see Campaign.chip)
+// and recomputes the period from it and the recorded buffer vector, as the
+// flow computed it the first time.
+func (c *Campaign) replayResult(eng *effitest.Engine, rec journal.ChipRecord) *effitest.ChipResult {
 	res := &effitest.ChipResult{Index: rec.Index}
 	if rec.Error != "" {
 		res.Err = errors.New(rec.Error)
@@ -288,7 +289,7 @@ func replayResult(ch *effitest.Chip, rec journal.ChipRecord) *effitest.ChipResul
 		Passed:          o.Passed,
 	}
 	if o.Configured {
-		res.Outcome.AchievedPeriod = ch.AchievedPeriod(o.X)
+		res.Outcome.AchievedPeriod = c.chip(eng, rec.Index).AchievedPeriod(o.X)
 	}
 	if o.BoundsLo != nil || o.BoundsHi != nil {
 		res.Outcome.Bounds = &effitest.Bounds{Lo: o.BoundsLo, Hi: o.BoundsHi}

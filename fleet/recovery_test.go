@@ -309,6 +309,99 @@ func TestStatsCountsReplayedChipsBySlot(t *testing.T) {
 	}
 }
 
+// TestRecoverReexecutesMisindexedRecord: a journaled chip record whose
+// manufacturing index is not ChipFirst+Index belongs to another position,
+// so recovery must re-execute that position rather than replay the record.
+// The planted record files chip Index gated+1's real outcome under Index
+// gated; replaying it would put the wrong chip's outcome there.
+func TestRecoverReexecutesMisindexedRecord(t *testing.T) {
+	const n, first, gated = 8, 3, 4
+	c := tinyCircuit(t, "misindexed", 3)
+	ctx := context.Background()
+
+	ref := newTestManager(t, WithWorkers(2))
+	refCamp, err := ref.Submit(CampaignSpec{
+		Name: "ref", Circuit: c, Options: fastOpts(), ChipSeed: 11, ChipCount: n, ChipFirst: first,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := refCamp.Wait(ctx); err != nil || st.State != StateDone {
+		t.Fatalf("reference run: %v, %v", st.State, err)
+	}
+	var want []effitest.ChipResult
+	for res := range refCamp.Results(ctx) {
+		want = append(want, res)
+	}
+	if outcomesEqual(want[gated].Outcome, want[gated+1].Outcome) {
+		t.Fatal("chips gated and gated+1 have equal outcomes: the planted record would go unnoticed")
+	}
+
+	dir := t.TempDir()
+	j1, err := journal.Open(dir, journal.WithoutSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &gateBackend{allowBelow: first + gated, release: make(chan struct{})}
+	m1 := newTestManager(t, WithWorkers(2), WithJournal(j1))
+	spec := CampaignSpec{
+		Name: "misindexed", Circuit: c, Options: fastOpts(effitest.WithBackend(gate)),
+		ChipSeed: 11, ChipCount: n, ChipFirst: first, JournalPayload: []byte(`{"campaign":"misindexed"}`),
+	}
+	camp1, err := m1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "ungated chips to journal", func() bool {
+		return j1.Stats().Records >= 1+gated
+	})
+	bad := chipRecord(&want[gated+1], first+gated+1)
+	bad.Index = gated
+	if err := j1.AppendChip(camp1.ID(), bad); err != nil {
+		t.Fatal(err)
+	}
+	if err := j1.Close(); err != nil { // the crash
+		t.Fatal(err)
+	}
+	close(gate.release)
+	if _, err := camp1.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	m1.Shutdown(ctx)
+
+	j2, err := journal.Open(dir, journal.WithoutSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := spec
+	clean.Options = fastOpts()
+	m2 := newTestManager(t, WithWorkers(2), WithJournal(j2))
+	if _, err := m2.Recover(testDecoder(clean)); err != nil {
+		t.Fatal(err)
+	}
+	camp2, ok := m2.Campaign(camp1.ID())
+	if !ok {
+		t.Fatal("recovered campaign not found")
+	}
+	if st, err := camp2.Wait(ctx); err != nil || st.State != StateDone {
+		t.Fatalf("recovered campaign: %v, %v", st.State, err)
+	}
+	if ms := m2.Stats(); ms.ChipsReplayed != gated || ms.ChipsExecuted != n-gated {
+		t.Fatalf("replayed %d and executed %d chips, want %d and %d: the misindexed record replayed",
+			ms.ChipsReplayed, ms.ChipsExecuted, gated, n-gated)
+	}
+	i := 0
+	for res := range camp2.Results(ctx) {
+		if res.Err != nil || !outcomesEqual(res.Outcome, want[i].Outcome) {
+			t.Fatalf("chip %d: recovered result differs from the uninterrupted run (err %v)", i, res.Err)
+		}
+		i++
+	}
+	if i != n {
+		t.Fatalf("recovered stream has %d results, want %d", i, n)
+	}
+}
+
 // TestSubmitIdempotencyKey: a duplicate key returns the prior campaign —
 // same pointer, no new execution — and key validation lives at the HTTP
 // layer, so the manager accepts any non-empty string.

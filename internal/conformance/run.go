@@ -98,11 +98,10 @@ func RunPipeline(ctx context.Context, sc Scenario) (*PipelineResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sc.Drift != 0 {
-		// Aging: scale every sampled chip's realized delays by (1+drift)
-		// after sampling, exactly as the fleet layer does, so conformance
-		// and campaign numbers agree.
-		chips = workload.ApplyDriftAll(chips, sc.Drift)
+	// Aging, chip by chip after sampling exactly as the fleet layer does,
+	// so conformance and campaign numbers agree.
+	for i, ch := range chips {
+		chips[i] = workload.ApplyDrift(ch, sc.Drift)
 	}
 	outs := make([]*core.ChipOutcome, 0, len(chips))
 	for r := range eng.RunChips(ctx, chips) {

@@ -215,7 +215,7 @@ func Table2(ctx context.Context, p circuit.Profile, cfg Config) (Table2Row, erro
 		return Table2Row{}, err
 	}
 
-	chips, err := tester.SampleChipsCtx(ctx, c, chipSeed(cfg, p.Name), cfg.YieldChips, cfg.Core.Workers)
+	chips, err := tester.SampleChipRangeCtx(ctx, c, chipSeed(cfg, p.Name), 0, cfg.YieldChips, cfg.Core.Workers)
 	if err != nil {
 		return Table2Row{}, err
 	}
@@ -270,7 +270,7 @@ func Fig7(ctx context.Context, p circuit.Profile, cfg Config) (Fig7Row, error) {
 	if err != nil {
 		return Fig7Row{}, err
 	}
-	chips, err := tester.SampleChipsCtx(ctx, inflated, chipSeed(cfg, p.Name+"-fig7"), cfg.YieldChips, cfg.Core.Workers)
+	chips, err := tester.SampleChipRangeCtx(ctx, inflated, chipSeed(cfg, p.Name+"-fig7"), 0, cfg.YieldChips, cfg.Core.Workers)
 	if err != nil {
 		return Fig7Row{}, err
 	}

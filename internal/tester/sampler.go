@@ -20,8 +20,8 @@ const BlockWidth = 8
 // Sampler is the Monte-Carlo chip kernel behind every chip population:
 // SampleChip, SampleChipRangeCtx, the §3.5 hold-bound samples and period
 // calibration. It owns one random stream, re-seeded per chip, and the
-// scratch of one block. A Sampler is not safe for concurrent use; every
-// worker owns its own.
+// scratch of one block. A Sampler is not safe for concurrent use: each draw
+// takes its own from one pool that every draw of every circuit shares.
 //
 // Chip i's values are bit-identical to drawing it alone: its stream is
 // seeded with rng.Seed(seed, "chip", name, i) (math/rand's stream, which
@@ -45,34 +45,48 @@ type Sampler struct {
 	z     []float64 // factor block: z[k*BlockWidth+w] is chip w's factor k
 
 	// Max[w] and Min[w] hold the realized delays of the block's chip w
-	// (Min only when the block was drawn with its min delays). A lane
-	// handed over to a Chip is nil until the next draw allocates it again.
-	Max, Min [][]float64
+	// (Min only when the block was drawn with its min delays). The next
+	// draw reallocates a lane handed over to a Chip or sized for another
+	// circuit.
+	Max, Min [BlockWidth][]float64
 }
 
-// newSampler returns a kernel for up to lanes (≤ BlockWidth) chips per
-// draw of circuit c's population under seed.
-func newSampler(c *circuit.Circuit, seed int64, lanes int) *Sampler {
+// samplers recycles Sampler scratch across every draw in the process.
+var samplers = sync.Pool{New: func() any { return &Sampler{r: rand.New(new(rng.Source))} }}
+
+// acquire takes a pooled sampler and points it at circuit c's population
+// under seed; release hands it back.
+func acquire(c *circuit.Circuit, seed int64) *Sampler {
+	s := samplers.Get().(*Sampler)
+	s.reset(c, seed)
+	return s
+}
+
+// reset points s at circuit c's population under seed. A draw re-seeds the
+// stream and rewrites the factors and lane entries of every chip it makes,
+// so nothing of a previous circuit or seed leaks into that chip's values.
+func (s *Sampler) reset(c *circuit.Circuit, seed int64) {
 	basis := c.Model.BasisSize()
 	for i := range c.Paths {
 		if len(c.Paths[i].Max.Coef) != basis || len(c.Paths[i].Min.Coef) != basis {
 			panic("ssta: factor vector length mismatch")
 		}
 	}
-	return &Sampler{
-		c:     c,
-		seed:  seed,
-		r:     rand.New(new(rng.Source)),
-		runs:  c.LoadingRuns(),
-		basis: basis,
-		z:     make([]float64, basis*BlockWidth),
-		Max:   make([][]float64, lanes),
-		Min:   make([][]float64, lanes),
+	s.c, s.seed, s.runs, s.basis = c, seed, c.LoadingRuns(), basis
+	if cap(s.z) < basis*BlockWidth {
+		s.z = make([]float64, basis*BlockWidth)
 	}
+	s.z = s.z[:basis*BlockWidth]
 }
 
-// draw manufactures chips first, ..., first+n-1 (n ≤ the sampler's lanes)
-// into lanes 0..n-1. With withMin unset the min-delay draws still advance
+// release returns s to the pool; an idle sampler pins no circuit.
+func release(s *Sampler) {
+	s.c, s.runs = nil, nil
+	samplers.Put(s)
+}
+
+// draw manufactures chips first, ..., first+n-1 (n ≤ BlockWidth) into
+// lanes 0..n-1. With withMin unset the min-delay draws still advance
 // each chip's stream, but their dot products are skipped and Min is left
 // untouched — period calibration needs only the max delays.
 func (s *Sampler) draw(first, n int, withMin bool) {
@@ -82,10 +96,10 @@ func (s *Sampler) draw(first, n int, withMin bool) {
 		for k := range s.basis {
 			s.z[k*BlockWidth+w] = s.r.NormFloat64()
 		}
-		if s.Max[w] == nil {
+		if len(s.Max[w]) != len(paths) {
 			s.Max[w] = make([]float64, len(paths))
 		}
-		if withMin && s.Min[w] == nil {
+		if withMin && len(s.Min[w]) != len(paths) {
 			s.Min[w] = make([]float64, len(paths))
 		}
 		// Each path's private draws wait in the delay rows until the
@@ -168,18 +182,14 @@ func (s *Sampler) chip(w, idx int) *Chip {
 // fn must write only the slots of its own chips; every chip's values are
 // the same at any worker count. The context is checked between blocks.
 func ForEachBlock(ctx context.Context, c *circuit.Circuit, seed int64, first, n, workers int, withMin bool, fn func(s *Sampler, start, count int)) error {
-	var free sync.Pool
 	blocks := (n + BlockWidth - 1) / BlockWidth
 	return pool.ForEach(ctx, blocks, workers, func(b int) error {
-		s, _ := free.Get().(*Sampler)
-		if s == nil {
-			s = newSampler(c, seed, min(BlockWidth, n))
-		}
+		s := acquire(c, seed)
 		start := b * BlockWidth
 		count := min(BlockWidth, n-start)
 		s.draw(first+start, count, withMin)
 		fn(s, start, count)
-		free.Put(s)
+		release(s)
 		return nil
 	})
 }

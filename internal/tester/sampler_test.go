@@ -198,3 +198,58 @@ func TestForEachBlockCancelled(t *testing.T) {
 		t.Fatalf("err = %v after %d blocks, want context.Canceled before any block", err, calls)
 	}
 }
+
+// TestPooledSamplerAcrossCircuits reuses one sampler across two circuits
+// whose path counts and basis sizes differ, with and without min delays
+// and after handing a lane over to a chip — every shape change the pool
+// puts a recycled sampler through — and requires each draw to match a
+// fresh chip-at-a-time draw bit for bit.
+func TestPooledSamplerAcrossCircuits(t *testing.T) {
+	p, _ := circuit.ProfileByName("s9234")
+	big, err := circuit.Generate(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := circuit.DefaultGenConfig()
+	cfg.Variation.GridW, cfg.Variation.GridH = 4, 4
+	small, err := circuit.GenerateWith(circuit.TinyProfile("tc4x4", 20, 160, 3, 24), 5, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(big.Paths) == len(small.Paths) || big.Model.BasisSize() == small.Model.BasisSize() {
+		t.Fatal("the two circuits must differ in path count and basis size")
+	}
+	s := acquire(big, 17)
+	defer release(s)
+	for step, d := range []struct {
+		c           *circuit.Circuit
+		seed        int64
+		first, n    int
+		withMin     bool
+		handOverAt0 bool
+	}{
+		{big, 17, 0, BlockWidth, true, false},
+		{small, 5, 2, 3, false, false},
+		{small, 5, 9, BlockWidth, true, true},
+		{big, 23, 11, 5, true, false},
+		{small, 17, 0, BlockWidth, false, false},
+		{big, 17, 3, 1, true, true},
+	} {
+		s.reset(d.c, d.seed)
+		s.draw(d.first, d.n, d.withMin)
+		for w := range d.n {
+			want := oracleSampleChip(d.c, d.seed, d.first+w)
+			gotMax, gotMin := s.Max[w], s.Min[w]
+			if w == 0 && d.handOverAt0 {
+				ch := s.chip(0, d.first)
+				gotMax, gotMin = ch.TrueMax, ch.TrueMin
+			}
+			if !sameBits(gotMax, want.TrueMax) {
+				t.Fatalf("step %d (%s): max delays of chip %d differ from a fresh draw", step, d.c.Name, d.first+w)
+			}
+			if d.withMin && !sameBits(gotMin, want.TrueMin) {
+				t.Fatalf("step %d (%s): min delays of chip %d differ from a fresh draw", step, d.c.Name, d.first+w)
+			}
+		}
+	}
+}

@@ -29,7 +29,8 @@ type Chip struct {
 // deterministically in (seed, index): the one-wide call of the Sampler
 // kernel.
 func SampleChip(c *circuit.Circuit, seed int64, index int) *Chip {
-	s := newSampler(c, seed, 1)
+	s := acquire(c, seed)
+	defer release(s)
 	s.draw(index, 1, true)
 	return s.chip(0, index)
 }
@@ -37,24 +38,21 @@ func SampleChip(c *circuit.Circuit, seed int64, index int) *Chip {
 // SampleChips manufactures n chips, using every CPU. Chip i depends only on
 // (seed, i), so the result is identical to a sequential loop.
 func SampleChips(c *circuit.Circuit, seed int64, n int) []*Chip {
-	out, _ := SampleChipsCtx(context.Background(), c, seed, n, 0)
+	out, _ := SampleChipRangeCtx(context.Background(), c, seed, 0, n, 0)
 	return out
 }
 
-// SampleChipsCtx manufactures n chips on a bounded worker pool (workers as
-// in core.Config.Workers: 0 = all CPUs) with cancellation. The returned
-// slice is deterministic in (seed, n) at any worker count.
-func SampleChipsCtx(ctx context.Context, c *circuit.Circuit, seed int64, n, workers int) ([]*Chip, error) {
-	return SampleChipRangeCtx(ctx, c, seed, 0, n, workers)
-}
-
 // SampleChipRangeCtx manufactures the n chips with manufacturing indices
-// [first, first+n) of the (seed-keyed) chip population. Because chip i
-// depends only on (seed, i), the returned chips are exactly the
-// corresponding slice of SampleChipsCtx(ctx, c, seed, first+n, workers) —
-// the property sharded campaign execution relies on: a shard samples only
-// its own index range yet runs the identical chips.
+// [first, first+n) of the (seed-keyed) chip population on a bounded worker
+// pool (workers as in core.Config.Workers: 0 = all CPUs) with
+// cancellation. Because chip i depends only on (seed, i), the returned
+// chips are exactly the corresponding slice of the population at any
+// worker count — the property sharded campaign execution relies on: a
+// shard samples only its own index range yet runs the identical chips.
 func SampleChipRangeCtx(ctx context.Context, c *circuit.Circuit, seed int64, first, n, workers int) ([]*Chip, error) {
+	if first < 0 || n < 0 {
+		return nil, fmt.Errorf("tester: chip range start %d and count %d must be non-negative", first, n)
+	}
 	out := make([]*Chip, n)
 	err := ForEachBlock(ctx, c, seed, first, n, workers, true, func(s *Sampler, start, count int) {
 		for w := range count {

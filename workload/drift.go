@@ -48,16 +48,3 @@ func ApplyDrift(ch *tester.Chip, d float64) *tester.Chip {
 	}
 	return aged
 }
-
-// ApplyDriftAll ages a whole population, reusing the input slice when d is
-// zero.
-func ApplyDriftAll(chips []*tester.Chip, d float64) []*tester.Chip {
-	if d == 0 {
-		return chips
-	}
-	out := make([]*tester.Chip, len(chips))
-	for i, ch := range chips {
-		out[i] = ApplyDrift(ch, d)
-	}
-	return out
-}

@@ -190,14 +190,6 @@ func TestApplyDrift(t *testing.T) {
 	if !slices.Equal(aged.TrueMax, again.TrueMax) || !slices.Equal(aged.TrueMin, again.TrueMin) {
 		t.Error("ApplyDrift is not deterministic")
 	}
-
-	all := ApplyDriftAll([]*tester.Chip{ch, ch}, 0.05)
-	if len(all) != 2 || all[0] == ch {
-		t.Error("ApplyDriftAll did not copy")
-	}
-	if got := ApplyDriftAll([]*tester.Chip{ch}, 0); got[0] != ch {
-		t.Error("ApplyDriftAll(0) did not reuse input")
-	}
 }
 
 func TestDriftMonotoneAchieved(t *testing.T) {
