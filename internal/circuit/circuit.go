@@ -41,8 +41,10 @@ type Path struct {
 }
 
 // Circuit is a complete benchmark instance. It must not be mutated once it
-// has been handed to Fingerprint, Prepare, New or the fleet: its identity is
-// memoised on first use, and plans, caches and registries key on it.
+// has been handed to Fingerprint, Prepare, New or the fleet: its identity,
+// covariance and loading runs are memoised on first use, and plans, caches
+// and registries key on it. The memo belongs to the instance: a value copy
+// shares none of it and derives its own state on every call.
 type Circuit struct {
 	Name     string
 	NumFF    int
@@ -71,9 +73,36 @@ type Circuit struct {
 	// forms share.
 	Model *variation.Model
 
-	covCache    *covCacheT
-	fingerprint string     // memoised Fingerprint, "" until first computed
-	runs        []PathRuns // memoised LoadingRuns, nil until first computed
+	memo *memo // derived state, built on first use
+}
+
+// memo holds what a circuit derives on first use, each part built once
+// under its own sync.Once: concurrent users wait only for the circuit they
+// share, and a hit costs an atomic load. It sits behind a pointer so that
+// copying a Circuit copies no lock, and it serves only its owner, so a
+// copy never reads state derived from the original's paths.
+type memo struct {
+	owner *Circuit
+
+	covOnce   sync.Once
+	cov, corr [][]float64
+
+	runsOnce sync.Once
+	runs     []PathRuns
+
+	fpOnce sync.Once
+	fp     string
+	fpErr  error
+}
+
+// derived returns the circuit's memo. A circuit that Generate,
+// ParseNetlist or WithInflatedSigma did not make, a value copy included,
+// has none of its own and derives its state afresh on every call.
+func (c *Circuit) derived() *memo {
+	if c.memo != nil && c.memo.owner == c {
+		return c.memo
+	}
+	return &memo{owner: c}
 }
 
 // Run is a half-open range [Lo, Hi) of factor indices.
@@ -82,11 +111,6 @@ type Run struct{ Lo, Hi int }
 // PathRuns lists the maximal runs of nonzero factor loadings of one path's
 // max- and min-delay forms, in ascending order.
 type PathRuns struct{ Max, Min []Run }
-
-type covCacheT struct {
-	cov  [][]float64
-	corr [][]float64
-}
 
 // NumPaths returns the number of timing paths.
 func (c *Circuit) NumPaths() int { return len(c.Paths) }
@@ -122,63 +146,23 @@ func (c *Circuit) Cov(i, j int) float64 {
 }
 
 // CovMatrix returns the full path-delay covariance matrix as row slices,
-// computed once and cached.
+// computed once (buildCov) and cached; callers must not modify it.
 func (c *Circuit) CovMatrix() [][]float64 {
-	c.ensureCov()
-	return c.covCache.cov
+	cov, _ := c.covCorr()
+	return cov
 }
 
 // CorrMatrix returns the full path-delay correlation matrix, cached.
 func (c *Circuit) CorrMatrix() [][]float64 {
-	c.ensureCov()
-	return c.covCache.corr
+	_, corr := c.covCorr()
+	return corr
 }
 
-// covMu serializes lazy covariance-cache construction so that concurrent
-// chip runs (which hit CovMatrix through conditional prediction) are
-// race-free. The matrix is computed once per circuit — normally during
-// Prepare — so contention is a non-issue.
-var covMu sync.Mutex
-
-func (c *Circuit) ensureCov() {
-	covMu.Lock()
-	defer covMu.Unlock()
-	if c.covCache != nil {
-		return
-	}
-	n := len(c.Paths)
-	cov := make([][]float64, n)
-	for i := range cov {
-		cov[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := c.Cov(i, j)
-			cov[i][j] = v
-			cov[j][i] = v
-		}
-	}
-	corr := make([][]float64, n)
-	sd := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sd[i] = math.Sqrt(cov[i][i])
-		corr[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				corr[i][j] = 1
-			} else if sd[i] > 0 && sd[j] > 0 {
-				corr[i][j] = cov[i][j] / (sd[i] * sd[j])
-			}
-		}
-	}
-	c.covCache = &covCacheT{cov: cov, corr: corr}
+func (c *Circuit) covCorr() (cov, corr [][]float64) {
+	m := c.derived()
+	m.covOnce.Do(func() { m.cov, m.corr = buildCov(c.Paths, c.LoadingRuns()) })
+	return m.cov, m.corr
 }
-
-// runsMu serializes lazy LoadingRuns memoisation, as covMu does for the
-// covariance cache.
-var runsMu sync.Mutex
 
 // LoadingRuns returns, per path, where its factor loadings are nonzero,
 // computed once and cached (callers must not modify). The grid model fills
@@ -186,18 +170,15 @@ var runsMu sync.Mutex
 // loadings are a few nonzero runs separated by exact zeros; a dot product
 // that walks only the runs skips nothing but ±0 terms.
 func (c *Circuit) LoadingRuns() []PathRuns {
-	runsMu.Lock()
-	defer runsMu.Unlock()
-	if c.runs != nil {
-		return c.runs
-	}
-	runs := make([]PathRuns, len(c.Paths))
-	for i := range c.Paths {
-		p := &c.Paths[i]
-		runs[i] = PathRuns{Max: nonzeroRuns(p.Max.Coef), Min: nonzeroRuns(p.Min.Coef)}
-	}
-	c.runs = runs
-	return runs
+	m := c.derived()
+	m.runsOnce.Do(func() {
+		m.runs = make([]PathRuns, len(c.Paths))
+		for i := range c.Paths {
+			p := &c.Paths[i]
+			m.runs[i] = PathRuns{Max: nonzeroRuns(p.Max.Coef), Min: nonzeroRuns(p.Min.Coef)}
+		}
+	})
+	return m.runs
 }
 
 // nonzeroRuns returns the maximal runs of nonzero entries of coef. −0.0
@@ -233,11 +214,11 @@ func (c *Circuit) WithInflatedSigma(factor float64) (*Circuit, error) {
 	if factor < 1 {
 		return nil, errors.New("circuit: inflation factor must be >= 1")
 	}
-	base, fpErr := c.Fingerprint() // before the copy, so the memo is settled
+	base, fpErr := c.Fingerprint()
 	out := *c
-	out.covCache, out.fingerprint, out.runs = nil, "", nil
+	out.memo = &memo{owner: &out}
 	if fpErr == nil {
-		out.fingerprint = inflatedFingerprint(base, factor)
+		out.memo.fpOnce.Do(func() { out.memo.fp = inflatedFingerprint(base, factor) })
 	}
 	out.Paths = make([]Path, len(c.Paths))
 	copy(out.Paths, c.Paths)

@@ -4,12 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 )
-
-// fpMu serializes lazy fingerprint memoisation, as covMu does for the
-// covariance cache: each circuit is hashed at most once.
-var fpMu sync.Mutex
 
 // Fingerprint returns the circuit's stable identity, memoised on first use:
 // the SHA-256 of its canonical netlist (timing constants, grid variation
@@ -20,16 +15,14 @@ var fpMu sync.Mutex
 // cache and fleet registries. WithInflatedSigma's copy, whose forms the
 // netlist does not reflect, gets a derived identity instead.
 func (c *Circuit) Fingerprint() (string, error) {
-	fpMu.Lock()
-	defer fpMu.Unlock()
-	if c.fingerprint == "" {
+	m := c.derived()
+	m.fpOnce.Do(func() {
 		h := sha256.New()
-		if err := WriteNetlist(h, c); err != nil {
-			return "", err
+		if m.fpErr = WriteNetlist(h, c); m.fpErr == nil {
+			m.fp = hex.EncodeToString(h.Sum(nil))
 		}
-		c.fingerprint = hex.EncodeToString(h.Sum(nil))
-	}
-	return c.fingerprint, nil
+	})
+	return m.fp, m.fpErr
 }
 
 // inflatedFingerprint is the identity of WithInflatedSigma(factor) applied

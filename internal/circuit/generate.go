@@ -199,6 +199,7 @@ func GenerateWith(p Profile, seed int64, cfg GenConfig) (*Circuit, error) {
 		HoldTime:  cfg.HoldTime,
 		Model:     model,
 	}
+	c.memo = &memo{owner: c}
 
 	gateBudget := ng
 	// newGate places a gate in the given region cell, with optional jitter.

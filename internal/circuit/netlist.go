@@ -164,6 +164,7 @@ func ParseNetlist(r io.Reader) (*Circuit, error) {
 	}
 
 	c := &Circuit{}
+	c.memo = &memo{owner: c}
 	var cfg variation.Config
 	var haveVar bool
 	// Buffer lines may precede the ffs line, so their FF ids are checked

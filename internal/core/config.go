@@ -79,7 +79,9 @@ type Config struct {
 	// PCKaiser sets the principal-component count per group: components with
 	// eigenvalue > PCKaiser × (mean eigenvalue) are counted as shared PCs.
 	PCKaiser float64
-	// MaxGroupSize caps a correlation group (guards the PCA eigensolver).
+	// MaxGroupSize caps a correlation group, and with it the order of the
+	// covariance Procedure 1 reduces (and that its Jacobi fallback
+	// decomposes in full).
 	MaxGroupSize int
 
 	// FillSlots enables §3.2's empty-slot filling with high-variance paths.

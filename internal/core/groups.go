@@ -19,10 +19,11 @@ type Group struct {
 }
 
 // SelectPaths implements Procedure 1: extract correlation groups with a
-// decreasing threshold schedule, decompose each group's covariance with PCA,
-// and pick one representative path per shared principal component (the path
-// with the largest absolute coefficient for that component, excluding paths
-// already picked).
+// decreasing threshold schedule, count each group's shared principal
+// components, and pick one representative path per component (the path with
+// the largest absolute coefficient for that component, excluding paths
+// already picked). stats.Procedure1 decides both without a full
+// eigendecomposition where it can certify Jacobi's answer.
 //
 // It returns the groups and the union of selected path ids (sorted).
 func SelectPaths(c *circuit.Circuit, cfg Config) ([]Group, []int, error) {
@@ -31,7 +32,7 @@ func SelectPaths(c *circuit.Circuit, cfg Config) ([]Group, []int, error) {
 
 // selectPathsCtx is SelectPaths with cancellation, checked once per
 // extracted group — the granularity at which the expensive work (component
-// search + PCA) happens.
+// search + Procedure 1) happens.
 func selectPathsCtx(ctx context.Context, c *circuit.Circuit, cfg Config) ([]Group, []int, error) {
 	n := c.NumPaths()
 	corr := c.CorrMatrix()
@@ -41,6 +42,7 @@ func selectPathsCtx(ctx context.Context, c *circuit.Circuit, cfg Config) ([]Grou
 	}
 	remaining := n
 	th := cfg.CorrStart
+	inComp := make([]bool, n) // all false between extractions
 
 	var groups []Group
 	for remaining > 0 {
@@ -86,7 +88,7 @@ func selectPathsCtx(ctx context.Context, c *circuit.Circuit, cfg Config) ([]Grou
 		// component captures the cluster even when some pairwise
 		// correlations dip slightly below the threshold.
 		members := []int{seed}
-		inComp := map[int]bool{seed: true}
+		inComp[seed] = true
 		stack := []int{seed}
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
@@ -98,6 +100,9 @@ func selectPathsCtx(ctx context.Context, c *circuit.Circuit, cfg Config) ([]Grou
 					stack = append(stack, q)
 				}
 			}
+		}
+		for _, m := range members {
+			inComp[m] = false
 		}
 		if cfg.MaxGroupSize > 0 && len(members) > cfg.MaxGroupSize {
 			// Keep the seed plus its most correlated neighbours.
@@ -133,25 +138,16 @@ func selectPathsCtx(ctx context.Context, c *circuit.Circuit, cfg Config) ([]Grou
 	return groups, tested, nil
 }
 
-// analyzeGroup runs PCA on a group's covariance and selects representative
-// paths per shared component.
+// analyzeGroup runs Procedure 1's component count and representative
+// selection on a group's covariance.
 func analyzeGroup(c *circuit.Circuit, members []int, th float64, cfg Config) (Group, error) {
 	if len(members) == 1 {
 		return Group{Paths: members, Threshold: th, NumPCs: 1, Selected: []int{members[0]}}, nil
 	}
-	cov := c.CovMatrix()
-	sub := la.NewMatrix(len(members), len(members))
-	for i, a := range members {
-		for j, b := range members {
-			sub.Set(i, j, cov[a][b])
-		}
-	}
-	pca, err := stats.NewPCA(sub)
+	k, reps, _, err := stats.Procedure1(groupCov(c, members), cfg.PCKaiser)
 	if err != nil {
 		return Group{}, fmt.Errorf("core: group PCA failed: %w", err)
 	}
-	k := sharedComponents(pca, cfg.PCKaiser)
-	reps := pca.SelectRepresentatives(k)
 	selected := make([]int, len(reps))
 	for i, r := range reps {
 		selected[i] = members[r]
@@ -160,23 +156,14 @@ func analyzeGroup(c *circuit.Circuit, members []int, th float64, cfg Config) (Gr
 	return Group{Paths: members, Threshold: th, NumPCs: k, Selected: selected}, nil
 }
 
-// sharedComponents counts the components that carry correlation information:
-// eigenvalues above kaiser × mean eigenvalue (at least one).
-func sharedComponents(p *stats.PCA, kaiser float64) int {
-	total := p.TotalVar()
-	n := len(p.Vars)
-	if total <= 0 || n == 0 {
-		return 1
-	}
-	mean := total / float64(n)
-	k := 0
-	for _, v := range p.Vars {
-		if v > kaiser*mean {
-			k++
+// groupCov returns the covariance of the member paths' max delays.
+func groupCov(c *circuit.Circuit, members []int) *la.Matrix {
+	cov := c.CovMatrix()
+	sub := la.NewMatrix(len(members), len(members))
+	for i, a := range members {
+		for j, b := range members {
+			sub.Set(i, j, cov[a][b])
 		}
 	}
-	if k < 1 {
-		k = 1
-	}
-	return k
+	return sub
 }

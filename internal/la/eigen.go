@@ -10,9 +10,9 @@ import (
 // cyclic Jacobi method. It returns eigenvalues in descending order and the
 // matrix of corresponding eigenvectors as columns: A = V * diag(vals) * Vᵀ.
 //
-// Jacobi is O(n³) per sweep but unconditionally stable and exact enough for
-// the covariance matrices EffiTest decomposes with PCA (up to a few thousand
-// paths per group in the worst case, typically tens).
+// Jacobi is O(n³) per sweep but unconditionally stable. It is the reference
+// and the fallback of stats.Procedure1, which decomposes a group covariance
+// in full only when its certified fast path cannot vouch for the answer.
 func EigenSym(a *Matrix, tol float64) (vals []float64, vecs *Matrix, err error) {
 	if a.Rows != a.Cols {
 		return nil, nil, errors.New("la: eigensym requires a square matrix")

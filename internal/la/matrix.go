@@ -1,7 +1,8 @@
 // Package la provides the dense linear algebra kernels used throughout the
 // EffiTest reproduction: matrices, the Cholesky factorization with its
 // triangular solves (vector and multi-RHS) and a Jacobi eigensolver for
-// symmetric matrices.
+// symmetric matrices, the fallback of stats.Procedure1 when its certified
+// fast path cannot vouch for an answer.
 //
 // The package is deliberately small and allocation-conscious: all matrices
 // are dense, row-major float64, and the sizes that occur in EffiTest

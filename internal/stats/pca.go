@@ -42,25 +42,6 @@ func (p *PCA) TotalVar() float64 {
 	return s
 }
 
-// NumComponents returns the smallest number of leading components whose
-// cumulative variance reaches fraction `explained` of the total (e.g. 0.95).
-// It returns at least 1 for a non-degenerate covariance and never more than
-// the matrix order.
-func (p *PCA) NumComponents(explained float64) int {
-	total := p.TotalVar()
-	if total <= 0 {
-		return 0
-	}
-	cum := 0.0
-	for i, v := range p.Vars {
-		cum += v
-		if cum >= explained*total-1e-15 {
-			return i + 1
-		}
-	}
-	return len(p.Vars)
-}
-
 // Coefficient returns the loading of variable `varIdx` on component `comp`,
 // scaled by the component's standard deviation. This is the coefficient of
 // the unit-variance principal component in the variable's expansion

@@ -22,27 +22,6 @@ func TestPCADiagonalCov(t *testing.T) {
 	}
 }
 
-func TestPCANumComponents(t *testing.T) {
-	cov := la.NewMatrixFrom([][]float64{
-		{10, 0, 0},
-		{0, 1, 0},
-		{0, 0, 0.1},
-	})
-	p, err := NewPCA(cov)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k := p.NumComponents(0.85); k != 1 {
-		t.Errorf("k(0.85) = %d, want 1", k)
-	}
-	if k := p.NumComponents(0.95); k != 2 {
-		t.Errorf("k(0.95) = %d, want 2", k)
-	}
-	if k := p.NumComponents(1.0); k != 3 {
-		t.Errorf("k(1.0) = %d, want 3", k)
-	}
-}
-
 func TestPCAOneStrongComponent(t *testing.T) {
 	// Covariance of x_i = a_i * z + small noise: nearly rank-1.
 	a := []float64{1, 2, 3}
@@ -58,7 +37,7 @@ func TestPCAOneStrongComponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := p.NumComponents(0.95); k != 1 {
+	if k := sharedComponents(p, 1); k != 1 {
 		t.Errorf("k = %d, want 1", k)
 	}
 	// The variable with the largest |a_i| should be the representative.

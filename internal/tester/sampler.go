@@ -14,8 +14,9 @@ import (
 // BlockWidth is the number of chips the sampling kernel manufactures per
 // call: their factor vectors are interleaved so each path's coefficient row
 // streams once per block, and the block's dot products run as BlockWidth
-// independent accumulator chains instead of one latency-bound chain.
-const BlockWidth = 8
+// independent accumulator chains (circuit.DotRuns) instead of one
+// latency-bound chain.
+const BlockWidth = circuit.Lanes
 
 // Sampler is the Monte-Carlo chip kernel behind every chip population:
 // SampleChip, SampleChipRangeCtx, the §3.5 hold-bound samples and period
@@ -112,12 +113,16 @@ func (s *Sampler) draw(first, n int, withMin bool) {
 			}
 		}
 	}
+	dot := circuit.DotRuns
+	if n == 1 {
+		dot = dotRuns1
+	}
 	for p := range paths {
 		pm, pn := &paths[p].Max, &paths[p].Min
-		hiDot := dotRuns(pm.Coef, s.runs[p].Max, s.z)
+		hiDot := dot(pm.Coef, s.runs[p].Max, s.z)
 		var loDot [BlockWidth]float64
 		if withMin {
-			loDot = dotRuns(pn.Coef, s.runs[p].Min, s.z)
+			loDot = dot(pn.Coef, s.runs[p].Min, s.z)
 		}
 		for w := range n {
 			hi := pm.Mean + hiDot[w] + float64(pm.Rand*s.Max[w][p])
@@ -145,26 +150,16 @@ func (s *Sampler) draw(first, n int, withMin bool) {
 	}
 }
 
-// dotRuns returns Σ_k coef[k]·z[k*BlockWidth+w] over the runs' indices
-// for every lane w, each summed from 0.0 in ascending k — per lane, exactly
-// la.Dot's nonzero terms in la.Dot's order.
-func dotRuns(coef []float64, runs []circuit.Run, z []float64) [BlockWidth]float64 {
-	var a0, a1, a2, a3, a4, a5, a6, a7 float64
+// dotRuns1 is circuit.DotRuns for lane 0 alone, in the same order: the
+// kernel of a one-wide draw, which would waste seven lanes' work there.
+func dotRuns1(coef []float64, runs []circuit.Run, z []float64) [BlockWidth]float64 {
+	var a float64
 	for _, r := range runs {
-		zr := z[r.Lo*BlockWidth : r.Hi*BlockWidth]
 		for k, cf := range coef[r.Lo:r.Hi] {
-			zk := (*[BlockWidth]float64)(zr[k*BlockWidth:])
-			a0 += float64(cf * zk[0])
-			a1 += float64(cf * zk[1])
-			a2 += float64(cf * zk[2])
-			a3 += float64(cf * zk[3])
-			a4 += float64(cf * zk[4])
-			a5 += float64(cf * zk[5])
-			a6 += float64(cf * zk[6])
-			a7 += float64(cf * zk[7])
+			a += float64(cf * z[(r.Lo+k)*BlockWidth])
 		}
 	}
-	return [BlockWidth]float64{a0, a1, a2, a3, a4, a5, a6, a7}
+	return [BlockWidth]float64{a}
 }
 
 // chip hands lane w's delays over to a standalone chip with manufacturing
