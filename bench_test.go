@@ -9,7 +9,6 @@ package effitest_test
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"sync"
 	"testing"
@@ -216,48 +215,6 @@ func BenchmarkEngineRunChips(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(chips))*float64(b.N)/b.Elapsed().Seconds(), "chips/s")
 		})
-	}
-}
-
-// BenchmarkFlowChipBatched measures 32 chips per op on one worker, chip
-// at a time through RunChip (k1) versus RunChips, whose scheduler batches
-// eight chips per multi-RHS prediction call (k8). Outcomes are
-// bit-identical at every width (see the core package's
-// TestBatchedPredictionMatchesUnbatched), so the delta isolates what
-// streaming each group's Cholesky factor through the cache once per eight
-// chips — instead of once per chip — buys, with worker parallelism out of
-// the picture.
-func BenchmarkFlowChipBatched(b *testing.B) {
-	for _, name := range []string{"s9234", "usb_funct"} {
-		f := fixture(b, name, effitest.DefaultConfig())
-		chips := effitest.SampleChips(f.circuit, 3, 32)
-		for _, kb := range []int{1, 8} {
-			// kN, not batch-N: `go test -bench` appends -<GOMAXPROCS> to
-			// every name, so a trailing -<digits> here would read as it.
-			b.Run(fmt.Sprintf("%s/k%d", name, kb), func(b *testing.B) {
-				eng := f.withWorkers(b, 1)
-				ctx := context.Background()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if kb == 1 {
-						for _, ch := range chips {
-							if _, err := eng.RunChip(ctx, ch); err != nil {
-								b.Fatal(err)
-							}
-						}
-						continue
-					}
-					outs, err := eng.RunChipsAll(ctx, chips)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(outs) != len(chips) {
-						b.Fatalf("got %d outcomes", len(outs))
-					}
-				}
-				b.ReportMetric(float64(len(chips))*float64(b.N)/b.Elapsed().Seconds(), "chips/s")
-			})
-		}
 	}
 }
 

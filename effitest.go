@@ -206,8 +206,8 @@ type (
 	// AlignSolveEvent fires per §3.3 alignment solve.
 	AlignSolveEvent = core.AlignSolveEvent
 	// PredictEvent fires once per chip after §3.4's conditional prediction,
-	// carrying the chip's share of the statistical-prediction runtime (the
-	// paper's Tp component; AlignSolveEvent carries the matching Tt).
+	// carrying the chip's prediction wall time (the paper's Tp component;
+	// AlignSolveEvent carries the matching Tt).
 	PredictEvent = core.PredictEvent
 	// ChipDoneEvent fires when one chip's online flow finishes.
 	ChipDoneEvent = core.ChipDoneEvent

@@ -97,8 +97,8 @@ func TestEngineCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// More chips than RunChips' in-flight window (3 × 4 workers × batch
-	// width 8 = 96): chip 0's slot is held until its result is consumed, so
+	// More chips than RunChips' in-flight window (3 × 4 workers = 12):
+	// chip 0's slot is held until its result is consumed, so
 	// every chip past the window is claimed after the mid-stream cancel
 	// below, however fast chips run and however the workers are scheduled.
 	chips, err := eng.SampleChips(context.Background(), 3, 256)
@@ -155,37 +155,45 @@ func TestEngineCancellation(t *testing.T) {
 	}
 }
 
-// slowFirstChip holds chip 0 at the tester, so the reorder buffer waits for
-// it while the other workers run as far ahead as the in-flight window lets
-// them.
-type slowFirstChip struct{ effitest.SimBackend }
+// slowFirstChip holds chip 0 at the tester until release closes, so the
+// reorder buffer waits for it while the other workers run as far ahead as
+// the in-flight window lets them.
+type slowFirstChip struct {
+	effitest.SimBackend
+	release <-chan struct{}
+}
 
 func (s slowFirstChip) Open(ch *effitest.Chip, resolution float64) (effitest.Session, error) {
 	if ch.Index == 0 {
-		time.Sleep(100 * time.Millisecond)
+		<-s.release
 	}
 	return s.SimBackend.Open(ch, resolution)
 }
 
 // TestRunChipsBreakBoundsWindow breaks out of a long RunChips stream early:
-// the chips executed stay within the in-flight window (3×workers×batch
-// width chips claimed but not yet yielded) past the consumed ones, and the
-// break releases every worker.
+// the chips executed stay within the in-flight window (3×workers chips
+// claimed but not yet yielded) past the consumed ones, and the break
+// releases every worker. Chip 0 is held until the other 3×workers−1 chips
+// of the window have finished, so the workers have run as far ahead as the
+// window allows before the stream yields anything.
 func TestRunChipsBreakBoundsWindow(t *testing.T) {
 	const workers, n, consumed = 4, 1000, 25
-	const kb = 8 // RunChips' batch width for n chips on 4 workers
+	const window = 3 * workers
 	c, err := effitest.Generate(effitest.NewProfile("windowed", 16, 120, 2, 14), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	release := make(chan struct{})
 	var executed atomic.Int64
 	eng, err := effitest.New(c,
 		effitest.WithWorkers(workers),
 		effitest.WithPeriodQuantile(0.8413, 200),
-		effitest.WithBackend(slowFirstChip{}),
+		effitest.WithBackend(slowFirstChip{release: release}),
 		effitest.WithObserver(effitest.ObserverFunc(func(e effitest.Event) {
 			if _, ok := e.(effitest.ChipDoneEvent); ok {
-				executed.Add(1)
+				if executed.Add(1) == window-1 {
+					close(release)
+				}
 			}
 		})),
 	)
@@ -211,8 +219,8 @@ func TestRunChipsBreakBoundsWindow(t *testing.T) {
 	if now := runtime.NumGoroutine(); now > before {
 		t.Fatalf("goroutines leaked after break: %d -> %d", before, now)
 	}
-	if e := executed.Load(); e > consumed+3*workers*kb {
-		t.Fatalf("%d chips executed for %d consumed (window is 3×%d×%d)", e, consumed, workers, kb)
+	if e := executed.Load(); e > consumed+window {
+		t.Fatalf("%d chips executed for %d consumed (window is 3×%d)", e, consumed, workers)
 	}
 }
 

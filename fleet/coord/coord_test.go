@@ -159,7 +159,7 @@ func assertGolden(t *testing.T, inproc *conformance.PipelineResult, got []httpap
 		if res.Error != "" {
 			t.Fatalf("chip %d: merged error %s", i, res.Error)
 		}
-		want := httpapi.ResultWire(effitest.ChipResult{Index: i, Chip: inproc.Chips[i], Outcome: inproc.Outs[i]})
+		want := httpapi.ResultWire(effitest.ChipResult{Index: i, Outcome: inproc.Outs[i]}, inproc.Chips[i].Index)
 		if res.Index != want.Index || res.ChipIndex != want.ChipIndex ||
 			res.Iterations != want.Iterations || res.ScanBits != want.ScanBits ||
 			res.Configured != want.Configured || res.Passed != want.Passed ||

@@ -300,7 +300,7 @@ func inProcessWire(t *testing.T, req httpapi.CampaignRequest) []httpapi.ChipResu
 		if res.Err != nil {
 			t.Fatalf("in-process chip %d: %v", res.Index, res.Err)
 		}
-		out = append(out, httpapi.ResultWire(res))
+		out = append(out, httpapi.ResultWire(res, res.Chip.Index))
 	}
 	return out
 }

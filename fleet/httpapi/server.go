@@ -343,9 +343,7 @@ func (s *Server) results(w http.ResponseWriter, r *http.Request) {
 		if i++; i <= from {
 			continue
 		}
-		wr := ResultWire(res)
-		wr.ChipIndex = c.ChipFirst() + res.Index
-		if err := enc.Encode(wr); err != nil {
+		if err := enc.Encode(ResultWire(res, c.ChipFirst()+res.Index)); err != nil {
 			return
 		}
 		if flusher != nil {

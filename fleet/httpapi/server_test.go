@@ -111,7 +111,7 @@ func TestServedResultsMatchInProcessGolden(t *testing.T) {
 		if res.Error != "" {
 			t.Fatalf("chip %d: served error %s", i, res.Error)
 		}
-		want := httpapi.ResultWire(effitest.ChipResult{Index: i, Chip: inproc.Chips[i], Outcome: inproc.Outs[i]})
+		want := httpapi.ResultWire(effitest.ChipResult{Index: i, Outcome: inproc.Outs[i]}, inproc.Chips[i].Index)
 		if res.Index != want.Index || res.ChipIndex != want.ChipIndex ||
 			res.Iterations != want.Iterations || res.ScanBits != want.ScanBits ||
 			res.Configured != want.Configured || res.Passed != want.Passed ||

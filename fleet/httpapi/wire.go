@@ -428,15 +428,10 @@ func StatusWire(st fleet.Status) CampaignStatus {
 	return ws
 }
 
-// ResultWire converts a per-chip result to its wire form. ChipIndex is
-// taken from r.Chip when the result carries its chip (Engine.RunChips); a
-// campaign's results carry none, and the caller sets ChipIndex from the
-// campaign's population (Campaign.ChipFirst).
-func ResultWire(r effitest.ChipResult) ChipResult {
-	w := ChipResult{Index: r.Index}
-	if r.Chip != nil {
-		w.ChipIndex = r.Chip.Index
-	}
+// ResultWire converts a per-chip result to its wire form; chipIndex is the
+// chip's manufacturing index (Chip.Index, or a campaign's ChipFirst+Index).
+func ResultWire(r effitest.ChipResult, chipIndex int) ChipResult {
+	w := ChipResult{Index: r.Index, ChipIndex: chipIndex}
 	if r.Err != nil {
 		w.Error = r.Err.Error()
 		return w

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -145,7 +144,7 @@ type ChipOutcome struct {
 
 	AlignDuration   time.Duration // Tt component
 	ConfigDuration  time.Duration // Ts component
-	PredictDuration time.Duration // Tp component spent per chip (§3.4 prediction)
+	PredictDuration time.Duration // the chip's §3.4 prediction wall time (Tp component)
 
 	Bounds     *Bounds   // final per-path delay windows (measured/predicted)
 	X          []float64 // configured buffer values
@@ -170,13 +169,12 @@ type ChipOutcome struct {
 // run owns its measurement session and bounds, and the plan is read-only
 // after Prepare.
 //
-// A lone chip is a batch of one: RunChip is runChipBatch over a pooled
-// scratch, the same executor RunChips drives.
+// RunChip is runChip over a pooled scratch, the same executor RunChips'
+// workers call.
 func (pl *Plan) RunChip(ctx context.Context, ch *tester.Chip, Td float64, opts RunOptions) (*ChipOutcome, error) {
 	scr := pl.getScratch()
 	defer pl.putScratch(scr)
-	r := pl.runChipBatch(ctx, 0, []*tester.Chip{ch}, Td, opts, scr)[0]
-	return r.Outcome, r.Err
+	return pl.runChip(ctx, ch, Td, opts, scr)
 }
 
 // measureChip runs the measurement phase — aligned delay test of every
@@ -244,88 +242,42 @@ func chipDone(obs Observer, chip int, out *ChipOutcome, err error) {
 	obs.Observe(e)
 }
 
-// runChipBatch executes a contiguous run of chips as one scheduling unit —
-// the only chip executor: measurement chip by chip, then §3.4 prediction
-// batched across every chip that measured cleanly — one TRSM-shaped
-// multi-RHS kernel call per correlation group — then configuration chip by
-// chip. Outcomes are bit-identical at any batch width (the multi-RHS
-// kernels compute each column independently of the others) and a chip's
-// failure stays its own result: the rest of the batch proceeds without it.
-// The returned slice is parallel to chips, entry i carrying Index first+i;
-// it lives in scr and is valid until the scratch's next batch.
-//
-// The batch's prediction wall time is attributed evenly: each predicted
-// chip's PredictDuration is the batch total divided by the batch's live
-// chip count.
-func (pl *Plan) runChipBatch(ctx context.Context, first int, chips []*tester.Chip, Td float64, opts RunOptions, scr *chipScratch) []ChipResult {
+// runChip is the only chip executor: measurement, §3.4 prediction on the
+// chip's measured bounds through the baked kernels, then configuration. The
+// scratch's buffers are reused across every chip a worker runs.
+func (pl *Plan) runChip(ctx context.Context, ch *tester.Chip, Td float64, opts RunOptions, scr *chipScratch) (*ChipOutcome, error) {
 	obs := opts.Observer
-	res := slices.Grow(scr.res[:0], len(chips))[:len(chips)]
-	bs := slices.Grow(scr.bs[:0], len(chips))[:len(chips)]
-	clear(bs)
-	scr.res, scr.bs = res, bs
+	fail := func(err error) (*ChipOutcome, error) {
+		chipDone(obs, ch.Index, nil, err)
+		return nil, err
+	}
 	ks := pl.kernels
 	if ks == nil {
-		// A plan without kernels cannot predict: fail every chip before any
-		// tester session opens rather than measure them for nothing.
-		for i, ch := range chips {
-			res[i] = ChipResult{Index: first + i, Chip: ch, Err: errNoKernels}
-			chipDone(obs, ch.Index, nil, errNoKernels)
-		}
-		return res
+		// A plan without kernels cannot predict: fail the chip before any
+		// tester session opens rather than measure it for nothing.
+		return fail(errNoKernels)
 	}
-	for i, ch := range chips {
-		res[i] = ChipResult{Index: first + i, Chip: ch}
-		if ch.Circuit != pl.Circuit {
-			// A mismatched chip fails before the observer is engaged, so no
-			// ChipDone event.
-			res[i].Err = ErrChipCircuitMismatch
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			res[i].Err = err
-			chipDone(obs, ch.Index, nil, err)
-			continue
-		}
-		out, b, err := pl.measureChip(ctx, ch, opts, scr)
-		if err != nil {
-			res[i].Err = err
-			chipDone(obs, ch.Index, nil, err)
-			continue
-		}
-		res[i].Outcome = out
-		bs[i] = b
+	if ch.Circuit != pl.Circuit {
+		// A mismatched chip fails before the observer is engaged, so no
+		// ChipDone event.
+		return nil, ErrChipCircuitMismatch
 	}
-
-	// Batched prediction over the survivors.
-	live := scr.bounds[:0]
-	for _, b := range bs {
-		if b != nil {
-			live = append(live, b)
-		}
+	if err := ctx.Err(); err != nil {
+		return fail(err)
 	}
-	scr.bounds = live
-	var share time.Duration
-	if len(live) > 0 {
-		predStart := time.Now()
-		ks.predictInto(live, &scr.ws)
-		share = time.Since(predStart) / time.Duration(len(live))
+	out, b, err := pl.measureChip(ctx, ch, opts, scr)
+	if err != nil {
+		return fail(err)
 	}
-
-	for i, ch := range chips {
-		if bs[i] == nil {
-			continue
-		}
-		out, b := res[i].Outcome, bs[i]
-		out.PredictDuration = share
-		if obs != nil {
-			obs.Observe(PredictEvent{Chip: ch.Index, Duration: share, Groups: ks.predGroups, Predicted: ks.predPaths})
-		}
-		if err := pl.finishChip(ch, Td, out, b); err != nil {
-			res[i].Outcome, res[i].Err = nil, err
-			chipDone(obs, ch.Index, nil, err)
-			continue
-		}
-		chipDone(obs, ch.Index, out, nil)
+	predStart := time.Now()
+	ks.predictInto(b, &scr.ws)
+	out.PredictDuration = time.Since(predStart)
+	if obs != nil {
+		obs.Observe(PredictEvent{Chip: ch.Index, Duration: out.PredictDuration, Groups: ks.predGroups, Predicted: ks.predPaths})
 	}
-	return res
+	if err := pl.finishChip(ch, Td, out, b); err != nil {
+		return fail(err)
+	}
+	chipDone(obs, ch.Index, out, nil)
+	return out, nil
 }

@@ -4,12 +4,11 @@ package core
 // structure of §3.2/§3.4 — which tested paths condition which untested
 // paths, per correlation group — is fixed the moment the Plan's tested set
 // is final, so Prepare (or Bind, on a plan restored from an artifact)
-// prefactorizes it once: every runnable plan carries its kernels. Per batch
-// of chips, conditional prediction then reduces to one multi-RHS triangular
-// solve + matrix product per group over a pooled scratch workspace: no
-// maps, no matrix allocation, no re-factorization, and results
-// bit-identical to the naive groupMVN+Conditional oracle (pinned by the
-// differential tests).
+// prefactorizes it once: every runnable plan carries its kernels. Per chip,
+// conditional prediction then reduces to two triangular solves and one
+// matrix-vector product per group over a pooled scratch workspace: no maps,
+// no matrix allocation, no re-factorization, and results bit-identical to
+// the naive groupMVN+Conditional oracle (pinned by the differential tests).
 
 import (
 	"context"
@@ -118,54 +117,39 @@ func bakePredictKernels(ctx context.Context, c *circuit.Circuit, groups []Group,
 	return ks, nil
 }
 
-// predictMulti applies one baked group predictor to K chips at once through
-// the TRSM-shaped multi-RHS kernels: gather the measured upper bounds into
-// an observation block whose column j is chip j's, one MuBatchTo (Eq. 4),
-// scatter the μ′ ± 3σ′ windows back. The group's Cholesky factor and
-// cross-covariance stream through the cache once per batch instead of once
-// per chip, and each column's result is independent of the batch width (a
-// lone chip is K = 1). Allocation-free once ws is warm.
-func (gk *groupKernel) predictMulti(bs []*Bounds, ws *la.Workspace) {
+// predict applies one baked group predictor to a chip's bounds: gather the
+// measured upper bounds into the observation vector, one MuTo (Eq. 4),
+// write the μ′ ± 3σ′ windows back. Allocation-free once ws is warm.
+func (gk *groupKernel) predict(b *Bounds, ws *la.Workspace) {
 	ws.Reset()
-	obs := ws.TakeMatrix(len(gk.known), len(bs))
+	obs := ws.Take(len(gk.known))
 	for i, k := range gk.known {
-		row := obs.RowView(i)
-		for j, b := range bs {
-			row[j] = b.Hi[k] // conservative: measured upper bounds
-		}
+		obs[i] = b.Hi[k] // conservative: measured upper bounds
 	}
-	mu := ws.TakeMatrix(len(gk.unknown), len(bs))
-	gk.pred.MuBatchTo(&mu, &obs, ws)
+	mu := ws.Take(len(gk.unknown))
+	gk.pred.MuTo(mu, obs, ws)
 	for i, p := range gk.unknown {
-		sigma := gk.sigma[i]
-		row := mu.RowView(i)
-		for j, b := range bs {
-			m := row[j]
-			lo := m - 3*sigma
-			if lo < 0 {
-				lo = 0
-			}
-			b.Lo[p] = lo
-			b.Hi[p] = m + 3*sigma
+		m, sigma := mu[i], gk.sigma[i]
+		lo := m - 3*sigma
+		if lo < 0 {
+			lo = 0
 		}
+		b.Lo[p] = lo
+		b.Hi[p] = m + 3*sigma
 	}
 }
 
-// predictInto runs §3.4 prediction for a batch of chips' bounds: every
-// baked group predictor, applied to all chips at once, writes the μ′ ± 3σ′
-// windows back. Groups without a measured path keep their prior ±3σ
-// windows. Allocation-free once ws is warm (Require(scratchLen) for one
-// chip; the first batch grows it to the batch's high-water mark).
-func (ks *predictKernels) predictInto(bs []*Bounds, ws *la.Workspace) {
-	if len(bs) == 0 {
-		return
-	}
+// predictInto runs §3.4 prediction on one chip's bounds: every baked group
+// predictor writes its μ′ ± 3σ′ windows back. Groups without a measured path
+// keep their prior ±3σ windows. Allocation-free once ws holds scratchLen
+// floats.
+func (ks *predictKernels) predictInto(b *Bounds, ws *la.Workspace) {
 	for i := range ks.groups {
 		gk := &ks.groups[i]
 		if gk.pred == nil {
 			continue
 		}
-		gk.predictMulti(bs, ws)
+		gk.predict(b, ws)
 	}
 }
 
@@ -212,9 +196,6 @@ func (pl *Plan) PredictorSigmas() []float64 {
 // runBatchTest refills on every frequency step.
 type chipScratch struct {
 	ws     la.Workspace
-	res    []ChipResult // runChipBatch's result buffer
-	bs     []*Bounds    // runChipBatch's per-chip measured bounds
-	bounds []*Bounds    // gather buffer for the batched prediction phase
 	items  []alignItem
 	order  []int // assignWeights rank buffer
 	active []int

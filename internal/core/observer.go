@@ -58,10 +58,9 @@ type AlignSolveEvent struct {
 }
 
 // PredictEvent fires once per chip, after §3.4's conditional prediction of
-// the untested paths. Duration is the chip's share of the statistical
-// prediction runtime — the component the paper folds into Tp — spent
-// applying the plan's baked predictors (AlignSolveEvent durations are the
-// matching Tt component). Groups and Predicted describe the baked kernel
+// the untested paths. Duration is the chip's prediction wall time — the
+// component the paper folds into Tp — spent applying the plan's baked
+// predictors (AlignSolveEvent durations are the matching Tt component). Groups and Predicted describe the baked kernel
 // structure: they are the same for every chip of a plan.
 type PredictEvent struct {
 	Chip      int

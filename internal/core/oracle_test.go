@@ -119,5 +119,5 @@ func kernelPredict(t testing.TB, c *circuit.Circuit, groups []Group, tested []in
 		t.Fatal(err)
 	}
 	var ws la.Workspace
-	ks.predictInto([]*Bounds{b}, &ws)
+	ks.predictInto(b, &ws)
 }

@@ -55,7 +55,7 @@ func TestBakedKernelsMatchNaivePredict(t *testing.T) {
 	fast := mk()
 	scr := pl.getScratch()
 	defer pl.putScratch(scr)
-	ks.predictInto([]*Bounds{fast}, &scr.ws)
+	ks.predictInto(fast, &scr.ws)
 	for p := range naive.Lo {
 		if naive.Lo[p] != fast.Lo[p] || naive.Hi[p] != fast.Hi[p] {
 			t.Fatalf("path %d: naive [%v, %v] != kernel [%v, %v]",
@@ -78,29 +78,74 @@ func TestBakedKernelsMatchNaivePredict(t *testing.T) {
 	}
 }
 
-// TestPredictBoundsKernelZeroAlloc asserts prediction on one chip's bounds
-// performs zero heap allocations once the worker scratch is warm — the
-// contract that keeps fleet throughput off the garbage collector.
+// TestPredictBoundsKernelZeroAlloc asserts prediction on chips' measured
+// bounds performs zero heap allocations once the worker scratch is warm —
+// the contract that keeps fleet throughput off the garbage collector. One
+// scratch serves several chips in turn, as it does for a RunChips worker.
 func TestPredictBoundsKernelZeroAlloc(t *testing.T) {
 	c, pl := kernelTestPlan(t)
-	ch := tester.SampleChip(c, 9, 1)
-	out, err := pl.RunChip(t.Context(), ch, c.TNominal, RunOptions{})
+	outs, err := pl.RunChipsAll(t.Context(), tester.SampleChips(c, 31, 8), c.TNominal, 0, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := InitBounds(c)
-	copy(b.Lo, out.Bounds.Lo)
-	copy(b.Hi, out.Bounds.Hi)
+	bs := make([]*Bounds, len(outs))
+	for i, out := range outs {
+		b := InitBounds(c)
+		copy(b.Lo, out.Bounds.Lo)
+		copy(b.Hi, out.Bounds.Hi)
+		bs[i] = b
+	}
 
 	scr := pl.getScratch()
 	defer pl.putScratch(scr)
-	ks, one := pl.kernels, []*Bounds{b}
-	ks.predictInto(one, &scr.ws) // warm-up
+	ks := pl.kernels
 	allocs := testing.AllocsPerRun(100, func() {
-		ks.predictInto(one, &scr.ws)
+		for _, b := range bs {
+			ks.predictInto(b, &scr.ws)
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("per-chip prediction allocated %.1f times per run after warm-up", allocs)
+	}
+}
+
+// TestBindBakesKernels asserts Bind bakes the per-group Cholesky kernels
+// itself: a freshly bound plan carries them before any chip runs, and its
+// outcomes match the eagerly prepared plan bitwise.
+func TestBindBakesKernels(t *testing.T) {
+	c, eager := kernelTestPlan(t)
+	data, err := eager.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := DecodePlan(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.Bind(c); err != nil {
+		t.Fatal(err)
+	}
+	if pl.kernels == nil {
+		t.Fatal("Bind left the plan without prediction kernels")
+	}
+
+	ch := tester.SampleChip(c, 9, 4)
+	want, err := eager.RunChip(t.Context(), ch, c.TNominal, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := pl.RunChip(t.Context(), ch, c.TNominal, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Iterations != want.Iterations || got.Passed != want.Passed || got.Xi != want.Xi {
+		t.Fatalf("bound plan diverges: (%d, %v, %v) vs (%d, %v, %v)",
+			got.Iterations, got.Passed, got.Xi, want.Iterations, want.Passed, want.Xi)
+	}
+	for p := range want.Bounds.Lo {
+		if got.Bounds.Lo[p] != want.Bounds.Lo[p] || got.Bounds.Hi[p] != want.Bounds.Hi[p] {
+			t.Fatalf("path %d: bound plan's bounds diverge", p)
+		}
 	}
 }
 

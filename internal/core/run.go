@@ -36,35 +36,13 @@ type ChipResult struct {
 // stream always yields exactly len(chips) results unless the consumer
 // breaks first.
 //
-// Each worker claims up to batchWidth consecutive chips at a time, so their
-// §3.4 prediction runs as one multi-RHS kernel call per correlation group.
+// Each worker claims one chip at a time and runs it through runChip, the
+// executor RunChip uses too.
 func (pl *Plan) RunChips(ctx context.Context, chips []*tester.Chip, Td float64, workers int, opts RunOptions) iter.Seq[ChipResult] {
 	if len(chips) == 0 {
 		return func(func(ChipResult) bool) {}
 	}
 	w := min(pool.Resolve(workers), len(chips))
-	return pl.runChips(ctx, chips, Td, w, batchWidth(len(chips), w), opts)
-}
-
-// defaultBatchWidth caps RunChips' chips per claim: wide enough that a
-// group's Cholesky factor amortizes over several chips, narrow enough that
-// batching adds at most a few chips of latency before a result can stream
-// out.
-const defaultBatchWidth = 8
-
-// batchWidth is RunChips' chips-per-claim count for a population of n chips
-// on w workers: defaultBatchWidth, capped at an even per-worker share so a
-// small fleet still spreads across every worker.
-func batchWidth(n, w int) int {
-	return max(1, min(defaultBatchWidth, (n+w-1)/w))
-}
-
-// runChips is RunChips' fan-out core: w workers each claim the next span of
-// up to kb consecutive chips and run it as one runChipBatch call; a reorder
-// buffer re-establishes input order on the way out. The width kb only fuses
-// the §3.4 kernel calls — per-chip results and order are identical at any
-// width.
-func (pl *Plan) runChips(ctx context.Context, chips []*tester.Chip, Td float64, w, kb int, opts RunOptions) iter.Seq[ChipResult] {
 	return func(yield func(ChipResult) bool) {
 		runCtx, cancelRun := context.WithCancel(ctx)
 		defer cancelRun()
@@ -74,41 +52,37 @@ func (pl *Plan) runChips(ctx context.Context, chips []*tester.Chip, Td float64, 
 		abort := make(chan struct{})
 		defer close(abort)
 
-		// window caps chips in flight (claimed but not yet yielded) at
-		// 3×w×kb: without it, one slow chip lets the other workers run ahead
-		// and pile completed results into the reorder buffer without bound.
-		// A claim takes one slot per chip; the reorder loop releases it when
-		// the chip's result is yielded.
+		// window caps chips in flight (claimed but not yet yielded) at 3×w:
+		// without it, one slow chip lets the other workers run ahead and
+		// pile completed results into the reorder buffer without bound. A
+		// claim takes one slot; the reorder loop releases it when the chip's
+		// result is yielded.
 		//
-		// Spans are claimed in index order, and a claim takes its slots while
+		// Chips are claimed in index order, and a claim takes its slot while
 		// holding claimMu, so every slot held belongs to a chip at or below
-		// the one being claimed. The lowest unyielded chip is therefore always
-		// in a claimed span that runs to completion, and its release unblocks
-		// the claimer: the window cannot deadlock. Scaling by kb lets w whole
-		// spans be in flight ahead of the consumer.
-		window := make(chan struct{}, 3*w*kb)
+		// the one being claimed. The lowest unyielded chip is therefore
+		// always claimed and runs to completion, and its release unblocks the
+		// claimer: the window cannot deadlock.
+		window := make(chan struct{}, 3*w)
 		var claimMu sync.Mutex
 		next := 0
-		// claim returns the next unclaimed span [first, end) with its window
-		// slots taken; ok is false once the chips run out or the consumer
-		// broke. Under cancellation claims continue, so every chip still gets
-		// its (error-tagged) result and the stream length stays len(chips).
-		claim := func() (first, end int, ok bool) {
+		// claim returns the next unclaimed chip with its window slot taken;
+		// ok is false once the chips run out or the consumer broke. Under
+		// cancellation claims continue, so every chip still gets its
+		// (error-tagged) result and the stream length stays len(chips).
+		claim := func() (i int, ok bool) {
 			claimMu.Lock()
 			defer claimMu.Unlock()
 			if next >= len(chips) {
-				return 0, 0, false
+				return 0, false
 			}
-			first, end = next, min(next+kb, len(chips))
-			for range end - first {
-				select {
-				case window <- struct{}{}:
-				case <-abort:
-					return 0, 0, false
-				}
+			select {
+			case window <- struct{}{}:
+			case <-abort:
+				return 0, false
 			}
-			next = end
-			return first, end, true
+			next++
+			return next - 1, true
 		}
 
 		inner := make(chan ChipResult, w)
@@ -123,16 +97,15 @@ func (pl *Plan) runChips(ctx context.Context, chips []*tester.Chip, Td float64, 
 				scr := pl.getScratch()
 				defer pl.putScratch(scr)
 				for {
-					first, end, ok := claim()
+					i, ok := claim()
 					if !ok {
 						return
 					}
-					for _, r := range pl.runChipBatch(runCtx, first, chips[first:end], Td, opts, scr) {
-						select {
-						case inner <- r:
-						case <-abort:
-							return
-						}
+					out, err := pl.runChip(runCtx, chips[i], Td, opts, scr)
+					select {
+					case inner <- ChipResult{Index: i, Chip: chips[i], Outcome: out, Err: err}:
+					case <-abort:
+						return
 					}
 				}
 			}()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -38,6 +39,40 @@ func sameOutcome(a, b *ChipOutcome) bool {
 		reflect.DeepEqual(a.X, b.X) &&
 		reflect.DeepEqual(a.Bounds.Lo, b.Bounds.Lo) &&
 		reflect.DeepEqual(a.Bounds.Hi, b.Bounds.Hi)
+}
+
+// TestRunChipsMatchesNaiveOracle runs a deliberately ragged fleet (17
+// chips: not a multiple of any worker count) through the RunChips scheduler
+// at 1, 2 and 8 workers, pinning every outcome bitwise against the
+// whole-chip naive oracle.
+func TestRunChipsMatchesNaiveOracle(t *testing.T) {
+	c, pl := kernelTestPlan(t)
+	chips := tester.SampleChips(c, 13, 17)
+	want := make([]*ChipOutcome, len(chips))
+	for i, ch := range chips {
+		out, err := pl.runChipNaive(t.Context(), ch, c.TNominal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = out
+	}
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			n := 0
+			for r := range pl.RunChips(t.Context(), chips, c.TNominal, workers, RunOptions{}) {
+				if r.Err != nil {
+					t.Fatalf("chip %d: %v", r.Index, r.Err)
+				}
+				if !sameOutcome(r.Outcome, want[r.Index]) {
+					t.Fatalf("chip %d: outcome at workers=%d differs from the naive oracle", r.Index, workers)
+				}
+				n++
+			}
+			if n != len(chips) {
+				t.Fatalf("stream yielded %d results, want %d", n, len(chips))
+			}
+		})
+	}
 }
 
 func TestRunChipsParallelMatchesSequential(t *testing.T) {

@@ -6,7 +6,8 @@ import "fmt"
 // the K-column, in-place counterparts of MulVec / SolveLower / SolveUpperT /
 // CholSolve. An n×K right-hand-side block batches K independent systems that share one
 // factor into a single kernel call, so the factor streams through the cache
-// once per call instead of once per system.
+// once per call instead of once per system. The per-chip prediction path
+// runs them at K = 1, through stats.CondPredictor.MuTo.
 //
 // Contract shared by every kernel here: column j of the result is computed
 // with exactly the same floating-point operations, in exactly the same

@@ -224,10 +224,10 @@ func (p *CondPredictor) MuTo(dst, observed []float64, ws *la.Workspace) {
 
 // MuBatchTo computes the conditional mean μ' (Eq. 4) for K observation
 // vectors in one TRSM-shaped kernel call: observed is a NumKnown×K block
-// whose column j is chip j's observation vector, dst a NumUnknown×K block
+// whose column j is the j-th observation vector, dst a NumUnknown×K block
 // receiving column j's conditional means. The Cholesky factor and the
-// cross-covariance stream through the cache once for all K systems, which is
-// what the batched multi-chip prediction path amortizes.
+// cross-covariance stream through the cache once for all K systems. The
+// per-chip prediction path calls it at K = 1 through MuTo.
 //
 // Column j of dst is bit-identical to μ_u + Σ_ut·CholSolve(L_t, obs_j − μ_t)
 // with the product accumulated first: the multi-RHS kernels perform the
