@@ -78,11 +78,37 @@ func TestBakedKernelsMatchNaivePredict(t *testing.T) {
 	}
 }
 
-// TestPredictBoundsKernelZeroAlloc asserts prediction on chips' measured
-// bounds performs zero heap allocations once the worker scratch is warm —
-// the contract that keeps fleet throughput off the garbage collector. One
-// scratch serves several chips in turn, as it does for a RunChips worker.
+// TestPredictBoundsKernelZeroAlloc asserts prediction on one chip's bounds
+// performs zero heap allocations once the worker scratch is warm — the
+// contract that keeps fleet throughput off the garbage collector.
 func TestPredictBoundsKernelZeroAlloc(t *testing.T) {
+	c, pl := kernelTestPlan(t)
+	ch := tester.SampleChip(c, 9, 1)
+	out, err := pl.RunChip(t.Context(), ch, c.TNominal, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := InitBounds(c)
+	copy(b.Lo, out.Bounds.Lo)
+	copy(b.Hi, out.Bounds.Hi)
+
+	scr := pl.getScratch()
+	defer pl.putScratch(scr)
+	ks := pl.kernels
+	ks.predictInto(b, &scr.ws) // warm-up
+	allocs := testing.AllocsPerRun(100, func() {
+		ks.predictInto(b, &scr.ws)
+	})
+	if allocs != 0 {
+		t.Fatalf("per-chip prediction allocated %.1f times per run after warm-up", allocs)
+	}
+}
+
+// TestPredictIntoBatchZeroAlloc asserts one worker scratch serves a batch of
+// chips predicted in turn, as it does for a RunChips worker, with zero heap
+// allocations once warm: chips with different measured bounds must not
+// regrow the scratch.
+func TestPredictIntoBatchZeroAlloc(t *testing.T) {
 	c, pl := kernelTestPlan(t)
 	outs, err := pl.RunChipsAll(t.Context(), tester.SampleChips(c, 31, 8), c.TNominal, 0, RunOptions{})
 	if err != nil {
@@ -105,7 +131,7 @@ func TestPredictBoundsKernelZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("per-chip prediction allocated %.1f times per run after warm-up", allocs)
+		t.Fatalf("batched prediction allocated %.1f times per run after warm-up", allocs)
 	}
 }
 
