@@ -296,6 +296,11 @@ func (c *Circuit) Validate() error {
 			return fmt.Errorf("circuit: FF %d listed buffered but mask disagrees", b)
 		}
 	}
+	for f, buffered := range c.Buf.Buffered {
+		if buffered && !seen[f] {
+			return fmt.Errorf("circuit: FF %d masked buffered but not listed", f)
+		}
+	}
 	for i, g := range c.Gates {
 		if g.ID != i {
 			return fmt.Errorf("circuit: gate %d has id %d", i, g.ID)

@@ -257,10 +257,11 @@ func BenchmarkConfigureScalable(b *testing.B) {
 		bounds.Hi[p] = ch.TrueMax[p] + 0.001
 	}
 	td := chipQuantile(c, 0.7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := configureScalable(c, bounds, hb, td); err != nil {
-			b.Fatal(err)
-		}
+	// One baked kernel and a warm scratch, as a plan's chip workers hold.
+	k := newConfigKernel(c)
+	var scr configScratch
+	b.ReportAllocs()
+	for b.Loop() {
+		k.configure(bounds, hb, td, &scr)
 	}
 }

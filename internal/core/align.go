@@ -38,7 +38,21 @@ func assignWeightsInto(items []alignItem, k0, kd float64, idx []int) []int {
 	for i := range items {
 		idx = append(idx, i)
 	}
-	sort.Slice(idx, func(a, b int) bool { return items[idx[a]].center() < items[idx[b]].center() })
+	// The comparator returns -1/+1 exactly where the less function
+	// center(a) < center(b) holds either way round, so the pattern-defeating
+	// quicksort behind slices.SortFunc makes sort.Slice's comparisons and
+	// swaps — the same permutation, ties and NaNs included — without the
+	// reflect swapper sort.Slice allocates on every frequency step.
+	slices.SortFunc(idx, func(a, b int) int {
+		ca, cb := items[a].center(), items[b].center()
+		switch {
+		case ca < cb:
+			return -1
+		case cb < ca:
+			return 1
+		}
+		return 0
+	})
 	mid := (len(idx) - 1) / 2
 	for rank, i := range idx {
 		w := k0 - kd*math.Abs(float64(rank-mid))

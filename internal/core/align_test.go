@@ -28,6 +28,56 @@ func TestAssignWeightsMiddleHighest(t *testing.T) {
 	}
 }
 
+// assignWeightsSortSlice is assignWeightsInto as it stood with sort.Slice:
+// the oracle for the rank order and weights.
+func assignWeightsSortSlice(items []alignItem, k0, kd float64) []int {
+	idx := make([]int, len(items))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return items[idx[a]].center() < items[idx[b]].center() })
+	mid := (len(idx) - 1) / 2
+	for rank, i := range idx {
+		w := k0 - kd*math.Abs(float64(rank-mid))
+		if w < 1 {
+			w = 1
+		}
+		items[i].weight = w
+	}
+	return idx
+}
+
+// TestAssignWeightsMatchesSortSlice pins assignWeightsInto's ranks and
+// weights to sort.Slice's on random batches of up to 40 items with many
+// tied centers and the odd NaN, reusing one rank buffer throughout.
+func TestAssignWeightsMatchesSortSlice(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	var idx []int
+	for trial := 0; trial < 20000; trial++ {
+		n := r.Intn(41)
+		levels := 1 + r.Intn(8) // few distinct centers: many ties
+		items := make([]alignItem, n)
+		for i := range items {
+			c := float64(r.Intn(levels))
+			if r.Intn(50) == 0 {
+				c = math.NaN()
+			}
+			items[i] = alignItem{lo: c - 0.5, hi: c + 0.5}
+		}
+		want := slices.Clone(items)
+		wantIdx := assignWeightsSortSlice(want, 1000, 7)
+		idx = assignWeightsInto(items, 1000, 7, idx)
+		if !slices.Equal(idx, wantIdx) {
+			t.Fatalf("trial %d: ranks %v, sort.Slice %v", trial, idx, wantIdx)
+		}
+		for i := range items {
+			if math.Float64bits(items[i].weight) != math.Float64bits(want[i].weight) {
+				t.Fatalf("trial %d: item %d weight %v, sort.Slice %v", trial, i, items[i].weight, want[i].weight)
+			}
+		}
+	}
+}
+
 func TestWeightedMedian(t *testing.T) {
 	median := func(vals, weights []float64, ord []int) float64 {
 		items := make([]alignItem, len(weights))

@@ -21,10 +21,12 @@ type ConfigureResult struct {
 // in b (measured or predicted) so that the chip meets period Td while the
 // assumed delays stay as close to their upper bounds as possible (minimize
 // ξ of Eqs. 15–17), subject to buffer ranges (18) and hold bounds (21).
+// It builds the circuit's configuration kernel for the one call; a Plan
+// configures its chips through the kernel it baked.
 func Configure(c *circuit.Circuit, b *Bounds, hb *HoldBounds, Td float64, cfg Config) (ConfigureResult, error) {
 	switch cfg.ConfigMode {
 	case ConfigureScalable:
-		return configureScalable(c, b, hb, Td)
+		return newConfigKernel(c).configure(b, hb, Td, &configScratch{}), nil
 	case ConfigureMILP:
 		return configureMILP(c, b, hb, Td)
 	default:
@@ -32,84 +34,120 @@ func Configure(c *circuit.Circuit, b *Bounds, hb *HoldBounds, Td float64, cfg Co
 	}
 }
 
-// pairBound aggregates parallel paths between the same FF pair: every path's
-// constraints must hold, so the pair's effective bounds are the maxima.
-type pairBound struct {
-	from, to int
-	u, l     float64
-	lambda   float64
+// configure is Configure through the plan's baked kernel and a worker's
+// scratch: in scalable mode only the returned X allocates.
+func (pl *Plan) configure(b *Bounds, Td float64, scr *configScratch) (ConfigureResult, error) {
+	if pl.Cfg.ConfigMode != ConfigureScalable {
+		return Configure(pl.Circuit, b, pl.Hold, Td, pl.Cfg)
+	}
+	return pl.conf.configure(b, pl.Hold, Td, scr), nil
 }
 
-func pairBounds(c *circuit.Circuit, b *Bounds, hb *HoldBounds) []pairBound {
-	idx := map[[2]int]int{}
-	var out []pairBound
+// ffPair is the flip-flop pair one or more paths run between.
+type ffPair struct{ from, to int }
+
+// configKernel is the chip-independent state of the scalable configuration
+// solver: the FF-pair topology of the paths and the lattice solver over the
+// circuit's buffers. A Plan bakes it with its prediction kernels; it is
+// read-only afterwards. The hold bounds λ are not part of it: they are read
+// from the HoldBounds on every call.
+type configKernel struct {
+	numFF    int
+	pairs    []ffPair // distinct (From, To) pairs, in the order of their first path
+	pathPair []int32  // path id → index into pairs
+	lat      *skew.Lattice
+}
+
+func newConfigKernel(c *circuit.Circuit) *configKernel {
+	k := &configKernel{numFF: c.NumFF, pathPair: make([]int32, len(c.Paths)), lat: skew.NewLattice(c.Buf)}
+	idx := make(map[ffPair]int32, len(c.Paths))
 	for i := range c.Paths {
-		p := &c.Paths[i]
-		key := [2]int{p.From, p.To}
+		key := ffPair{c.Paths[i].From, c.Paths[i].To}
 		j, ok := idx[key]
 		if !ok {
-			j = len(out)
+			j = int32(len(k.pairs))
 			idx[key] = j
-			out = append(out, pairBound{
-				from: p.From, to: p.To,
-				u: math.Inf(-1), l: math.Inf(-1),
-				lambda: hb.Lambda(p.From, p.To),
-			})
+			k.pairs = append(k.pairs, key)
 		}
-		out[j].u = math.Max(out[j].u, b.Hi[i])
-		out[j].l = math.Max(out[j].l, b.Lo[i])
+		k.pathPair[i] = j
 	}
-	return out
+	return k
 }
 
-// configureScalable solves the model by bisection on ξ. For a fixed ξ the
-// constraints reduce to differences on the buffer lattice:
+// configScratch is the per-worker state of one configuration: each pair's
+// window maxima and hold bound, the arcs of the current ξ probe and the
+// lattice solver's constraints and potentials.
+type configScratch struct {
+	u, l, lambda []float64
+	arcs         []skew.Timing
+	lat          skew.LatticeScratch
+}
+
+// configure solves the model by bisection on ξ. Parallel paths between the
+// same FF pair must all hold, so a pair's bounds are the maxima of its
+// paths' windows. For a fixed ξ the constraints reduce to differences on the
+// buffer lattice:
 //
 //	x_i - x_j ≤ Td - max(u_ij - ξ, l_ij)   (from 15–17)
 //	x_i - x_j ≥ λ_ij                        (21)
 //
-// which FeasibleDiscrete decides exactly. ξ saturates at max(u-l), so the
+// which the lattice solver decides exactly. ξ saturates at max(u-l), so the
 // search space is closed; 48 bisection steps give ~1e-14 relative precision.
-func configureScalable(c *circuit.Circuit, b *Bounds, hb *HoldBounds, Td float64) (ConfigureResult, error) {
-	pbs := pairBounds(c, b, hb)
-	arcsAt := func(xi float64) []skew.Timing {
-		arcs := make([]skew.Timing, len(pbs))
-		for i, pb := range pbs {
-			arcs[i] = skew.Timing{
-				From: pb.from, To: pb.to,
-				Setup: math.Max(pb.u-xi, pb.l),
-				Hold:  pb.lambda,
+// The scratch keeps the last feasible solve, so X is decoded once, at the
+// end.
+func (k *configKernel) configure(b *Bounds, hb *HoldBounds, Td float64, scr *configScratch) ConfigureResult {
+	n := len(k.pairs)
+	scr.u, scr.l, scr.lambda = resizeF(scr.u, n), resizeF(scr.l, n), resizeF(scr.lambda, n)
+	u, l, lambda := scr.u, scr.l, scr.lambda
+	for j, pr := range k.pairs {
+		u[j], l[j] = math.Inf(-1), math.Inf(-1)
+		lambda[j] = hb.Lambda(pr.from, pr.to)
+	}
+	for i, j := range k.pathPair {
+		u[j] = math.Max(u[j], b.Hi[i])
+		l[j] = math.Max(l[j], b.Lo[i])
+	}
+	if cap(scr.arcs) < n {
+		scr.arcs = make([]skew.Timing, n)
+	}
+	arcs := scr.arcs[:n]
+	feasibleAt := func(xi float64) bool {
+		for j, pr := range k.pairs {
+			arcs[j] = skew.Timing{
+				From: pr.from, To: pr.to,
+				Setup: math.Max(u[j]-xi, l[j]),
+				Hold:  lambda[j],
 			}
 		}
-		return arcs
+		return k.lat.Solve(Td, arcs, &scr.lat)
 	}
 	xiMax := 0.0
-	for _, pb := range pbs {
-		if w := pb.u - pb.l; w > xiMax {
+	for j := range u {
+		if w := u[j] - l[j]; w > xiMax {
 			xiMax = w
 		}
 	}
-	xSat, ok := skew.FeasibleDiscrete(Td, arcsAt(xiMax), c.Buf)
-	if !ok {
-		return ConfigureResult{Feasible: false}, nil
+	if !feasibleAt(xiMax) {
+		return ConfigureResult{Feasible: false}
 	}
 	// ξ = 0 may already work (chip comfortably meets Td at the upper
 	// bounds).
-	if x0, ok := skew.FeasibleDiscrete(Td, arcsAt(0), c.Buf); ok {
-		return ConfigureResult{X: x0, Xi: 0, Feasible: true}, nil
-	}
-	lo, hi := 0.0, xiMax
-	bestX := xSat
-	for it := 0; it < 48; it++ {
-		mid := (lo + hi) / 2
-		if x, ok := skew.FeasibleDiscrete(Td, arcsAt(mid), c.Buf); ok {
-			hi = mid
-			bestX = x
-		} else {
-			lo = mid
+	xi := 0.0
+	if !feasibleAt(0) {
+		lo, hi := 0.0, xiMax
+		for it := 0; it < 48; it++ {
+			mid := (lo + hi) / 2
+			if feasibleAt(mid) {
+				hi = mid
+			} else {
+				lo = mid
+			}
 		}
+		xi = hi
 	}
-	return ConfigureResult{X: bestX, Xi: hi, Feasible: true}, nil
+	x := make([]float64, k.numFF)
+	k.lat.Assignment(&scr.lat, x)
+	return ConfigureResult{X: x, Xi: xi, Feasible: true}
 }
 
 // configureMILP is the literal MILP of Eqs. (15)–(18) plus (21): variables

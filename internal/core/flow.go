@@ -42,6 +42,12 @@ type Plan struct {
 	// has nil kernels and fails every chip with errNoKernels.
 	kernels *predictKernels
 	scratch *sync.Pool
+	// prior holds the μ±3σ starting windows every chip copies, and conf the
+	// FF-pair topology and lattice solver of configuration (configure.go).
+	// installKernels bakes both next to the kernels, with the same
+	// lifetime: they are released with the plan.
+	prior *Bounds
+	conf  *configKernel
 }
 
 // Prepare runs the offline flow of Figure 4: path selection for prediction,
@@ -183,7 +189,7 @@ func (pl *Plan) RunChip(ctx context.Context, ch *tester.Chip, Td float64, opts R
 func (pl *Plan) measureChip(ctx context.Context, ch *tester.Chip, opts RunOptions, scr *chipScratch) (*ChipOutcome, *Bounds, error) {
 	c, cfg, obs := pl.Circuit, pl.Cfg, opts.Observer
 	out := &ChipOutcome{}
-	b := InitBounds(c)
+	b := pl.prior.clone()
 	sess, err := opts.backend().Open(ch, cfg.TesterResolution)
 	if err != nil {
 		return nil, nil, err
@@ -208,10 +214,10 @@ func (pl *Plan) measureChip(ctx context.Context, ch *tester.Chip, opts RunOption
 
 // finishChip runs the configuration phase: final buffer values (Eqs. 15–18)
 // and the pass/fail test at Td.
-func (pl *Plan) finishChip(ch *tester.Chip, Td float64, out *ChipOutcome, b *Bounds) error {
+func (pl *Plan) finishChip(ch *tester.Chip, Td float64, out *ChipOutcome, b *Bounds, scr *chipScratch) error {
 	out.Bounds = b
 	cfgStart := time.Now()
-	res, err := Configure(pl.Circuit, b, pl.Hold, Td, pl.Cfg)
+	res, err := pl.configure(b, Td, &scr.conf)
 	out.ConfigDuration = time.Since(cfgStart)
 	if err != nil {
 		return err
@@ -275,7 +281,7 @@ func (pl *Plan) runChip(ctx context.Context, ch *tester.Chip, Td float64, opts R
 	if obs != nil {
 		obs.Observe(PredictEvent{Chip: ch.Index, Duration: out.PredictDuration, Groups: ks.predGroups, Predicted: ks.predPaths})
 	}
-	if err := pl.finishChip(ch, Td, out, b); err != nil {
+	if err := pl.finishChip(ch, Td, out, b, scr); err != nil {
 		return fail(err)
 	}
 	chipDone(obs, ch.Index, out, nil)

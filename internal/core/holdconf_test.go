@@ -194,7 +194,7 @@ func TestConfigureScalableMatchesMILP(t *testing.T) {
 			b.Hi[p] = ch.TrueMax[p] + 0.001
 		}
 		td := chipQuantile(c, 0.65)
-		s, err := configureScalable(c, b, hb, td)
+		s, err := Configure(c, b, hb, td, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

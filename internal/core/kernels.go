@@ -169,10 +169,13 @@ func (ks *predictKernels) predictSigmas(numPaths int) []float64 {
 	return out
 }
 
-// installKernels installs the plan's baked kernels and its per-worker
-// scratch pool.
+// installKernels installs the plan's baked kernels, bakes the chip
+// flow's other circuit-only state (the prior windows and the configuration
+// kernel) and installs the per-worker scratch pool.
 func (pl *Plan) installKernels(ks *predictKernels) {
 	pl.kernels = ks
+	pl.prior = InitBounds(pl.Circuit)
+	pl.conf = newConfigKernel(pl.Circuit)
 	pl.scratch = &sync.Pool{New: func() any { return pl.newChipScratch() }}
 }
 
@@ -192,14 +195,16 @@ func (pl *Plan) PredictorSigmas() []float64 {
 }
 
 // chipScratch is the reusable per-worker state of the online flow: the
-// numeric workspace of the prediction kernels plus the alignment buffers
-// runBatchTest refills on every frequency step.
+// numeric workspace of the prediction kernels, the alignment buffers
+// runBatchTest refills on every frequency step and the configuration
+// solver's buffers.
 type chipScratch struct {
 	ws     la.Workspace
 	items  []alignItem
 	order  []int // assignWeights rank buffer
 	active []int
 	al     alignScratch
+	conf   configScratch
 }
 
 // newChipScratch sizes a scratch for this plan: the kernel workspace at its

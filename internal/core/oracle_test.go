@@ -96,14 +96,15 @@ func naiveSigmas(c *circuit.Circuit, groups []Group, tested []int) ([]float64, e
 // runChipNaive is the whole-chip oracle: the flow's measurement and
 // configuration phases around PredictBounds instead of the kernels.
 func (pl *Plan) runChipNaive(ctx context.Context, ch *tester.Chip, Td float64) (*ChipOutcome, error) {
-	out, b, err := pl.measureChip(ctx, ch, RunOptions{}, pl.newChipScratch())
+	scr := pl.newChipScratch()
+	out, b, err := pl.measureChip(ctx, ch, RunOptions{}, scr)
 	if err != nil {
 		return nil, err
 	}
 	if err := PredictBounds(pl.Circuit, pl.Groups, pl.Tested, b); err != nil {
 		return nil, err
 	}
-	if err := pl.finishChip(ch, Td, out, b); err != nil {
+	if err := pl.finishChip(ch, Td, out, b, scr); err != nil {
 		return nil, err
 	}
 	return out, nil

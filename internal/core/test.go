@@ -33,6 +33,15 @@ func InitBounds(c *circuit.Circuit) *Bounds {
 	return b
 }
 
+// clone returns a copy of b whose two windows share one allocation.
+func (b *Bounds) clone() *Bounds {
+	n := len(b.Lo)
+	buf := make([]float64, n+len(b.Hi))
+	copy(buf, b.Lo)
+	copy(buf[n:], b.Hi)
+	return &Bounds{Lo: buf[:n:n], Hi: buf[n:]}
+}
+
 // Width returns the current window width of path p.
 func (b *Bounds) Width(p int) float64 { return b.Hi[p] - b.Lo[p] }
 

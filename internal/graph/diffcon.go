@@ -43,8 +43,21 @@ type IntDiffConstraint struct {
 // checks exact in EffiTest's configuration solver. The solution is
 // normalized so x[ref] == 0.
 func SolveIntDifference(n int, cons []IntDiffConstraint, ref int) (x []int64, ok bool) {
+	x = make([]int64, n)
+	if !SolveIntDifferenceInto(x, cons, ref) {
+		return nil, false
+	}
+	return x, true
+}
+
+// SolveIntDifferenceInto is SolveIntDifference over caller-owned potentials:
+// dist has one entry per variable, its contents on entry are ignored, and on
+// success it holds the assignment normalized so dist[ref] == 0. On failure
+// (a negative cycle) dist holds no meaningful values.
+func SolveIntDifferenceInto(dist []int64, cons []IntDiffConstraint, ref int) bool {
 	const inf = math.MaxInt64 / 4
-	dist := make([]int64, n) // multi-source: all zeros
+	n := len(dist)
+	clear(dist) // multi-source: all zeros
 	for iter := 0; iter < n; iter++ {
 		changed := false
 		for _, c := range cons {
@@ -63,15 +76,14 @@ func SolveIntDifference(n int, cons []IntDiffConstraint, ref int) (x []int64, ok
 			// Still changing after n passes: negative cycle.
 			for _, c := range cons {
 				if dist[c.B]+c.C < dist[c.A] {
-					return nil, false
+					return false
 				}
 			}
 		}
 	}
-	x = make([]int64, n)
 	shift := dist[ref]
-	for i := range x {
-		x[i] = dist[i] - shift
+	for i := range dist {
+		dist[i] -= shift
 	}
-	return x, true
+	return true
 }

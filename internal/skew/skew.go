@@ -157,107 +157,175 @@ func Feasible(T float64, arcs []Timing, b Buffers) ([]float64, bool) {
 // works.
 //
 // All buffers must share the same step size (as in the paper: all ranges are
-// T/8 wide with 20 steps); FFs without buffers are fixed at 0.
+// T/8 wide with 20 steps); FFs without buffers are fixed at 0. It is one
+// Lattice solve; callers that solve many periods or arc sets over the same
+// buffers build the Lattice once instead.
 func FeasibleDiscrete(T float64, arcs []Timing, b Buffers) ([]float64, bool) {
-	if b.Steps <= 0 {
-		return Feasible(T, arcs, b)
+	l := NewLattice(b)
+	var scr LatticeScratch
+	if !l.Solve(T, arcs, &scr) {
+		return nil, false
 	}
-	step := 0.0
+	x := make([]float64, b.N)
+	l.Assignment(&scr, x)
+	return x, true
+}
+
+// Lattice is the discrete feasibility solver of one buffer configuration
+// space. Everything that depends only on the buffers is built once by
+// NewLattice: the node of every FF (unbuffered FFs collapse into reference
+// node 0, buffered FF i becomes a node ≥ 1 in FF order), each node's Lo,
+// the common lattice step and the range constraints 0 ≤ n_i ≤ Steps. A
+// Solve then only rounds the arcs onto the lattice and runs Bellman–Ford,
+// in a caller-owned LatticeScratch, so repeated solves allocate nothing
+// once the scratch is warm. A Lattice is read-only after NewLattice and
+// safe for concurrent use with distinct scratches.
+//
+// Buffers with Steps ≤ 0 are continuous: Solve is then Feasible (which
+// allocates), so every period search goes through one entry point.
+type Lattice struct {
+	b      Buffers                   // the configuration space (continuous solves, N)
+	node   []int                     // FF → node; 0 for every unbuffered FF
+	ffs    []int                     // node k ≥ 1 → its FF (ffs[0] unused)
+	lo     []float64                 // node → Lo of its FF (node 0: 0)
+	step   float64                   // common lattice step; 0 when no FF is buffered
+	ranges []graph.IntDiffConstraint // n_i ≤ Steps and n_i ≥ 0 per buffered node
+}
+
+// LatticeScratch is the working memory of Lattice.Solve, owned by one
+// caller at a time. It keeps the solution of the latest feasible Solve until
+// the next feasible one replaces it, which is exactly what a bisection over
+// the period (or over ξ) needs: read the last feasible point at the end.
+type LatticeScratch struct {
+	cons []graph.IntDiffConstraint
+	dist []int64   // potentials of the Solve in progress
+	sol  []int64   // potentials of the latest feasible Solve
+	cont []float64 // continuous buffers: the latest feasible assignment
+}
+
+// NewLattice builds the solver for buffers b.
+func NewLattice(b Buffers) *Lattice {
+	l := &Lattice{b: b}
+	if b.Steps <= 0 {
+		return l
+	}
 	for i := 0; i < b.N; i++ {
 		if b.Buffered[i] {
 			s := b.StepSize(i)
-			if step == 0 {
-				step = s
-			} else if math.Abs(step-s) > 1e-12 {
+			if l.step == 0 {
+				l.step = s
+			} else if math.Abs(l.step-s) > 1e-12 {
 				// Mixed steps: fall back to a common fine lattice.
-				step = math.Min(step, s)
+				l.step = math.Min(l.step, s)
 			}
 		}
 	}
-	if step == 0 {
-		// No buffers at all: feasible iff all constraints hold at x = 0.
-		for _, a := range arcs {
-			if 0 > T-a.Setup+1e-12 || 0 < a.Hold-1e-12 {
-				return nil, false
-			}
-		}
-		return make([]float64, b.N), true
+	if l.step == 0 {
+		return l
 	}
-
-	id := make([]int, b.N)
-	next := 1
-	for i := 0; i < b.N; i++ {
-		if b.Buffered[i] {
-			id[i] = next
-			next++
-		}
-	}
-	node := func(i int) int {
-		if b.Buffered[i] {
-			return id[i]
-		}
-		return 0
-	}
-	// x_i = lo_i + step * n_i with n_i integer. A difference constraint
-	// x_u - x_v <= c becomes n_u - n_v <= floor((c - lo_u + lo_v)/step).
-	nodeLo := make([]float64, next)
-	for f := 0; f < b.N; f++ {
-		if b.Buffered[f] {
-			nodeLo[id[f]] = b.Lo[f]
-		}
-	}
-	var cons []graph.IntDiffConstraint
-	add := func(a, bnode int, c float64) {
-		bound := math.Floor((c-nodeLo[a]+nodeLo[bnode])/step + 1e-9)
-		cons = append(cons, graph.IntDiffConstraint{A: a, B: bnode, C: int64(bound)})
-	}
-	for _, a := range arcs {
-		u, v := node(a.From), node(a.To)
-		add(u, v, T-a.Setup)
-		add(v, u, -a.Hold)
-	}
+	l.node = make([]int, b.N)
+	l.ffs = []int{-1}
+	l.lo = []float64{0}
 	maxSteps := int64(b.Steps)
 	for i := 0; i < b.N; i++ {
 		if !b.Buffered[i] {
 			continue
 		}
-		cons = append(cons,
-			graph.IntDiffConstraint{A: id[i], B: 0, C: maxSteps}, // n_i <= Steps
-			graph.IntDiffConstraint{A: 0, B: id[i], C: 0},        // n_i >= 0
+		k := len(l.ffs)
+		l.node[i] = k
+		l.ffs = append(l.ffs, i)
+		l.lo = append(l.lo, b.Lo[i])
+		l.ranges = append(l.ranges,
+			graph.IntDiffConstraint{A: k, B: 0, C: maxSteps}, // n_i <= Steps
+			graph.IntDiffConstraint{A: 0, B: k, C: 0},        // n_i >= 0
 		)
 	}
-	sol, ok := graph.SolveIntDifference(next, cons, 0)
-	if !ok {
-		return nil, false
-	}
-	x := make([]float64, b.N)
-	for i := 0; i < b.N; i++ {
-		if b.Buffered[i] {
-			x[i] = b.Lo[i] + float64(step*float64(sol[id[i]]))
+	return l
+}
+
+// constraint rounds x_a - x_b <= c onto the lattice: with x_i = lo_i +
+// step * n_i and n_i integer it becomes n_a - n_b <= floor((c - lo_a +
+// lo_b)/step).
+func (l *Lattice) constraint(a, b int, c float64) graph.IntDiffConstraint {
+	bound := math.Floor((c-l.lo[a]+l.lo[b])/l.step + 1e-9)
+	return graph.IntDiffConstraint{A: a, B: b, C: int64(bound)}
+}
+
+// Solve reports whether a lattice assignment meets every arc's setup (at
+// period T) and hold constraint within the buffer ranges. On success the
+// assignment replaces the scratch's kept solution (read it with
+// Assignment); on failure the kept solution is left as it was.
+func (l *Lattice) Solve(T float64, arcs []Timing, scr *LatticeScratch) bool {
+	if l.b.Steps <= 0 {
+		x, ok := Feasible(T, arcs, l.b)
+		if ok {
+			scr.cont = x
 		}
+		return ok
 	}
-	return x, true
+	if l.step == 0 {
+		// No buffers at all: feasible iff all constraints hold at x = 0.
+		for _, a := range arcs {
+			if 0 > T-a.Setup+1e-12 || 0 < a.Hold-1e-12 {
+				return false
+			}
+		}
+		return true
+	}
+	cons := scr.cons[:0]
+	for _, a := range arcs {
+		u, v := l.node[a.From], l.node[a.To]
+		cons = append(cons,
+			l.constraint(u, v, T-a.Setup), // setup: x_u - x_v <= T - Setup
+			l.constraint(v, u, -a.Hold),   // hold: x_v - x_u <= -Hold
+		)
+	}
+	cons = append(cons, l.ranges...)
+	scr.cons = cons
+	if cap(scr.dist) < len(l.lo) {
+		scr.dist = make([]int64, len(l.lo))
+	}
+	dist := scr.dist[:len(l.lo)]
+	if !graph.SolveIntDifferenceInto(dist, cons, 0) {
+		return false
+	}
+	scr.dist, scr.sol = scr.sol, dist
+	return true
+}
+
+// Assignment writes the kept solution into x (one entry per FF; unbuffered
+// FFs get 0). It must follow a feasible Solve on scr.
+func (l *Lattice) Assignment(scr *LatticeScratch, x []float64) {
+	if l.b.Steps <= 0 {
+		copy(x, scr.cont)
+		return
+	}
+	clear(x)
+	for k := 1; k < len(l.ffs); k++ {
+		x[l.ffs[k]] = l.lo[k] + float64(l.step*float64(scr.sol[k]))
+	}
 }
 
 // MinPeriodBoxed returns the smallest period (within tol) for which a
 // discrete-feasible buffer assignment exists, searching between loT and hiT
 // by bisection. ok=false if even hiT is infeasible.
 func MinPeriodBoxed(arcs []Timing, b Buffers, loT, hiT, tol float64) (float64, []float64, bool) {
-	x, ok := FeasibleDiscrete(hiT, arcs, b)
-	if !ok {
+	l := NewLattice(b)
+	var scr LatticeScratch
+	if !l.Solve(hiT, arcs, &scr) {
 		return 0, nil, false
 	}
-	bestX := x
 	for hiT-loT > tol {
 		mid := (loT + hiT) / 2
-		if xm, ok := FeasibleDiscrete(mid, arcs, b); ok {
+		if l.Solve(mid, arcs, &scr) {
 			hiT = mid
-			bestX = xm
 		} else {
 			loT = mid
 		}
 	}
-	return hiT, bestX, true
+	x := make([]float64, b.N)
+	l.Assignment(&scr, x)
+	return hiT, x, true
 }
 
 // Verify checks an assignment against setup (period T) and hold constraints;

@@ -187,7 +187,7 @@ type ATE struct {
 	ScanBits   int64 // configuration bits shifted
 
 	jitterStream *rand.Rand
-	effective    []float64 // scanIn's realized buffer values, reused per step
+	pass         []bool // Step's result, reused per step as Session permits
 }
 
 // NewATE opens a test session.
@@ -219,45 +219,46 @@ func (a *ATE) AppliedPeriod(T float64) float64 {
 // configuration x (full per-FF vector) and the batch's test vectors, clock
 // at period T, and report per-path pass (true = data latched correctly, i.e.
 // setup met). The applied (resolution-rounded) period is returned so callers
-// update bounds consistently with what the hardware actually did.
+// update bounds consistently with what the hardware actually did. The pass
+// slice is reused by the next Step, as the Session contract allows.
 //
 // Each buffer realizes the nearest point of the circuit's lattice (the one
 // alignment and configuration solve on), so off-lattice requests see
-// exactly the hardware's quantization.
+// exactly the hardware's quantization. Only the endpoints of the batch's
+// paths are realized: no other buffer enters a pass bit.
 func (a *ATE) Step(T float64, x []float64, batch []int) (applied float64, pass []bool, err error) {
-	if len(x) != a.Chip.Circuit.NumFF {
-		return 0, nil, fmt.Errorf("tester: buffer vector length %d != %d FFs", len(x), a.Chip.Circuit.NumFF)
+	c := a.Chip.Circuit
+	if len(x) != c.NumFF {
+		return 0, nil, fmt.Errorf("tester: buffer vector length %d != %d FFs", len(x), c.NumFF)
 	}
-	effective := a.scanIn(x)
+	a.ScanBits += int64(c.ScanBits()) // the whole configuration is shifted in
 	applied = a.AppliedPeriod(T)
 	a.Iterations++
-	pass = make([]bool, len(batch))
+	if cap(a.pass) < len(batch) {
+		a.pass = make([]bool, len(batch))
+	}
+	pass = a.pass[:len(batch)]
 	for i, p := range batch {
-		if p < 0 || p >= len(a.Chip.Circuit.Paths) {
+		if p < 0 || p >= len(c.Paths) {
 			return 0, nil, fmt.Errorf("tester: path %d out of range", p)
 		}
 		threshold := applied
 		if a.Jitter > 0 && a.jitterStream != nil {
 			threshold += float64(a.Jitter * a.jitterStream.NormFloat64())
 		}
-		pass[i] = a.Chip.SetupSlack(p, threshold, effective) >= 0
+		pt := &c.Paths[p]
+		// Chip.SetupSlack's expression over the realized endpoint values.
+		pass[i] = threshold-(a.Chip.TrueMax[p]+realize(c, pt.From, x)-realize(c, pt.To, x)) >= 0
 	}
 	return applied, pass, nil
 }
 
-// scanIn shifts the buffer configuration through the scan chain and
-// returns the values the hardware realizes, in a buffer the session reuses
-// on its next step.
-func (a *ATE) scanIn(x []float64) []float64 {
-	c := a.Chip.Circuit
-	a.ScanBits += int64(c.ScanBits())
-	if cap(a.effective) < len(x) {
-		a.effective = make([]float64, len(x))
+// realize returns the value FF f's buffer takes when the scan chain shifts
+// in x[f]: the nearest point of its lattice when f is buffered, x[f] (the
+// reference clock) otherwise.
+func realize(c *circuit.Circuit, f int, x []float64) float64 {
+	if c.Buf.Buffered[f] {
+		return c.Buf.Quantize(f, x[f])
 	}
-	effective := a.effective[:len(x)]
-	copy(effective, x)
-	for _, f := range c.Buffered {
-		effective[f] = c.Buf.Quantize(f, x[f])
-	}
-	return effective
+	return x[f]
 }

@@ -2,9 +2,12 @@ package tester
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"effitest/internal/circuit"
+	"effitest/internal/rng"
 	"effitest/internal/stats"
 )
 
@@ -217,8 +220,8 @@ func TestATEStepMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for f, v := range ate.effective {
-		if v != effective[f] {
+	for f := range x {
+		if v := realize(c, f, x); v != effective[f] {
 			t.Fatalf("FF %d: realized %v for request %v, oracle %v", f, v, x[f], effective[f])
 		}
 	}
@@ -232,7 +235,6 @@ func TestATEStepMatchesOracle(t *testing.T) {
 
 func TestATEScanQuantizesOffLatticeValues(t *testing.T) {
 	c := tiny(t)
-	ate := NewATE(SampleChip(c, 1, 0), 0)
 	f := c.Buffered[0]
 	lo, hi, s := c.Buf.Lo[f], c.Buf.Hi[f], c.Buf.StepSize(f)
 	for _, tc := range []struct{ request, want float64 }{
@@ -244,8 +246,78 @@ func TestATEScanQuantizesOffLatticeValues(t *testing.T) {
 	} {
 		x := make([]float64, c.NumFF)
 		x[f] = tc.request
-		if got := ate.scanIn(x)[f]; got != tc.want {
+		if got := realize(c, f, x); got != tc.want {
 			t.Errorf("request %v realized as %v, want %v", tc.request, got, tc.want)
+		}
+	}
+}
+
+// fullVectorStep is ATE.Step as it stood when every step realized the whole
+// buffer vector: copy x, quantize every buffered FF, then test each batch
+// path against the realized vector. jitter is nil for a noiseless tester.
+func fullVectorStep(ch *Chip, applied float64, x []float64, batch []int, jitter *rand.Rand, sigma float64) []bool {
+	c := ch.Circuit
+	effective := make([]float64, len(x))
+	copy(effective, x)
+	for _, f := range c.Buffered {
+		effective[f] = c.Buf.Quantize(f, x[f])
+	}
+	pass := make([]bool, len(batch))
+	for i, p := range batch {
+		threshold := applied
+		if jitter != nil {
+			threshold += float64(sigma * jitter.NormFloat64())
+		}
+		pass[i] = ch.SetupSlack(p, threshold, effective) >= 0
+	}
+	return pass
+}
+
+// TestATEStepMatchesFullVectorRealization pins Step's pass bits, which
+// realize only the batch's endpoints, to the full-vector realization on
+// random requests: off-lattice and out-of-range buffered values and nonzero
+// unbuffered entries, on a noiseless and a jittered tester, with batches of
+// varying length sharing one reused pass slice.
+func TestATEStepMatchesFullVectorRealization(t *testing.T) {
+	c := tiny(t)
+	r := rand.New(rand.NewSource(29))
+	for chip := 0; chip < 4; chip++ {
+		ch := SampleChip(c, 7, chip)
+		const sigma = 0.004
+		noisy := NewNoisyATE(ch, 1e-4, sigma, 11)
+		oracleJitter := rng.NewIndexed(11, ch.Index, "ate-jitter", c.Name)
+		clean := NewATE(ch, 0)
+		x := make([]float64, c.NumFF)
+		for step := 0; step < 200; step++ {
+			for f := range x {
+				x[f] = 0.2 * (r.Float64() - 0.5) // unbuffered entries too
+			}
+			for _, f := range c.Buffered {
+				lo, hi := c.Buf.Lo[f], c.Buf.Hi[f]
+				x[f] = lo - 0.5*(hi-lo) + 2*(hi-lo)*r.Float64() // off lattice, often out of range
+			}
+			batch := make([]int, 1+r.Intn(12))
+			for i := range batch {
+				batch[i] = r.Intn(c.NumPaths())
+			}
+			T := ch.CriticalDelay() * (0.7 + 0.4*r.Float64())
+
+			_, got, err := clean.Step(T, x, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fullVectorStep(ch, clean.AppliedPeriod(T), x, batch, nil, 0)
+			if !slices.Equal(got, want) {
+				t.Fatalf("chip %d step %d noiseless: pass %v, full-vector %v", chip, step, got, want)
+			}
+			_, got, err = noisy.Step(T, x, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = fullVectorStep(ch, noisy.AppliedPeriod(T), x, batch, oracleJitter, sigma)
+			if !slices.Equal(got, want) {
+				t.Fatalf("chip %d step %d jittered: pass %v, full-vector %v", chip, step, got, want)
+			}
 		}
 	}
 }

@@ -76,11 +76,15 @@ func IdealCtx(ctx context.Context, c *circuit.Circuit, chips []*tester.Chip, T f
 		return 0, nil
 	}
 	ok := make([]bool, len(chips))
+	lat := skew.NewLattice(c.Buf) // built once, solved per chip
 	err := pool.ForEach(ctx, len(chips), workers, func(i int) error {
 		ch := chips[i]
-		if x, feasible := skew.FeasibleDiscrete(T, ch.Arcs(), c.Buf); feasible {
-			// FeasibleDiscrete guarantees constraint satisfaction; double
+		var scr skew.LatticeScratch
+		if lat.Solve(T, ch.Arcs(), &scr) {
+			// The lattice solve guarantees constraint satisfaction; double
 			// check against the chip oracle for defense in depth.
+			x := make([]float64, c.NumFF)
+			lat.Assignment(&scr, x)
 			ok[i] = ch.PassesAt(T, x) && ch.HoldOK(x)
 		}
 		return nil
