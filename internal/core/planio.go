@@ -451,7 +451,7 @@ func sortedHoldPairs(h *HoldBounds) []holdPair {
 
 // Bind attaches a decoded plan to its circuit: the circuit's fingerprint
 // must match the one embedded in the artifact (ErrPlanCircuitMismatch
-// otherwise), every path / flip-flop index is range-checked against the
+// otherwise), every path index and hold pair is checked against the
 // circuit and the flow configuration is re-validated. Bind then bakes the
 // conditional-prediction kernels, fanned out across the plan's Workers, so
 // after a successful Bind the plan behaves exactly like one produced by
@@ -486,10 +486,11 @@ func (pl *Plan) Bind(c *circuit.Circuit) error {
 	return nil
 }
 
-// validateAgainst range-checks every index the plan carries, so a decoded
-// artifact can never cause out-of-range access in the online flow.
+// validateAgainst checks the plan's path indices and hold list against c,
+// so a decoded artifact can never cause out-of-range access in the online
+// flow or leave a path pair without its hold bound.
 func (pl *Plan) validateAgainst(c *circuit.Circuit) error {
-	np, nf := c.NumPaths(), c.NumFF
+	np := c.NumPaths()
 	checkPaths := func(what string, ids []int) error {
 		for _, p := range ids {
 			if p < 0 || p >= np {
@@ -520,12 +521,21 @@ func (pl *Plan) validateAgainst(c *circuit.Circuit) error {
 			return err
 		}
 	}
-	if pl.Hold != nil {
-		for p := range pl.Hold.ByPair {
-			if p[0] < 0 || p[0] >= nf || p[1] < 0 || p[1] >= nf {
-				return fmt.Errorf("%w: hold pair (%d,%d) out of range [0,%d)", ErrPlanFormat, p[0], p[1], nf)
-			}
+	// The hold list must be exactly the circuit's path pairs, each with a
+	// finite λ: Lambda reports an absent pair as unconstrained.
+	if pl.Hold == nil {
+		return fmt.Errorf("%w: no hold bounds", ErrPlanFormat)
+	}
+	pairs := make(map[[2]int]bool, len(pl.Hold.ByPair))
+	for _, p := range c.Paths {
+		key := [2]int{p.From, p.To}
+		if lam, ok := pl.Hold.ByPair[key]; !ok || math.IsNaN(lam) || math.IsInf(lam, 0) {
+			return fmt.Errorf("%w: path pair (%d,%d) has no finite hold bound", ErrPlanFormat, p.From, p.To)
 		}
+		pairs[key] = true
+	}
+	if len(pairs) != len(pl.Hold.ByPair) {
+		return fmt.Errorf("%w: %d hold pairs for %d path pairs", ErrPlanFormat, len(pl.Hold.ByPair), len(pairs))
 	}
 	return nil
 }

@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -167,6 +169,64 @@ func TestPlanDecodeRejectsCorruption(t *testing.T) {
 	bad.Tested[0] = c.NumPaths() + 5
 	if err := bad.Bind(c); !errors.Is(err, ErrPlanFormat) {
 		t.Fatalf("out-of-range path id Bind = %v, want ErrPlanFormat", err)
+	}
+}
+
+// TestPlanBindRejectsWrongHoldList: a hold list that is not exactly the
+// circuit's path pairs with finite λ decodes, but Bind refuses it. A missing
+// pair would otherwise bind and run unconstrained (λ = −Inf).
+func TestPlanBindRejectsWrongHoldList(t *testing.T) {
+	c, err := circuit.Generate(circuit.TinyProfile("holdlist", 24, 200, 6, 60), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := Prepare(c, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := [2]int{c.Paths[0].From, c.Paths[0].To}
+	stranger := [2]int{-1, -1} // a pair no path runs between
+	for i := 0; i < c.NumFF && stranger[0] < 0; i++ {
+		for j := 0; j < c.NumFF; j++ {
+			if _, ok := pl.Hold.ByPair[[2]int{i, j}]; !ok {
+				stranger = [2]int{i, j}
+				break
+			}
+		}
+	}
+	withPair := func(key [2]int, lam float64) map[[2]int]float64 {
+		m := maps.Clone(pl.Hold.ByPair)
+		m[key] = lam
+		return m
+	}
+	dropped := maps.Clone(pl.Hold.ByPair)
+	delete(dropped, first)
+	cases := []struct {
+		name string
+		hold *HoldBounds
+	}{
+		{"no hold list", nil},
+		{"pair dropped", &HoldBounds{ByPair: dropped}},
+		{"pair without a path", &HoldBounds{ByPair: withPair(stranger, 0)}},
+		{"NaN", &HoldBounds{ByPair: withPair(first, math.NaN())}},
+		{"+Inf", &HoldBounds{ByPair: withPair(first, math.Inf(1))}},
+		{"-Inf", &HoldBounds{ByPair: withPair(first, math.Inf(-1))}},
+	}
+	good := pl.Hold
+	defer func() { pl.Hold = good }()
+	for _, tc := range cases {
+		pl.Hold = tc.hold
+		data, err := pl.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodePlan(data)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
+		}
+		if err := got.Bind(c); !errors.Is(err, ErrPlanFormat) {
+			t.Errorf("%s: Bind = %v, want ErrPlanFormat", tc.name, err)
+		}
 	}
 }
 

@@ -37,23 +37,14 @@ type IntDiffConstraint struct {
 	C    int64
 }
 
-// SolveIntDifference solves an integral difference-constraint system. With
-// integer constants, Bellman–Ford potentials are integral, so the returned
-// assignment is exact — this is what makes discrete buffer-step feasibility
-// checks exact in EffiTest's configuration solver. The solution is
-// normalized so x[ref] == 0.
-func SolveIntDifference(n int, cons []IntDiffConstraint, ref int) (x []int64, ok bool) {
-	x = make([]int64, n)
-	if !SolveIntDifferenceInto(x, cons, ref) {
-		return nil, false
-	}
-	return x, true
-}
-
-// SolveIntDifferenceInto is SolveIntDifference over caller-owned potentials:
-// dist has one entry per variable, its contents on entry are ignored, and on
-// success it holds the assignment normalized so dist[ref] == 0. On failure
-// (a negative cycle) dist holds no meaningful values.
+// SolveIntDifferenceInto solves an integral difference-constraint system
+// over caller-owned potentials. With integer constants, Bellman–Ford
+// potentials are integral, so the assignment is exact — this is what makes
+// discrete buffer-step feasibility checks exact in EffiTest's configuration
+// solver. dist has one entry per variable, its contents on entry are
+// ignored, and on success it holds the assignment normalized so
+// dist[ref] == 0. On failure (a negative cycle) dist holds no meaningful
+// values.
 func SolveIntDifferenceInto(dist []int64, cons []IntDiffConstraint, ref int) bool {
 	const inf = math.MaxInt64 / 4
 	n := len(dist)

@@ -202,9 +202,12 @@ func TestSolveDifferenceInfeasible(t *testing.T) {
 
 func TestSolveIntDifference(t *testing.T) {
 	cons := []IntDiffConstraint{{0, 1, 3}, {1, 2, -2}, {0, 2, 0}}
-	x, ok := SolveIntDifference(3, cons, 0)
-	if !ok {
+	x := []int64{99, -99, 7} // contents on entry are ignored
+	if !SolveIntDifferenceInto(x, cons, 0) {
 		t.Fatal("feasible system reported infeasible")
+	}
+	if x[0] != 0 {
+		t.Fatalf("x[ref] = %d, want 0", x[0])
 	}
 	for _, c := range cons {
 		if x[c.A]-x[c.B] > c.C {
@@ -212,7 +215,7 @@ func TestSolveIntDifference(t *testing.T) {
 		}
 	}
 	bad := []IntDiffConstraint{{0, 1, -1}, {1, 0, 0}}
-	if _, ok := SolveIntDifference(2, bad, 0); ok {
+	if SolveIntDifferenceInto(make([]int64, 2), bad, 0) {
 		t.Fatal("infeasible int system reported feasible")
 	}
 }

@@ -34,11 +34,3 @@ func BenchmarkFeasibleDiscrete100(b *testing.B) {
 		FeasibleDiscrete(7, arcs, bufs)
 	}
 }
-
-func BenchmarkMinPeriodBoxed100(b *testing.B) {
-	arcs, bufs := benchInstance(100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MinPeriodBoxed(arcs, bufs, 0, 20, 1e-4)
-	}
-}

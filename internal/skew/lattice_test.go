@@ -30,7 +30,7 @@ func feasibleDiscreteDense(T float64, arcs []Timing, b Buffers) ([]float64, bool
 	}
 	if step == 0 {
 		for _, a := range arcs {
-			if 0 > T-a.Setup+1e-12 || 0 < a.Hold-1e-12 {
+			if !(T-a.Setup+1e-12 >= 0) || !(a.Hold-1e-12 <= 0) {
 				return nil, false
 			}
 		}
@@ -57,14 +57,27 @@ func feasibleDiscreteDense(T float64, arcs []Timing, b Buffers) ([]float64, bool
 		}
 	}
 	var cons []graph.IntDiffConstraint
-	add := func(a, bnode int, c float64) {
+	// add appends the lattice row of x_a - x_b <= c, or reports false when
+	// the row can never hold. A row with c = +Inf constrains nothing and is
+	// left out; one with c = −Inf or NaN never holds. Without this rule
+	// int64 converts an infinite bound the platform's way (MinInt64 on
+	// amd64).
+	add := func(a, bnode int, c float64) bool {
+		if math.IsInf(c, 1) {
+			return true
+		}
+		if math.IsInf(c, -1) || math.IsNaN(c) {
+			return false
+		}
 		bound := math.Floor((c-nodeLo[a]+nodeLo[bnode])/step + 1e-9)
 		cons = append(cons, graph.IntDiffConstraint{A: a, B: bnode, C: int64(bound)})
+		return true
 	}
 	for _, a := range arcs {
 		u, v := node(a.From), node(a.To)
-		add(u, v, T-a.Setup)
-		add(v, u, -a.Hold)
+		if !add(u, v, T-a.Setup) || !add(v, u, -a.Hold) {
+			return nil, false
+		}
 	}
 	maxSteps := int64(b.Steps)
 	for i := 0; i < b.N; i++ {
@@ -89,8 +102,8 @@ func feasibleDiscreteDense(T float64, arcs []Timing, b Buffers) ([]float64, bool
 	return x, true
 }
 
-// solveIntDense is graph.SolveIntDifference before it took caller-owned
-// potentials.
+// solveIntDense is graph.SolveIntDifferenceInto over freshly allocated
+// potentials, as the solver stood before it took caller-owned ones.
 func solveIntDense(n int, cons []graph.IntDiffConstraint, ref int) ([]int64, bool) {
 	const inf = math.MaxInt64 / 4
 	dist := make([]int64, n)
@@ -133,6 +146,7 @@ const (
 	latticeNegCycle          // a setup ring too tight for any period tried
 	latticeHoldOnly          // periods loose enough for setup; hold beyond reach
 	latticeOnGrid            // periods, setups and holds on the step grid: rounded bounds land on integers
+	latticeNonFinite         // ±Inf and NaN setups, holds and periods
 	latticeKinds
 )
 
@@ -141,7 +155,7 @@ const (
 func latticeCase(r *rand.Rand, kind int) (Buffers, []Timing, []float64) {
 	n := 2 + r.Intn(10)
 	steps := 1 + r.Intn(40)
-	if kind == latticeRandom && r.Intn(10) == 0 {
+	if kind == latticeRandom && r.Intn(10) == 0 || kind == latticeNonFinite && r.Intn(4) == 0 {
 		steps = 0 // continuous buffers: Solve is Feasible
 	}
 	b := Buffers{N: n, Buffered: make([]bool, n), Lo: make([]float64, n), Hi: make([]float64, n), Steps: steps}
@@ -199,6 +213,24 @@ func latticeCase(r *rand.Rand, kind int) (Buffers, []Timing, []float64) {
 	periods := make([]float64, 1+r.Intn(6))
 	for i := range periods {
 		periods[i] = 8 * r.Float64()
+	}
+	if kind == latticeNonFinite {
+		// −Inf dominates the draw, so that most instances keep some
+		// feasible period: a −Inf setup or hold constrains nothing, while a
+		// +Inf one, a NaN or a −Inf period can never be met.
+		nonFinite := []float64{math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(1), math.NaN()}
+		pick := func() float64 { return nonFinite[r.Intn(len(nonFinite))] }
+		for i := range arcs {
+			if r.Intn(4) == 0 {
+				arcs[i].Setup = pick()
+			}
+			if r.Intn(8) == 0 {
+				arcs[i].Hold = pick()
+			}
+		}
+		if r.Intn(3) == 0 {
+			periods[r.Intn(len(periods))] = []float64{math.Inf(1), math.Inf(-1), math.NaN()}[r.Intn(3)]
+		}
 	}
 	if kind == latticeOnGrid {
 		// One range for every buffer, centred on 0 with an even step count,
@@ -316,5 +348,74 @@ func TestLatticeSolveZeroAlloc(t *testing.T) {
 	solve() // both potential buffers now exist
 	if allocs := testing.AllocsPerRun(50, solve); allocs != 0 {
 		t.Fatalf("warm Lattice solve makes %v allocations, want 0", allocs)
+	}
+}
+
+// latticeHasPoint reports whether some point of l's lattice meets every arc
+// at period T by more than the solver's rounding tolerance, trying each of
+// the (Steps+1)^nodes points in turn.
+func latticeHasPoint(l *Lattice, T float64, arcs []Timing) bool {
+	x := make([]float64, l.b.N)
+	n := make([]int, max(len(l.ffs)-1, 0))
+	for {
+		for k := range n {
+			x[l.ffs[k+1]] = l.lo[k+1] + float64(l.step*float64(n[k]))
+		}
+		if Verify(T, arcs, x, -1e-9) {
+			return true
+		}
+		k := 0
+		for ; k < len(n); k++ {
+			if n[k] < l.b.Steps {
+				n[k]++
+				break
+			}
+			n[k] = 0
+		}
+		if k == len(n) {
+			return false
+		}
+	}
+}
+
+// TestLatticeSolveIsTotal checks Solve's answers against the constraints
+// themselves, on every instance shape, infinite and NaN bounds included:
+// every assignment it reports passes Verify, and on lattices small enough
+// to enumerate every "infeasible" is confirmed by trying each point.
+func TestLatticeSolveIsTotal(t *testing.T) {
+	r := rng.New(31, "lattice-total")
+	var feasible, confirmed [latticeKinds]int
+	for i := 0; i < 4000; i++ {
+		kind := i % latticeKinds
+		b, arcs, periods := latticeCase(r, kind)
+		l := NewLattice(b)
+		var scr LatticeScratch
+		x := make([]float64, b.N)
+		for _, T := range periods {
+			if l.Solve(T, arcs, &scr) {
+				feasible[kind]++
+				l.Assignment(&scr, x)
+				if !Verify(T, arcs, x, 1e-9) {
+					t.Fatalf("T=%v: Solve's assignment %v fails Verify (buffers %+v, arcs %+v)", T, x, b, arcs)
+				}
+				continue
+			}
+			points := math.Pow(float64(b.Steps+1), float64(len(l.ffs)-1))
+			if b.Steps <= 0 || points > 4096 {
+				continue
+			}
+			if latticeHasPoint(l, T, arcs) {
+				t.Fatalf("T=%v: Solve says infeasible, but a lattice point meets every arc (buffers %+v, arcs %+v)", T, b, arcs)
+			}
+			confirmed[kind]++
+		}
+	}
+	for kind := 0; kind < latticeKinds; kind++ {
+		if confirmed[kind] == 0 {
+			t.Errorf("shape %d: no infeasible answer small enough to enumerate", kind)
+		}
+		if feasible[kind] == 0 && kind != latticeNegCycle && kind != latticeHoldOnly {
+			t.Errorf("shape %d never feasible", kind)
+		}
 	}
 }

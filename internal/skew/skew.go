@@ -1,7 +1,7 @@
 // Package skew implements clock-skew scheduling for circuits with
 // post-silicon tunable buffers: minimum-period computation (Karp's cycle
-// mean + bisection cross-check) and feasibility/assignment of buffer values
-// under setup, hold, range and discreteness constraints.
+// mean) and feasibility/assignment of buffer values under setup, hold,
+// range and discreteness constraints.
 //
 // This is the machinery behind the paper's Figure 2 ("post-silicon clock
 // tuning reduces the minimum clock period from 8 to 5.5") and behind both
@@ -123,10 +123,15 @@ func Feasible(T float64, arcs []Timing, b Buffers) ([]float64, bool) {
 	}
 	for _, a := range arcs {
 		u, v := node(a.From), node(a.To)
-		// Setup: x_u - x_v <= T - Setup.
-		cons = append(cons, graph.DiffConstraint{A: u, B: v, C: T - a.Setup})
+		setup, hold := T-a.Setup, -a.Hold
+		if !(setup > math.Inf(-1) && hold > math.Inf(-1)) {
+			return nil, false // a row bounded by −Inf or NaN never holds
+		}
+		// Setup: x_u - x_v <= T - Setup. A +Inf row never relaxes a
+		// potential, so it constrains nothing.
+		cons = append(cons, graph.DiffConstraint{A: u, B: v, C: setup})
 		// Hold: x_u - x_v >= Hold  <=>  x_v - x_u <= -Hold.
-		cons = append(cons, graph.DiffConstraint{A: v, B: u, C: -a.Hold})
+		cons = append(cons, graph.DiffConstraint{A: v, B: u, C: hold})
 	}
 	for i := 0; i < b.N; i++ {
 		if !b.Buffered[i] {
@@ -245,10 +250,18 @@ func NewLattice(b Buffers) *Lattice {
 
 // constraint rounds x_a - x_b <= c onto the lattice: with x_i = lo_i +
 // step * n_i and n_i integer it becomes n_a - n_b <= floor((c - lo_a +
-// lo_b)/step).
+// lo_b)/step). Every node lies in [0, Steps], so the bound is clamped to
+// [−Steps−1, Steps] without changing any answer: a bound of Steps or more
+// is implied by the ranges (c = +Inf among them), and one below −Steps can
+// never hold (c = −Inf among them, and a NaN). The clamped bound converts
+// to int64 exactly on every platform.
 func (l *Lattice) constraint(a, b int, c float64) graph.IntDiffConstraint {
 	bound := math.Floor((c-l.lo[a]+l.lo[b])/l.step + 1e-9)
-	return graph.IntDiffConstraint{A: a, B: b, C: int64(bound)}
+	steps := float64(l.b.Steps)
+	if !(bound >= -steps) {
+		bound = -steps - 1
+	}
+	return graph.IntDiffConstraint{A: a, B: b, C: int64(min(bound, steps))}
 }
 
 // Solve reports whether a lattice assignment meets every arc's setup (at
@@ -264,9 +277,10 @@ func (l *Lattice) Solve(T float64, arcs []Timing, scr *LatticeScratch) bool {
 		return ok
 	}
 	if l.step == 0 {
-		// No buffers at all: feasible iff all constraints hold at x = 0.
+		// No buffers at all: feasible iff all constraints hold at x = 0
+		// (a NaN holds nowhere).
 		for _, a := range arcs {
-			if 0 > T-a.Setup+1e-12 || 0 < a.Hold-1e-12 {
+			if !(T-a.Setup+1e-12 >= 0) || !(a.Hold-1e-12 <= 0) {
 				return false
 			}
 		}
@@ -306,37 +320,15 @@ func (l *Lattice) Assignment(scr *LatticeScratch, x []float64) {
 	}
 }
 
-// MinPeriodBoxed returns the smallest period (within tol) for which a
-// discrete-feasible buffer assignment exists, searching between loT and hiT
-// by bisection. ok=false if even hiT is infeasible.
-func MinPeriodBoxed(arcs []Timing, b Buffers, loT, hiT, tol float64) (float64, []float64, bool) {
-	l := NewLattice(b)
-	var scr LatticeScratch
-	if !l.Solve(hiT, arcs, &scr) {
-		return 0, nil, false
-	}
-	for hiT-loT > tol {
-		mid := (loT + hiT) / 2
-		if l.Solve(mid, arcs, &scr) {
-			hiT = mid
-		} else {
-			loT = mid
-		}
-	}
-	x := make([]float64, b.N)
-	l.Assignment(&scr, x)
-	return hiT, x, true
-}
-
 // Verify checks an assignment against setup (period T) and hold constraints;
-// it returns true when every arc meets both within tol.
+// it returns true when every arc meets both within tol (a NaN meets neither).
 func Verify(T float64, arcs []Timing, x []float64, tol float64) bool {
 	for _, a := range arcs {
 		d := x[a.From] - x[a.To]
-		if d > T-a.Setup+tol {
+		if !(d <= T-a.Setup+tol) {
 			return false
 		}
-		if d < a.Hold-tol {
+		if !(d >= a.Hold-tol) {
 			return false
 		}
 	}

@@ -70,21 +70,6 @@ func TestFigure2BufferValues(t *testing.T) {
 	}
 }
 
-func TestMinPeriodBoxed(t *testing.T) {
-	arcs := figure2()
-	b := Uniform(4, []int{0, 1, 2, 3}, -4, 4, 0)
-	T, x, ok := MinPeriodBoxed(arcs, b, 0, 10, 1e-6)
-	if !ok {
-		t.Fatal("boxed search failed")
-	}
-	if math.Abs(T-5.5) > 1e-4 {
-		t.Fatalf("boxed min period = %v, want 5.5", T)
-	}
-	if !Verify(T+1e-6, arcs, x, 1e-6) {
-		t.Fatal("returned assignment infeasible")
-	}
-}
-
 func TestBufferRangeLimitsPeriod(t *testing.T) {
 	// With buffers capped at ±1 the cycle mean 5.5 is out of reach: the
 	// binding stage needs x1-x2 = -2.5. Min period becomes 8 - 2 = 6

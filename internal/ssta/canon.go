@@ -103,45 +103,6 @@ func (c Canon) Sample(z []float64, eps float64) float64 {
 	return c.Mean + la.Dot(c.Coef, z) + c.Rand*eps
 }
 
-// CovMatrix builds the covariance matrix of a set of canonical delays
-// (diagonal includes the independent variances).
-func CovMatrix(cs []Canon) *la.Matrix {
-	n := len(cs)
-	m := la.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := Cov(cs[i], cs[j])
-			if i == j {
-				v += cs[i].Rand * cs[i].Rand
-			}
-			m.Set(i, j, v)
-			m.Set(j, i, v)
-		}
-	}
-	return m
-}
-
-// CorrMatrix builds the correlation matrix of a set of canonical delays.
-func CorrMatrix(cs []Canon) *la.Matrix {
-	n := len(cs)
-	cov := CovMatrix(cs)
-	out := la.NewMatrix(n, n)
-	sd := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sd[i] = math.Sqrt(cov.At(i, i))
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				out.Set(i, j, 1)
-			} else if sd[i] > 0 && sd[j] > 0 {
-				out.Set(i, j, cov.At(i, j)/(sd[i]*sd[j]))
-			}
-		}
-	}
-	return out
-}
-
 // Max returns Clark's moment-matching approximation of max(a, b) as a new
 // canonical form. The correlated coefficients are blended with the tightness
 // probability; the independent sigma is set to preserve the Clark variance

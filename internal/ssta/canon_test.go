@@ -80,41 +80,6 @@ func TestSampleMatchesMoments(t *testing.T) {
 	}
 }
 
-func TestCovMatrixIncludesRandOnDiagonal(t *testing.T) {
-	cs := []Canon{
-		NewCanon(0, []float64{1}, 2),
-		NewCanon(0, []float64{1}, 0),
-	}
-	m := CovMatrix(cs)
-	if m.At(0, 0) != 5 { // 1 + 4
-		t.Fatalf("Σ[0][0] = %v, want 5", m.At(0, 0))
-	}
-	if m.At(0, 1) != 1 || m.At(1, 0) != 1 {
-		t.Fatalf("off-diagonal = %v", m.At(0, 1))
-	}
-	if m.At(1, 1) != 1 {
-		t.Fatalf("Σ[1][1] = %v", m.At(1, 1))
-	}
-}
-
-func TestCorrMatrix(t *testing.T) {
-	cs := []Canon{
-		NewCanon(0, []float64{1, 0}, 0),
-		NewCanon(0, []float64{1, 0}, 1),
-		NewCanon(0, []float64{0, 2}, 0),
-	}
-	m := CorrMatrix(cs)
-	if m.At(0, 0) != 1 || m.At(1, 1) != 1 {
-		t.Fatal("diag must be 1")
-	}
-	if math.Abs(m.At(0, 1)-1/math.Sqrt2) > 1e-12 {
-		t.Fatalf("corr01 = %v", m.At(0, 1))
-	}
-	if m.At(0, 2) != 0 {
-		t.Fatalf("corr02 = %v", m.At(0, 2))
-	}
-}
-
 func TestClarkMaxDominance(t *testing.T) {
 	// max(a,b) mean must be >= both means; for well-separated inputs it
 	// approaches the larger.

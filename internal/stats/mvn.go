@@ -65,19 +65,6 @@ func (m *MVN) Sample(r *rand.Rand) ([]float64, error) {
 	return x, nil
 }
 
-// SampleN draws n samples as rows of a matrix.
-func (m *MVN) SampleN(r *rand.Rand, n int) (*la.Matrix, error) {
-	out := la.NewMatrix(n, m.Dim())
-	for i := 0; i < n; i++ {
-		x, err := m.Sample(r)
-		if err != nil {
-			return nil, err
-		}
-		copy(out.Data[i*out.Cols:(i+1)*out.Cols], x)
-	}
-	return out, nil
-}
-
 // Conditional computes the conditional distribution of the variables at
 // indices `unknown` given that the variables at indices `known` have been
 // observed at the given values. This is the paper's Eqs. (4)–(5):

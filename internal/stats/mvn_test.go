@@ -184,15 +184,3 @@ func TestConditionalOverlapRejected(t *testing.T) {
 		t.Error("expected length mismatch error")
 	}
 }
-
-func TestSampleN(t *testing.T) {
-	sigma := la.NewMatrixFrom([][]float64{{1, 0}, {0, 1}})
-	m, _ := NewMVN([]float64{0, 0}, sigma)
-	s, err := m.SampleN(rng.New(1, "sn"), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Rows != 5 || s.Cols != 2 {
-		t.Fatalf("shape %dx%d", s.Rows, s.Cols)
-	}
-}

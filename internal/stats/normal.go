@@ -1,98 +1,11 @@
 // Package stats implements the probability and statistics layer of the
-// EffiTest reproduction: the univariate normal distribution, multivariate
-// normals with conditional (Schur-complement) inference — the paper's
-// Eqs. (4)–(5) — principal component analysis, and descriptive statistics.
+// EffiTest reproduction: the standard normal CDF and density that Clark's
+// max uses, multivariate normals with conditional (Schur-complement)
+// inference — the paper's Eqs. (4)–(5) — principal component analysis, and
+// descriptive statistics.
 package stats
 
-import (
-	"math"
-
-	"effitest/internal/la"
-)
-
-// Normal is a univariate Gaussian distribution.
-type Normal struct {
-	Mu    float64
-	Sigma float64 // standard deviation, > 0 (0 means a point mass at Mu)
-}
-
-// PDF returns the probability density at x.
-func (n Normal) PDF(x float64) float64 {
-	if n.Sigma == 0 {
-		if x == n.Mu {
-			return math.Inf(1)
-		}
-		return 0
-	}
-	z := (x - n.Mu) / n.Sigma
-	return math.Exp(-0.5*z*z) / (n.Sigma * math.Sqrt(2*math.Pi))
-}
-
-// CDF returns P(X <= x).
-func (n Normal) CDF(x float64) float64 {
-	if n.Sigma == 0 {
-		if x < n.Mu {
-			return 0
-		}
-		return 1
-	}
-	return 0.5 * math.Erfc(-(x-n.Mu)/(n.Sigma*math.Sqrt2))
-}
-
-// Quantile returns the inverse CDF at probability p in (0, 1).
-func (n Normal) Quantile(p float64) float64 {
-	return n.Mu + n.Sigma*StdQuantile(p)
-}
-
-// StdQuantile is the standard normal inverse CDF (Acklam's rational
-// approximation refined by one Halley step; absolute error < 1e-13).
-func StdQuantile(p float64) float64 {
-	if math.IsNaN(p) || p <= 0 || p >= 1 {
-		switch {
-		case p == 0:
-			return math.Inf(-1)
-		case p == 1:
-			return math.Inf(1)
-		default:
-			return math.NaN()
-		}
-	}
-	// Coefficients for the central and tail rational approximations.
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02,
-		-2.759285104469687e+02, 1.383577518672690e+02,
-		-3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02,
-		-1.556989798598866e+02, 6.680131188771972e+01,
-		-1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01,
-		-2.400758277161838e+00, -2.549732539343734e+00,
-		4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01,
-		2.445134137142996e+00, 3.754408661907416e+00}
-
-	const plow = 0.02425
-	var x float64
-	switch {
-	case p < plow:
-		q := math.Sqrt(-2 * math.Log(p))
-		x = (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p <= 1-plow:
-		q := p - 0.5
-		r := q * q
-		x = (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		x = -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	}
-	// One Halley refinement step.
-	e := 0.5*math.Erfc(-x/math.Sqrt2) - p
-	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
-	x = x - u/(1+x*u/2)
-	return x
-}
+import "math"
 
 // StdCDF is the standard normal CDF.
 func StdCDF(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) }
@@ -179,30 +92,6 @@ func Correlation(xs, ys []float64) float64 {
 		return 0
 	}
 	return Covariance(xs, ys) / (sx * sy)
-}
-
-// CovToCorr converts a covariance matrix to the corresponding correlation
-// matrix. Zero-variance rows map to zero correlations (diagonal forced to 1).
-func CovToCorr(cov *la.Matrix) *la.Matrix {
-	n := cov.Rows
-	out := la.NewMatrix(n, n)
-	sd := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sd[i] = math.Sqrt(math.Max(cov.At(i, i), 0))
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				out.Set(i, j, 1)
-				continue
-			}
-			if sd[i] == 0 || sd[j] == 0 {
-				continue
-			}
-			out.Set(i, j, cov.At(i, j)/(sd[i]*sd[j]))
-		}
-	}
-	return out
 }
 
 func sortFloats(xs []float64) {
