@@ -132,8 +132,6 @@ type (
 	// AlignMode selects the alignment solver (heuristic, exact MILP,
 	// paper-faithful big-M ILP, or off).
 	AlignMode = core.AlignMode
-	// ConfigureMode selects the final buffer-configuration solver.
-	ConfigureMode = core.ConfigureMode
 	// Chip is one manufactured die with realized delays.
 	Chip = tester.Chip
 	// ATE is the simulated tester session with iteration accounting.
@@ -248,15 +246,12 @@ func EncodePlan(pl *Plan) ([]byte, error) { return pl.MarshalBinary() }
 // engine's circuit, verifying the embedded circuit fingerprint.
 func DecodePlan(data []byte) (*Plan, error) { return core.DecodePlan(data) }
 
-// Alignment and configuration solver modes.
+// Alignment solver modes.
 const (
 	AlignHeuristic = core.AlignHeuristic
 	AlignFastMILP  = core.AlignFastMILP
 	AlignPaperILP  = core.AlignPaperILP
 	AlignOff       = core.AlignOff
-
-	ConfigureScalable = core.ConfigureScalable
-	ConfigureMILP     = core.ConfigureMILP
 )
 
 // Skew scheduling (clock-tuning feasibility, the paper's Figure 2 machinery).
@@ -337,7 +332,11 @@ func FeasibleSkews(T float64, arcs []Timing, b Buffers) ([]float64, bool) {
 }
 
 // FeasibleSkewsDiscrete is FeasibleSkews restricted exactly to the buffer
-// lattices.
+// lattices. It assumes one step size for all buffers, that is one range
+// width at the common step count, as the buffers of every Circuit that
+// passes Validate have; with mixed steps it solves on the finest, so it
+// may wrongly answer infeasible or return values off a wider buffer's own
+// lattice.
 func FeasibleSkewsDiscrete(T float64, arcs []Timing, b Buffers) ([]float64, bool) {
 	return skew.FeasibleDiscrete(T, arcs, b)
 }

@@ -59,12 +59,6 @@ func WithAlignMode(m AlignMode) Option {
 	return func(s *engineSettings) { s.cfg.AlignMode = m }
 }
 
-// WithConfigureMode selects the final buffer-configuration solver
-// (ConfigureScalable or ConfigureMILP).
-func WithConfigureMode(m ConfigureMode) Option {
-	return func(s *engineSettings) { s.cfg.ConfigMode = m }
-}
-
 // WithEpsilon sets the delay-range termination threshold ε of Procedure 2
 // in ns: a path is resolved once its window is narrower than eps.
 func WithEpsilon(eps float64) Option {

@@ -272,7 +272,6 @@ func TestEngineOptions(t *testing.T) {
 	}
 	eng, err := effitest.New(c,
 		effitest.WithAlignMode(effitest.AlignOff),
-		effitest.WithConfigureMode(effitest.ConfigureMILP),
 		effitest.WithEpsilon(0.01),
 		effitest.WithSeed(42),
 		effitest.WithWorkers(3),
@@ -287,8 +286,8 @@ func TestEngineOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := eng.Config()
-	if cfg.AlignMode != effitest.AlignOff || cfg.ConfigMode != effitest.ConfigureMILP {
-		t.Fatalf("solver modes not applied: %+v", cfg)
+	if cfg.AlignMode != effitest.AlignOff {
+		t.Fatalf("solver mode not applied: %+v", cfg)
 	}
 	if cfg.Eps != 0.01 || cfg.Seed != 42 || cfg.Workers != 3 || cfg.MaxBatch != 8 {
 		t.Fatalf("scalar options not applied: %+v", cfg)

@@ -417,6 +417,14 @@ const noCircuitLineNetlist = "effitest-netlist v1\nffs 4\nsetup 0.02\nhold 0.02\
 	"buffer 0 -0.06 0.06 20\nbuffer 2 -0.06 0.06 20\n" +
 	"gate 0 0 0 0.5\ngate 1 1 1 0.5\npath 0 1 0 0 0.4 0\npath 1 3 2 0 0.4 1\nend\n"
 
+// mixedWidthNetlist is a valid netlist except that its two buffers share
+// the step count but not the range width, so no one lattice describes
+// both.
+const mixedWidthNetlist = "effitest-netlist v1\ncircuit widths\nffs 4\nsetup 0.02\nhold 0.02\ntnominal 1\n" +
+	"variation 2 2 .1 .1 .1 .25 1.2 .5 .4 .7 .03\n" +
+	"buffer 0 -0.05 0.05 20\nbuffer 2 -0.06 0.06 20\n" +
+	"gate 0 0 0 0.5\ngate 1 1 1 0.5\npath 0 1 0 0 0.4 0\npath 1 3 2 0 0.4 1\nend\n"
+
 // Bad requests surface as client errors (HTTP 400), not hung campaigns.
 func TestSubmitValidation(t *testing.T) {
 	_, cl := newLoopback(t)
@@ -429,6 +437,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Circuit: httpapi.CircuitSpec{Profile: "s9234", Netlist: "x"}}, // ambiguous
 		{Circuit: httpapi.CircuitSpec{Profile: "s9234"}, Config: httpapi.ConfigSpec{Align: "bogus"}, Chips: httpapi.ChipSpec{Count: 1}},
 		{Circuit: httpapi.CircuitSpec{Netlist: mixedStepNetlist(t)}, Chips: httpapi.ChipSpec{Count: 1}},
+		{Circuit: httpapi.CircuitSpec{Netlist: mixedWidthNetlist}, Chips: httpapi.ChipSpec{Count: 1}},
 		{Circuit: httpapi.CircuitSpec{Netlist: noCircuitLineNetlist}, Chips: httpapi.ChipSpec{Count: 1}},
 		// The range's end overflows int: its manufacturing indices would wrap negative.
 		{Circuit: httpapi.CircuitSpec{Profile: "s9234"}, Chips: httpapi.ChipSpec{First: math.MaxInt, Count: 2}},

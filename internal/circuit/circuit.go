@@ -277,8 +277,9 @@ func (c *Circuit) Validate() error {
 	if c.NumFF <= 0 {
 		return errors.New("circuit: no flip-flops")
 	}
-	if len(c.Buf.Buffered) != c.NumFF {
-		return fmt.Errorf("circuit: buffer mask length %d != %d FFs", len(c.Buf.Buffered), c.NumFF)
+	if len(c.Buf.Buffered) != c.NumFF || len(c.Buf.Lo) != c.NumFF || len(c.Buf.Hi) != c.NumFF {
+		return fmt.Errorf("circuit: buffer mask/range lengths %d/%d/%d != %d FFs",
+			len(c.Buf.Buffered), len(c.Buf.Lo), len(c.Buf.Hi), c.NumFF)
 	}
 	if c.Buf.Steps < 1 {
 		return fmt.Errorf("circuit: buffer lattice has %d steps, want at least 1", c.Buf.Steps)
@@ -299,6 +300,18 @@ func (c *Circuit) Validate() error {
 	for f, buffered := range c.Buf.Buffered {
 		if buffered && !seen[f] {
 			return fmt.Errorf("circuit: FF %d masked buffered but not listed", f)
+		}
+	}
+	// One lattice describes every buffer (skew.NewLattice): with a shared
+	// step count the buffers must also share their range width, or the
+	// solvers would return values off the wider buffers' own lattices.
+	if len(c.Buffered) > 0 {
+		f0 := c.Buffered[0]
+		w0 := c.Buf.Hi[f0] - c.Buf.Lo[f0]
+		for _, f := range c.Buffered[1:] {
+			if w := c.Buf.Hi[f] - c.Buf.Lo[f]; !(math.Abs(w-w0) <= 1e-12) {
+				return fmt.Errorf("circuit: buffer at FF %d spans %g but buffer at FF %d spans %g; every buffer must share one range width", f, w, f0, w0)
+			}
 		}
 	}
 	for i, g := range c.Gates {

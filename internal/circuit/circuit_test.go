@@ -154,6 +154,23 @@ func TestGenerateRejectsZeroBufferSteps(t *testing.T) {
 	}
 }
 
+// The buffers share one lattice, so Validate refuses a circuit whose
+// buffers share the step count but not the range width, and accepts one
+// whose widths differ only by rounding.
+func TestValidateRejectsMixedBufferWidths(t *testing.T) {
+	c := tinyCircuit(t)
+	f := c.Buffered[len(c.Buffered)-1]
+	lo, hi := c.Buf.Lo[f], c.Buf.Hi[f]
+	c.Buf.Hi[f] = hi + 1e-13
+	if err := c.Validate(); err != nil {
+		t.Fatalf("width differing by 1e-13 rejected: %v", err)
+	}
+	c.Buf.Lo[f], c.Buf.Hi[f] = lo/2, hi/2
+	if err := c.Validate(); err == nil {
+		t.Fatal("buffer of half the others' range width accepted")
+	}
+}
+
 func TestCovMatrixConsistency(t *testing.T) {
 	c := tinyCircuit(t)
 	cov := c.CovMatrix()

@@ -37,6 +37,7 @@ func FuzzParseNetlist(f *testing.F) {
 	f.Add([]byte("effitest-netlist v1\nvariation 9000000 9000000 .1 .1 .1 .2 1 .5 .4 .7 .03\nend\n"))
 	f.Add([]byte("effitest-netlist v1\nbuffer 0 0.5 -0.5 8\nend\n"))
 	f.Add([]byte("# comment\n\neffitest-netlist v1\ngate 0 1 2\nend\n"))
+	f.Add([]byte(mixedWidthsNetlist)) // buffers of one step count but two range widths
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := ParseNetlist(bytes.NewReader(data))
 		if err != nil {
@@ -135,11 +136,12 @@ func truncate(s string, n int) string {
 	return s[:n] + "..."
 }
 
-// Netlists that are valid except for one line. The first two differ in
-// their buffer lattices: one whose buffers have no steps, and one whose two
-// buffers disagree on the step count. A circuit has one lattice, shared by
-// every buffer. The third has no circuit line, so its circuit would have no
-// name for WriteNetlist to write.
+// Netlists that are valid except for one line. The first three differ in
+// their buffer lattices: one whose buffers have no steps, one whose two
+// buffers disagree on the step count, and one whose two buffers disagree on
+// the range width. A circuit has one lattice, shared by every buffer. The
+// last has no circuit line, so its circuit would have no name for
+// WriteNetlist to write.
 const (
 	zeroStepsNetlist = "effitest-netlist v1\ncircuit lattice\nffs 4\nsetup 0.02\nhold 0.02\ntnominal 1\n" +
 		"variation 2 2 .1 .1 .1 .25 1.2 .5 .4 .7 .03\n" +
@@ -148,6 +150,10 @@ const (
 	mixedStepsNetlist = "effitest-netlist v1\ncircuit lattice\nffs 4\nsetup 0.02\nhold 0.02\ntnominal 1\n" +
 		"variation 2 2 .1 .1 .1 .25 1.2 .5 .4 .7 .03\n" +
 		"buffer 0 -0.06 0.06 7\nbuffer 2 -0.06 0.06 20\n" +
+		"gate 0 0 0 0.5\ngate 1 1 1 0.5\npath 0 1 0 0 0.4 0\npath 1 3 2 0 0.4 1\nend\n"
+	mixedWidthsNetlist = "effitest-netlist v1\ncircuit lattice\nffs 4\nsetup 0.02\nhold 0.02\ntnominal 1\n" +
+		"variation 2 2 .1 .1 .1 .25 1.2 .5 .4 .7 .03\n" +
+		"buffer 0 -0.05 0.05 20\nbuffer 2 -0.06 0.06 20\n" +
 		"gate 0 0 0 0.5\ngate 1 1 1 0.5\npath 0 1 0 0 0.4 0\npath 1 3 2 0 0.4 1\nend\n"
 	noCircuitLineNetlist = "effitest-netlist v1\nffs 4\nsetup 0.02\nhold 0.02\ntnominal 1\n" +
 		"variation 2 2 .1 .1 .1 .25 1.2 .5 .4 .7 .03\n" +
@@ -179,15 +185,20 @@ func TestParseNetlistRejectsHostileInputs(t *testing.T) {
 		{"negative-steps", "effitest-netlist v1\nffs 4\nbuffer 0 -0.5 0.5 -8\nend\n"},
 		{"zero-steps", zeroStepsNetlist},
 		{"mixed-steps", mixedStepsNetlist},
+		{"mixed-widths", mixedWidthsNetlist},
 		{"no-circuit-line", noCircuitLineNetlist},
 		{"nan-gate", "effitest-netlist v1\nffs 4\ngate 0 0 0 NaN\nend\n"},
 		{"negative-minscale", "effitest-netlist v1\nffs 4\ngate 0 0 0 0.1\npath 0 0 1 0 -1 0\nend\n"},
 	}
 	// The lattice cases differ from an accepted netlist only in their
-	// step counts.
-	uniform := strings.Replace(mixedStepsNetlist, " 7\n", " 20\n", 1)
-	if _, err := ParseNetlist(strings.NewReader(uniform)); err != nil {
-		t.Fatalf("uniform-lattice control netlist rejected: %v", err)
+	// step counts or in one buffer's range.
+	for _, uniform := range []string{
+		strings.Replace(mixedStepsNetlist, " 7\n", " 20\n", 1),
+		strings.Replace(mixedWidthsNetlist, "-0.05 0.05", "-0.06 0.06", 1),
+	} {
+		if _, err := ParseNetlist(strings.NewReader(uniform)); err != nil {
+			t.Fatalf("uniform-lattice control netlist rejected: %v", err)
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -233,7 +233,7 @@ func BenchmarkAlignSolveFastMILP(b *testing.B) {
 	assignWeights(items, 1000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := alignMILP(c, items, false); err != nil {
+		if _, err := alignMILP(context.Background(), c, items, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -115,8 +116,9 @@ func resizeF(s []float64, n int) []float64 {
 
 // alignSolve dispatches on the configured mode. Buffered FFs not touched by
 // the batch keep their previous values (vector prev, may be nil for all-
-// zero). A nil scr degrades to one-shot buffers.
-func alignSolve(c *circuit.Circuit, items []alignItem, prev []float64, cfg Config, scr *alignScratch) (alignResult, error) {
+// zero). A nil scr degrades to one-shot buffers. The exact modes honour ctx
+// inside their solve; the others finish in bounded time and ignore it.
+func alignSolve(ctx context.Context, c *circuit.Circuit, items []alignItem, prev []float64, cfg Config, scr *alignScratch) (alignResult, error) {
 	if scr == nil {
 		scr = &alignScratch{}
 	}
@@ -126,9 +128,9 @@ func alignSolve(c *circuit.Circuit, items []alignItem, prev []float64, cfg Confi
 	case AlignHeuristic:
 		return alignHeuristic(c, items, prev, scr), nil
 	case AlignFastMILP:
-		return alignMILP(c, items, false)
+		return alignMILP(ctx, c, items, false)
 	case AlignPaperILP:
-		return alignMILP(c, items, true)
+		return alignMILP(ctx, c, items, true)
 	default:
 		return alignResult{}, fmt.Errorf("core: unknown align mode %d", cfg.AlignMode)
 	}
@@ -531,8 +533,9 @@ func repairHolds(c *circuit.Circuit, items []alignItem, bufs []int, x []float64)
 // alignMILP builds and solves the alignment model exactly. With paperBigM
 // true it is the faithful Eqs. (7)–(14) big-M formulation (plus the implied
 // z⁺+z⁻=1); otherwise the equivalent direct absolute-value model. Buffer
-// values are integer lattice points in both cases.
-func alignMILP(c *circuit.Circuit, items []alignItem, paperBigM bool) (alignResult, error) {
+// values are integer lattice points in both cases. A cancelled ctx stops the
+// branch and bound and returns its error.
+func alignMILP(ctx context.Context, c *circuit.Circuit, items []alignItem, paperBigM bool) (alignResult, error) {
 	p := mip.NewProblem()
 
 	tMax := 0.0
@@ -647,7 +650,7 @@ func alignMILP(c *circuit.Circuit, items []alignItem, paperBigM bool) (alignResu
 		}
 	}
 
-	sol, err := p.Solve()
+	sol, err := p.Solve(ctx)
 	if err != nil {
 		return alignResult{}, err
 	}

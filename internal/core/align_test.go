@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/big"
@@ -644,11 +645,11 @@ func TestAlignModesAgreeOnObjective(t *testing.T) {
 		}
 		assignWeights(items, 1000, 1)
 
-		fast, err := alignMILP(c, items, false)
+		fast, err := alignMILP(context.Background(), c, items, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		paper, err := alignMILP(c, items, true)
+		paper, err := alignMILP(context.Background(), c, items, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -759,7 +760,7 @@ func TestAlignMILPRespectsHoldBounds(t *testing.T) {
 	lambda := func(from, to int) float64 { return -0.01 }
 	items := batchItems(c, batch, lambda)
 	assignWeights(items, 1000, 1)
-	res, err := alignMILP(c, items, false)
+	res, err := alignMILP(context.Background(), c, items, false)
 	if err != nil {
 		t.Fatal(err)
 	}

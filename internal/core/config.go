@@ -48,19 +48,6 @@ func (m AlignMode) String() string {
 	}
 }
 
-// ConfigureMode selects the final buffer-configuration solver (Eqs. 15–18).
-type ConfigureMode int
-
-const (
-	// ConfigureScalable solves the model by bisection on ξ over an
-	// integer-lattice difference-constraint system — exact and fast at any
-	// circuit size.
-	ConfigureScalable ConfigureMode = iota
-	// ConfigureMILP solves the literal MILP; intended for small instances
-	// and cross-checks.
-	ConfigureMILP
-)
-
 // Config carries all EffiTest flow parameters. DefaultConfig documents the
 // paper-aligned defaults.
 type Config struct {
@@ -93,9 +80,8 @@ type Config struct {
 	// MaxBatch caps a batch's size (0 = unlimited).
 	MaxBatch int
 
-	// AlignMode / ConfigMode select solvers (see the mode types).
-	AlignMode  AlignMode
-	ConfigMode ConfigureMode
+	// AlignMode selects the alignment solver (see the mode type).
+	AlignMode AlignMode
 
 	// WeightK0 and WeightKd are the center-priority weights of §3.3
 	// (k0 ≫ kd).
@@ -135,7 +121,6 @@ func DefaultConfig() Config {
 		FillSigmaFrac:    0,
 		MaxBatch:         16,
 		AlignMode:        AlignHeuristic,
-		ConfigMode:       ConfigureScalable,
 		WeightK0:         1000,
 		WeightKd:         1,
 		HoldYield:        0.99,

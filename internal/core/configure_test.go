@@ -201,10 +201,7 @@ func TestPlanConfigureZeroAlloc(t *testing.T) {
 		{"infeasible", 0.5 * ch.CriticalDelay(), false, 0},
 	} {
 		configure := func() {
-			res, err := pl.configure(b, tc.Td, &scr.conf)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := pl.conf.configure(b, pl.Hold, tc.Td, &scr.conf)
 			if res.Feasible != tc.feasible {
 				t.Fatalf("%s: Feasible = %v", tc.name, res.Feasible)
 			}

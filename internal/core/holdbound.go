@@ -7,8 +7,6 @@ import (
 	"sort"
 
 	"effitest/internal/circuit"
-	"effitest/internal/lp"
-	"effitest/internal/mip"
 	"effitest/internal/rng"
 	"effitest/internal/tester"
 )
@@ -35,8 +33,7 @@ func (h *HoldBounds) Lambda(from, to int) float64 {
 // M times (Eq. 19) and chooses λij as small as possible while at least
 // Y·M samples remain fully covered (Eq. 20): a sample is covered when
 // λij ≥ d_ij,k for every pair. The greedy implementation drops the
-// ⌊(1-Y)M⌋ samples whose removal shrinks Σλ most; an exact MILP variant is
-// available for cross-checks (ComputeHoldBoundsExact).
+// ⌊(1-Y)M⌋ samples whose removal shrinks Σλ most.
 func ComputeHoldBounds(c *circuit.Circuit, cfg Config) (*HoldBounds, error) {
 	return computeHoldBounds(context.Background(), c, cfg)
 }
@@ -160,64 +157,6 @@ func pairTop2(samples [][]float64, pi int, dropped []bool) (mx, second float64, 
 		mxk = -1
 	}
 	return mx, second, mxk
-}
-
-// ComputeHoldBoundsExact solves Eqs. (19)–(20) as a literal MILP (binary
-// coverage variable per sample, big-M activation). Exponential in the worst
-// case — use only for small M in tests and ablations.
-func ComputeHoldBoundsExact(c *circuit.Circuit, cfg Config) (*HoldBounds, error) {
-	pairs, samples, err := sampleHoldQuantities(context.Background(), c, cfg)
-	if err != nil {
-		return nil, err
-	}
-	m := cfg.HoldSamples
-
-	prob := mip.NewProblem()
-	lam := make([]int, len(pairs))
-	lo := make([]float64, len(pairs))
-	for pi := range pairs {
-		mn, mx := math.Inf(1), math.Inf(-1)
-		for _, v := range samples[pi] {
-			mn = math.Min(mn, v)
-			mx = math.Max(mx, v)
-		}
-		lo[pi] = mn
-		lam[pi] = prob.AddVar(fmt.Sprintf("lam%d", pi), mn, mx, 1)
-	}
-	ys := make([]int, m)
-	bigM := 0.0
-	for pi := range pairs {
-		for _, v := range samples[pi] {
-			bigM = math.Max(bigM, v-lo[pi])
-		}
-	}
-	bigM += 1
-	for k := 0; k < m; k++ {
-		ys[k] = prob.AddBinVar(fmt.Sprintf("y%d", k), 0)
-		for pi := range pairs {
-			// λ_pi ≥ d_pi,k - M(1-y_k)
-			prob.AddConstraint("cover",
-				[]lp.Term{{Var: lam[pi], Coef: 1}, {Var: ys[k], Coef: -bigM}},
-				lp.GE, samples[pi][k]-bigM)
-		}
-	}
-	terms := make([]lp.Term, m)
-	for k := range ys {
-		terms[k] = lp.Term{Var: ys[k], Coef: 1}
-	}
-	prob.AddConstraint("yield", terms, lp.GE, math.Ceil(cfg.HoldYield*float64(m)))
-	sol, err := prob.Solve()
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, fmt.Errorf("core: hold-bound MILP %v", sol.Status)
-	}
-	hb := &HoldBounds{ByPair: make(map[[2]int]float64, len(pairs))}
-	for pi, pair := range pairs {
-		hb.ByPair[pair] = sol.X[lam[pi]]
-	}
-	return hb, nil
 }
 
 // HoldYieldEstimate replays the sampled hold quantities against bounds and

@@ -3,11 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
 	"effitest/internal/circuit"
+	"effitest/internal/lp"
+	"effitest/internal/mip"
 	"effitest/internal/tester"
 )
 
@@ -172,9 +175,10 @@ func TestLambdaDefault(t *testing.T) {
 	}
 }
 
+// TestConfigureScalableMatchesMILP checks the lattice bisection, the one
+// configuration solver, against the literal MILP of Eqs. (15)–(18) plus
+// (21): they must agree on feasibility and (nearly) on the achieved ξ.
 func TestConfigureScalableMatchesMILP(t *testing.T) {
-	// The key ablation cross-check: both solvers of Eqs. (15)–(18) must
-	// agree on feasibility and (nearly) on the achieved ξ.
 	c, err := tinyCircuitErr(10, 60, 2, 10, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -194,10 +198,7 @@ func TestConfigureScalableMatchesMILP(t *testing.T) {
 			b.Hi[p] = ch.TrueMax[p] + 0.001
 		}
 		td := chipQuantile(c, 0.65)
-		s, err := Configure(c, b, hb, td, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newConfigKernel(c).configure(b, hb, td, &configScratch{})
 		m, err := configureMILP(c, b, hb, td)
 		if err != nil {
 			t.Fatal(err)
@@ -255,6 +256,165 @@ func verifyConfiguration(t *testing.T, c *circuit.Circuit, b *Bounds, hb *HoldBo
 			t.Fatalf("buffer %d off lattice: %v", f, x[f])
 		}
 	}
+}
+
+// ComputeHoldBoundsExact is the oracle of the greedy ComputeHoldBounds: it
+// solves Eqs. (19)–(20) as a literal MILP (binary coverage variable per
+// sample, big-M activation). Exponential in the worst case, so only small M.
+func ComputeHoldBoundsExact(c *circuit.Circuit, cfg Config) (*HoldBounds, error) {
+	pairs, samples, err := sampleHoldQuantities(context.Background(), c, cfg)
+	if err != nil {
+		return nil, err
+	}
+	m := cfg.HoldSamples
+
+	prob := mip.NewProblem()
+	lam := make([]int, len(pairs))
+	lo := make([]float64, len(pairs))
+	for pi := range pairs {
+		mn, mx := math.Inf(1), math.Inf(-1)
+		for _, v := range samples[pi] {
+			mn = math.Min(mn, v)
+			mx = math.Max(mx, v)
+		}
+		lo[pi] = mn
+		lam[pi] = prob.AddVar(fmt.Sprintf("lam%d", pi), mn, mx, 1)
+	}
+	ys := make([]int, m)
+	bigM := 0.0
+	for pi := range pairs {
+		for _, v := range samples[pi] {
+			bigM = math.Max(bigM, v-lo[pi])
+		}
+	}
+	bigM += 1
+	for k := 0; k < m; k++ {
+		ys[k] = prob.AddBinVar(fmt.Sprintf("y%d", k), 0)
+		for pi := range pairs {
+			// λ_pi ≥ d_pi,k - M(1-y_k)
+			prob.AddConstraint("cover",
+				[]lp.Term{{Var: lam[pi], Coef: 1}, {Var: ys[k], Coef: -bigM}},
+				lp.GE, samples[pi][k]-bigM)
+		}
+	}
+	terms := make([]lp.Term, m)
+	for k := range ys {
+		terms[k] = lp.Term{Var: ys[k], Coef: 1}
+	}
+	prob.AddConstraint("yield", terms, lp.GE, math.Ceil(cfg.HoldYield*float64(m)))
+	sol, err := prob.Solve(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	if sol.Status != lp.StatusOptimal {
+		return nil, fmt.Errorf("core: hold-bound MILP %v", sol.Status)
+	}
+	hb := &HoldBounds{ByPair: make(map[[2]int]float64, len(pairs))}
+	for pi, pair := range pairs {
+		hb.ByPair[pair] = sol.X[lam[pi]]
+	}
+	return hb, nil
+}
+
+// configureMILP is the oracle of the lattice bisection: the literal MILP of
+// Eqs. (15)–(18) plus (21), with variables ξ, one assumed delay D'ij per
+// path, and integer lattice steps per buffer. Its cost grows with the path
+// count, so only small circuits.
+func configureMILP(c *circuit.Circuit, b *Bounds, hb *HoldBounds, Td float64) (ConfigureResult, error) {
+	p := mip.NewProblem()
+	xi := p.AddVar("xi", 0, lp.Inf, 1)
+
+	type bufVar struct {
+		v    int
+		lo   float64
+		step float64
+	}
+	bufOf := map[int]bufVar{}
+	xTerm := func(f int, sign float64) (lp.Term, float64, bool) {
+		if !c.Buf.Buffered[f] {
+			return lp.Term{}, 0, false
+		}
+		bv, ok := bufOf[f]
+		if !ok {
+			bv = bufVar{
+				v:    p.AddIntVar(fmt.Sprintf("n%d", f), 0, float64(c.Buf.Steps), 0),
+				lo:   c.Buf.Lo[f],
+				step: c.Buf.StepSize(f),
+			}
+			bufOf[f] = bv
+		}
+		return lp.Term{Var: bv.v, Coef: sign * bv.step}, sign * bv.lo, true
+	}
+
+	for i := range c.Paths {
+		pt := &c.Paths[i]
+		d := p.AddVar(fmt.Sprintf("D%d", i), b.Lo[i], b.Hi[i], 0)
+		// (16) D' + x_i - x_j ≤ Td.
+		terms := []lp.Term{{Var: d, Coef: 1}}
+		rhs := Td
+		if t, off, ok := xTerm(pt.From, 1); ok {
+			terms = append(terms, t)
+			rhs -= off
+		}
+		if t, off, ok := xTerm(pt.To, -1); ok {
+			terms = append(terms, t)
+			rhs -= off
+		}
+		p.AddConstraint("setup", terms, lp.LE, rhs)
+		// (17) ξ ≥ u - D'.
+		p.AddConstraint("xi", []lp.Term{{Var: xi, Coef: 1}, {Var: d, Coef: 1}}, lp.GE, b.Hi[i])
+	}
+
+	// (21) hold bounds per pair.
+	for pair, lam := range holdPairs(c, hb) {
+		var terms []lp.Term
+		rhs := lam
+		if t, off, ok := xTerm(pair[0], 1); ok {
+			terms = append(terms, t)
+			rhs -= off
+		}
+		if t, off, ok := xTerm(pair[1], -1); ok {
+			terms = append(terms, t)
+			rhs -= off
+		}
+		if len(terms) > 0 {
+			p.AddConstraint("hold", terms, lp.GE, rhs)
+		} else if rhs > 0 {
+			return ConfigureResult{Feasible: false}, nil
+		}
+	}
+
+	sol, err := p.Solve(context.Background())
+	if err != nil {
+		return ConfigureResult{}, err
+	}
+	if sol.Status == lp.StatusInfeasible {
+		return ConfigureResult{Feasible: false}, nil
+	}
+	if sol.Status != lp.StatusOptimal {
+		return ConfigureResult{}, fmt.Errorf("core: configuration MILP %v", sol.Status)
+	}
+	x := make([]float64, c.NumFF)
+	for f, bv := range bufOf {
+		x[f] = bv.lo + bv.step*math.Round(sol.X[bv.v])
+	}
+	return ConfigureResult{X: x, Xi: sol.X[xi], Feasible: true}, nil
+}
+
+// holdPairs returns the finite hold bound of every FF pair the paths run
+// between.
+func holdPairs(c *circuit.Circuit, hb *HoldBounds) map[[2]int]float64 {
+	out := map[[2]int]float64{}
+	for i := range c.Paths {
+		key := [2]int{c.Paths[i].From, c.Paths[i].To}
+		if _, ok := out[key]; ok {
+			continue
+		}
+		if lam := hb.Lambda(key[0], key[1]); !math.IsInf(lam, -1) {
+			out[key] = lam
+		}
+	}
+	return out
 }
 
 // tinyCircuitErr generates a custom-size tiny circuit.

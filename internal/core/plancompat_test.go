@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -35,6 +38,55 @@ func TestPlanDecodeRejectsV1Artifacts(t *testing.T) {
 	future[len(planMagic)] = PlanFormatVersion + 1
 	if _, err := DecodePlan(future); !errors.Is(err, ErrPlanVersion) {
 		t.Fatalf("future binary artifact: got %v, want ErrPlanVersion", err)
+	}
+}
+
+// milpConfigureArtifact rewrites a current binary artifact as if its plan
+// had been prepared under the removed MILP configuration mode: the retired
+// configure-mode slot, which follows the align mode in encodeConfig's field
+// order, becomes 1.
+func milpConfigureArtifact(tb testing.TB, bin []byte) []byte {
+	tb.Helper()
+	pl, err := DecodePlan(bin)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := pl.Cfg
+	whole := &planEncoder{}
+	encodeConfig(whole, cfg)
+	at := bytes.Index(bin, whole.buf)
+	if at < 0 {
+		tb.Fatal("config encoding not found in the artifact")
+	}
+	pre := &planEncoder{}
+	pre.varint(cfg.Seed)
+	for _, v := range []float64{cfg.Eps, cfg.CorrStart, cfg.CorrStep, cfg.CorrFloor, cfg.PCKaiser} {
+		pre.float(v)
+	}
+	pre.varint(int64(cfg.MaxGroupSize))
+	pre.boolByte(cfg.FillSlots)
+	pre.float(cfg.FillSigmaFrac)
+	pre.varint(int64(cfg.MaxBatch))
+	pre.varint(int64(cfg.AlignMode))
+	slot := at + len(pre.buf)
+	if bin[slot] != 0 {
+		tb.Fatalf("configure-mode slot at offset %d holds %#x, want 0", slot, bin[slot])
+	}
+	out := append([]byte{}, bin...)
+	out[slot] = binary.AppendVarint(nil, 1)[0]
+	return out
+}
+
+// TestPlanDecodeRejectsMILPConfigureMode pins the one value the retired
+// configure-mode slot may hold: a v2 artifact written by a build that still
+// had the MILP configuration mode, and prepared in it, is refused with a
+// format error that names the removed mode instead of being run under the
+// lattice solver.
+func TestPlanDecodeRejectsMILPConfigureMode(t *testing.T) {
+	_, bin := fuzzPlanArtifacts(t)
+	_, err := DecodePlan(milpConfigureArtifact(t, bin))
+	if !errors.Is(err, ErrPlanFormat) || !strings.Contains(err.Error(), "removed MILP configuration mode") {
+		t.Fatalf("MILP-mode artifact: got %v, want ErrPlanFormat naming the removed MILP configuration mode", err)
 	}
 }
 

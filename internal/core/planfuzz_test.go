@@ -58,6 +58,8 @@ func FuzzPlanDecode(f *testing.F) {
 	future := append([]byte{}, bin...)
 	future[len(planMagic)] = PlanFormatVersion + 1
 	f.Add(future)
+	// A v2 artifact prepared under the removed MILP configuration mode.
+	f.Add(milpConfigureArtifact(f, bin))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pl, err := DecodePlan(data)

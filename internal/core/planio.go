@@ -188,9 +188,10 @@ func (d *planDecoder) ints() ([]int, error) {
 	return out, nil
 }
 
-// encodeConfig writes every Config field in fixed order; decodeConfig is
-// its exact mirror. Adding a Config field requires extending both and
-// bumping PlanFormatVersion.
+// encodeConfig writes every Config field in fixed order, plus a constant 0
+// in the slot of the retired configure mode so v2 bytes stay unchanged;
+// decodeConfig is its exact mirror. Adding a Config field requires
+// extending both and bumping PlanFormatVersion.
 func encodeConfig(e *planEncoder, cfg Config) {
 	e.varint(cfg.Seed)
 	e.float(cfg.Eps)
@@ -203,7 +204,7 @@ func encodeConfig(e *planEncoder, cfg Config) {
 	e.float(cfg.FillSigmaFrac)
 	e.varint(int64(cfg.MaxBatch))
 	e.varint(int64(cfg.AlignMode))
-	e.varint(int64(cfg.ConfigMode))
+	e.varint(0) // retired configure mode
 	e.float(cfg.WeightK0)
 	e.float(cfg.WeightKd)
 	e.float(cfg.HoldYield)
@@ -245,7 +246,9 @@ func decodeConfig(d *planDecoder) (Config, error) {
 	if m, err = d.intVal(); err != nil {
 		return fail(err)
 	}
-	cfg.ConfigMode = ConfigureMode(m)
+	if m != 0 {
+		return fail(fmt.Errorf("%w: configure mode %d: the plan was prepared with the removed MILP configuration mode", ErrPlanFormat, m))
+	}
 	for _, dst := range []*float64{&cfg.WeightK0, &cfg.WeightKd, &cfg.HoldYield} {
 		if *dst, err = d.float(); err != nil {
 			return fail(err)

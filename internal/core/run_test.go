@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"effitest/internal/circuit"
 	"effitest/internal/tester"
@@ -132,6 +133,39 @@ func TestRunChipsCancelledContext(t *testing.T) {
 	}
 	if _, err := pl.RunChip(ctx, chips[0], td, RunOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunChip error = %v, want context.Canceled", err)
+	}
+}
+
+// TestExactAlignHonoursDeadline checks that the exact alignment modes stop
+// inside their solve when the chip's context expires. Uncancelled, a
+// usb_funct chip under AlignFastMILP stays in branch and bound for many
+// minutes; with a 1 s deadline it must come back with DeadlineExceeded long
+// before that. The bound is generous so a loaded or race-instrumented
+// runner cannot flake it.
+func TestExactAlignHonoursDeadline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("prepares usb_funct")
+	}
+	p, _ := circuit.ProfileByName("usb_funct")
+	c, err := circuit.Generate(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.AlignMode = AlignFastMILP
+	pl, err := Prepare(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(t.Context(), time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err = pl.RunChip(ctx, tester.SampleChip(c, 7, 0), c.TNominal, RunOptions{})
+	if elapsed := time.Since(start); elapsed > 60*time.Second {
+		t.Fatalf("exact alignment returned %v after its 1 s deadline", elapsed)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RunChip error = %v, want context.DeadlineExceeded", err)
 	}
 }
 

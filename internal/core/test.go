@@ -109,7 +109,7 @@ func runBatchTest(ctx context.Context, sess tester.Session, c *circuit.Circuit, 
 		scr.order = assignWeightsInto(items, cfg.WeightK0, cfg.WeightKd, scr.order)
 
 		start := time.Now()
-		res, err := alignSolve(c, items, prevX, cfg, &scr.al)
+		res, err := alignSolve(ctx, c, items, prevX, cfg, &scr.al)
 		solveDur := time.Since(start)
 		alignDur += solveDur
 		if err != nil {

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"testing"
 
 	"effitest/internal/rng"
@@ -34,7 +35,7 @@ func BenchmarkSimplex20x30(b *testing.B) {
 	p := benchProblem(20, 30)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := p.Solve()
+		sol, err := p.Solve(context.Background())
 		if err != nil || sol.Status != StatusOptimal {
 			b.Fatalf("%v %v", sol.Status, err)
 		}
@@ -45,7 +46,7 @@ func BenchmarkSimplex60x90(b *testing.B) {
 	p := benchProblem(60, 90)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := p.Solve()
+		sol, err := p.Solve(context.Background())
 		if err != nil || sol.Status != StatusOptimal {
 			b.Fatalf("%v %v", sol.Status, err)
 		}

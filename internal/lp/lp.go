@@ -12,6 +12,7 @@
 package lp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -159,9 +160,14 @@ const (
 	tolFeas  = 1e-7
 )
 
+// ctxCheckPivots is how many simplex pivots run between two checks of the
+// solve's context.
+const ctxCheckPivots = 64
+
 // Solve runs two-phase simplex and returns the solution. Only
-// StatusOptimal solutions carry meaningful X and Objective.
-func (p *Problem) Solve() (*Solution, error) {
+// StatusOptimal solutions carry meaningful X and Objective. The context is
+// checked every ctxCheckPivots pivots; a cancelled solve returns its error.
+func (p *Problem) Solve(ctx context.Context) (*Solution, error) {
 	for _, v := range p.vars {
 		if v.lo > v.hi {
 			return &Solution{Status: StatusInfeasible}, nil
@@ -171,7 +177,10 @@ func (p *Problem) Solve() (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	status := std.run()
+	status, err := std.run(ctx)
+	if err != nil {
+		return nil, err
+	}
 	sol := &Solution{Status: status}
 	if status != StatusOptimal {
 		return sol, nil
@@ -371,24 +380,25 @@ func (p *Problem) toStandard() (*standard, error) {
 	return s, nil
 }
 
-// run executes the two phases and returns the final status.
-func (s *standard) run() Status {
+// run executes the two phases and returns the final status, or the
+// context's error when it is cancelled mid-solve.
+func (s *standard) run(ctx context.Context) (Status, error) {
 	if s.nArt > 0 {
 		phase1 := make([]float64, s.n)
 		for j := s.n - s.nArt; j < s.n; j++ {
 			phase1[j] = 1
 		}
-		st, obj := s.simplex(phase1)
-		if st == StatusIterLimit {
-			return st
+		st, obj, err := s.simplex(ctx, phase1)
+		if err != nil || st == StatusIterLimit {
+			return st, err
 		}
 		if obj > tolFeas {
-			return StatusInfeasible
+			return StatusInfeasible, nil
 		}
 		s.purgeArtificials()
 	}
-	st, _ := s.simplex(s.c)
-	return st
+	st, _, err := s.simplex(ctx, s.c)
+	return st, err
 }
 
 // purgeArtificials pivots basic artificials out (or detects redundant rows)
@@ -429,10 +439,16 @@ func (s *standard) purgeArtificials() {
 }
 
 // simplex minimizes cost over the current tableau. It returns the status and
-// the objective value reached.
-func (s *standard) simplex(cost []float64) (Status, float64) {
+// the objective value reached, or the context's error, checked every
+// ctxCheckPivots pivots.
+func (s *standard) simplex(ctx context.Context, cost []float64) (Status, float64, error) {
 	y := make([]float64, s.m) // simplex multipliers via basis costs (computed per iter, dense)
 	for iter := 0; iter < s.maxIter; iter++ {
+		if iter%ctxCheckPivots == 0 {
+			if err := ctx.Err(); err != nil {
+				return 0, 0, err
+			}
+		}
 		// Reduced costs: rc_j = c_j - Σ_i cB_i * a_ij. We maintain the
 		// tableau in product form (fully eliminated), so basic columns are
 		// unit vectors and rc_j = c_j - Σ over rows of cB_row * a[row][j].
@@ -475,7 +491,7 @@ func (s *standard) simplex(cost []float64) (Status, float64) {
 					obj += cost[s.basis[i]] * s.b[i]
 				}
 			}
-			return StatusOptimal, obj
+			return StatusOptimal, obj, nil
 		}
 		// Ratio test.
 		leave := -1
@@ -495,11 +511,11 @@ func (s *standard) simplex(cost []float64) (Status, float64) {
 			}
 		}
 		if leave < 0 {
-			return StatusUnbounded, math.Inf(-1)
+			return StatusUnbounded, math.Inf(-1), nil
 		}
 		s.pivot(leave, enter)
 	}
-	return StatusIterLimit, 0
+	return StatusIterLimit, 0, nil
 }
 
 // pivot makes column enter basic in row r.

@@ -1,6 +1,8 @@
 package lp
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -9,7 +11,7 @@ import (
 
 func solveOrFail(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background())
 	if err != nil {
 		t.Fatalf("solve error: %v", err)
 	}
@@ -332,5 +334,44 @@ func TestClone(t *testing.T) {
 	}
 	if math.Abs(s2.X[x]-2) > 1e-8 {
 		t.Fatalf("clone wrong: %v", s2.X)
+	}
+}
+
+// checkCtx is a context that counts its Err calls and reports cancellation
+// from call number cancelAt on (never when cancelAt is 0).
+type checkCtx struct {
+	context.Context
+	calls, cancelAt int
+}
+
+func (c *checkCtx) Err() error {
+	c.calls++
+	if c.cancelAt > 0 && c.calls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSolveHonoursContext checks that the simplex looks at its context
+// between pivots, not only on entry: 200 bounded variables that each must
+// enter the basis take at least 200 pivots, so a solve checks at least
+// four times and one cancelled at the second check stops early.
+func TestSolveHonoursContext(t *testing.T) {
+	p := NewProblem()
+	for range 200 {
+		p.AddVar("x", 0, 1, -1)
+	}
+	count := &checkCtx{Context: context.Background()}
+	sol, err := p.Solve(count)
+	if err != nil || sol.Status != StatusOptimal || sol.Objective != -200 {
+		t.Fatalf("uncancelled solve: %+v, %v", sol, err)
+	}
+	if count.calls < 4 {
+		t.Fatalf("200-pivot solve checked its context %d times, want at least 4", count.calls)
+	}
+	for _, at := range []int{1, 2} {
+		if _, err := p.Solve(&checkCtx{Context: context.Background(), cancelAt: at}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at check %d: err = %v, want context.Canceled", at, err)
+		}
 	}
 }

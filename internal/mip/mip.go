@@ -1,8 +1,9 @@
 // Package mip implements a branch-and-bound mixed-integer programming solver
 // on top of the simplex in package lp. Together they replace the commercial
-// solver (Gurobi) used by the EffiTest paper for the delay-alignment model
-// (Eqs. 7–14), the buffer-configuration model (Eqs. 15–18) and the hold-time
-// bound model (Eqs. 19–20).
+// solver (Gurobi) used by the EffiTest paper: the exact delay-alignment modes
+// (Eqs. 7–14) solve through them, and so do the test oracles of the
+// buffer-configuration model (Eqs. 15–18) and the hold-time bound model
+// (Eqs. 19–20).
 //
 // The solver minimizes by convention. Branching is most-fractional with
 // round-nearest-first child ordering; nodes are pruned against the incumbent
@@ -10,6 +11,7 @@
 package mip
 
 import (
+	"context"
 	"errors"
 	"math"
 
@@ -77,8 +79,10 @@ type boundOverride struct {
 // Solve runs branch and bound. The returned status is StatusOptimal when the
 // search completed with an incumbent, StatusInfeasible when no integral
 // solution exists, and StatusIterLimit when the node limit was hit (in which
-// case the incumbent, if any, is returned with that status).
-func (p *Problem) Solve() (*Solution, error) {
+// case the incumbent, if any, is returned with that status). The context is
+// checked at every node, and inside each node's LP solve; a cancelled search
+// returns its error.
+func (p *Problem) Solve(ctx context.Context) (*Solution, error) {
 	nodeLimit := p.NodeLimit
 	if nodeLimit == 0 {
 		nodeLimit = 200000
@@ -100,6 +104,9 @@ func (p *Problem) Solve() (*Solution, error) {
 			}
 			return &Solution{Status: lp.StatusIterLimit, Nodes: nodes}, nil
 		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		nd := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if nd.bound > incumbentObj-gap && incumbentX != nil {
@@ -111,7 +118,7 @@ func (p *Problem) Solve() (*Solution, error) {
 		for _, o := range nd.overrides {
 			sub.SetVarBounds(o.v, o.lo, o.hi)
 		}
-		sol, err := sub.Solve()
+		sol, err := sub.Solve(ctx)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,8 @@
 package mip
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -17,7 +19,7 @@ func TestKnapsackSmall(t *testing.T) {
 	b := p.AddBinVar("b", -13)
 	c := p.AddBinVar("c", -7)
 	p.AddConstraint("w", []lp.Term{{Var: a, Coef: 3}, {Var: b, Coef: 4}, {Var: c, Coef: 2}}, lp.LE, 6)
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func TestKnapsackAgainstBruteForce(t *testing.T) {
 			terms[i] = lp.Term{Var: vars[i], Coef: w[i]}
 		}
 		p.AddConstraint("cap", terms, lp.LE, cap)
-		sol, err := p.Solve()
+		sol, err := p.Solve(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +90,7 @@ func TestIntegerRounding(t *testing.T) {
 	p := NewProblem()
 	x := p.AddIntVar("x", 0, 10, 1)
 	p.AddConstraint("c", []lp.Term{{Var: x, Coef: 1}}, lp.GE, 2.3)
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestMixedIntegerContinuous(t *testing.T) {
 	y := p.AddVar("y", 0, lp.Inf, 1)
 	p.AddConstraint("c1", []lp.Term{{Var: y, Coef: 1}, {Var: x, Coef: -1}}, lp.GE, -2.5)
 	p.AddConstraint("c2", []lp.Term{{Var: y, Coef: 1}, {Var: x, Coef: 1}}, lp.GE, 2.5)
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestInfeasibleMIP(t *testing.T) {
 	x := p.AddBinVar("x", 1)
 	y := p.AddBinVar("y", 1)
 	p.AddConstraint("c", []lp.Term{{Var: x, Coef: 1}, {Var: y, Coef: 1}}, lp.EQ, 1.5)
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +156,7 @@ func TestBigMIndicator(t *testing.T) {
 	p.AddConstraint("case1eta", []lp.Term{{Var: eta, Coef: -1}, {Var: tv, Coef: 1}, {Var: z, Coef: M}}, lp.LE, M+c)
 	// Force t = 7.5, expect eta = 4.5.
 	p.AddConstraint("fix", []lp.Term{{Var: tv, Coef: 1}}, lp.EQ, 7.5)
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +173,7 @@ func TestNodeLimit(t *testing.T) {
 	y := p.AddIntVar("y", 0, 10, -1)
 	p.AddConstraint("c", []lp.Term{{Var: x, Coef: 2}, {Var: y, Coef: 3}}, lp.LE, 7.5)
 	p.NodeLimit = 1
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +188,7 @@ func TestIntegerEqualsLPWhenIntegral(t *testing.T) {
 	p := NewProblem()
 	x := p.AddIntVar("x", 0, 4, -1)
 	p.AddConstraint("c", []lp.Term{{Var: x, Coef: 1}}, lp.LE, 3)
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +212,7 @@ func TestGeneralIntegerAgainstEnumeration(t *testing.T) {
 		x := p.AddIntVar("x", 0, ub, c1)
 		y := p.AddIntVar("y", 0, ub, c2)
 		p.AddConstraint("c", []lp.Term{{Var: x, Coef: a1}, {Var: y, Coef: a2}}, lp.LE, rhs)
-		sol, err := p.Solve()
+		sol, err := p.Solve(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,6 +231,48 @@ func TestGeneralIntegerAgainstEnumeration(t *testing.T) {
 		}
 		if math.Abs(best-sol.Objective) > 1e-6 {
 			t.Fatalf("trial %d: mip %v vs enumeration %v", trial, sol.Objective, best)
+		}
+	}
+}
+
+// checkCtx is a context that counts its Err calls and reports cancellation
+// from call number cancelAt on (never when cancelAt is 0).
+type checkCtx struct {
+	context.Context
+	calls, cancelAt int
+}
+
+func (c *checkCtx) Err() error {
+	c.calls++
+	if c.cancelAt > 0 && c.calls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSolveHonoursContext checks that branch and bound looks at its
+// context at every node: a knapsack that explores many nodes, cancelled
+// halfway through its checks, returns the context's error instead of an
+// incumbent.
+func TestSolveHonoursContext(t *testing.T) {
+	r := rng.New(3, "mipctx")
+	p := NewProblem()
+	terms := make([]lp.Term, 16)
+	for i := range terms {
+		terms[i] = lp.Term{Var: p.AddBinVar("x", -float64(1+r.Intn(19))), Coef: float64(1 + r.Intn(9))}
+	}
+	p.AddConstraint("cap", terms, lp.LE, 37)
+	count := &checkCtx{Context: context.Background()}
+	sol, err := p.Solve(count)
+	if err != nil || sol.Status != lp.StatusOptimal {
+		t.Fatalf("uncancelled solve: %+v, %v", sol, err)
+	}
+	if count.calls < sol.Nodes || sol.Nodes < 4 {
+		t.Fatalf("%d nodes, %d context checks: want at least one check per node and 4 nodes", sol.Nodes, count.calls)
+	}
+	for _, at := range []int{1, count.calls / 2} {
+		if _, err := p.Solve(&checkCtx{Context: context.Background(), cancelAt: at}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at check %d: err = %v, want context.Canceled", at, err)
 		}
 	}
 }
