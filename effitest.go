@@ -207,6 +207,10 @@ type (
 	// carrying the chip's prediction wall time (the paper's Tp component;
 	// AlignSolveEvent carries the matching Tt).
 	PredictEvent = core.PredictEvent
+	// ConfigureEvent fires once per chip after the final buffer
+	// configuration, carrying its wall time (the paper's Ts component) and
+	// whether a configuration was found.
+	ConfigureEvent = core.ConfigureEvent
 	// ChipDoneEvent fires when one chip's online flow finishes.
 	ChipDoneEvent = core.ChipDoneEvent
 )

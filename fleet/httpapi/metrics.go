@@ -18,8 +18,9 @@ import (
 //   - HTTP middleware: request counts by route and status code, request
 //     latency, auth failures, rate-limit and admission rejections;
 //   - flow events: an Observer (see Observer) that turns the engine's typed
-//     events (ChipDoneEvent, PredictEvent, BatchEndEvent) into counters and
-//     histograms, attached service-wide via fleet.WithManagerObserver;
+//     events (ChipDoneEvent, PredictEvent, ConfigureEvent, BatchEndEvent)
+//     into counters and histograms, attached service-wide via
+//     fleet.WithManagerObserver;
 //   - scrape-time gauges: Registry.Stats() and Manager.Stats() snapshots
 //     rendered alongside the counters on every GET /metrics.
 //
@@ -39,6 +40,7 @@ type Metrics struct {
 	batchIterations int64
 	alignSeconds    histogram
 	predictSeconds  histogram
+	configSeconds   histogram
 }
 
 // httpKey labels one requests_total series. Route is the mux pattern (which
@@ -94,7 +96,8 @@ func NewMetrics() *Metrics {
 
 // Observer returns the event sink that feeds chip-level metrics: chip
 // results by outcome, test batches and tester iterations, and the paper's
-// Tt/Tp latency components (alignment and prediction durations).
+// Tt/Tp/Ts latency components (alignment, prediction and configuration
+// durations).
 func (mx *Metrics) Observer() effitest.Observer {
 	return effitest.ObserverFunc(func(e effitest.Event) {
 		switch ev := e.(type) {
@@ -112,6 +115,10 @@ func (mx *Metrics) Observer() effitest.Observer {
 		case effitest.PredictEvent:
 			mx.mu.Lock()
 			mx.predictSeconds.observe(ev.Duration.Seconds())
+			mx.mu.Unlock()
+		case effitest.ConfigureEvent:
+			mx.mu.Lock()
+			mx.configSeconds.observe(ev.Duration.Seconds())
 			mx.mu.Unlock()
 		case effitest.BatchEndEvent:
 			mx.mu.Lock()
@@ -189,6 +196,7 @@ func (mx *Metrics) render(w io.Writer, ms fleet.ManagerStats, rs fleet.RegistryS
 	counter(w, "effitestd_tester_iterations_total", "Tester iterations (frequency steps) across all batches.", mx.batchIterations)
 	writeHistogram(w, "effitestd_align_duration_seconds", "Per-batch alignment solve time (the paper's Tt component).", &mx.alignSeconds)
 	writeHistogram(w, "effitestd_predict_duration_seconds", "Per-chip conditional-prediction time (the paper's Tp component).", &mx.predictSeconds)
+	writeHistogram(w, "effitestd_configure_duration_seconds", "Per-chip buffer-configuration time (the paper's Ts component).", &mx.configSeconds)
 
 	// Scrape-time gauges from the manager and registry snapshots.
 	gauge(w, "effitestd_workers", "Resolved size of the shared chip-execution pool.", int64(ms.Workers))

@@ -402,6 +402,10 @@ func TestMetricsScrapeMoves(t *testing.T) {
 	if after["effitestd_predict_duration_seconds_count"] != 4 {
 		t.Fatalf("predict histogram count %v, want one observation per chip", after["effitestd_predict_duration_seconds_count"])
 	}
+	if before["effitestd_configure_duration_seconds_count"] != 0 || after["effitestd_configure_duration_seconds_count"] != 4 {
+		t.Fatalf("configure histogram count %v → %v, want 0 → one observation per chip",
+			before["effitestd_configure_duration_seconds_count"], after["effitestd_configure_duration_seconds_count"])
+	}
 	if after["effitestd_auth_failures_total"] != 1 {
 		t.Fatalf("auth_failures_total = %v, want 1", after["effitestd_auth_failures_total"])
 	}

@@ -42,12 +42,15 @@ type Plan struct {
 	// has nil kernels and fails every chip with errNoKernels.
 	kernels *predictKernels
 	scratch *sync.Pool
-	// prior holds the μ±3σ starting windows every chip copies, and conf the
-	// FF-pair topology and lattice solver of configuration (configure.go).
-	// installKernels bakes both next to the kernels, with the same
-	// lifetime: they are released with the plan.
-	prior *Bounds
-	conf  *configKernel
+	// prior holds the μ±3σ starting windows every chip copies; opening,
+	// per batch, the opening alignment solve from those windows (test.go;
+	// nil under the exact align modes); and conf the FF-pair topology and
+	// lattice solver of configuration (configure.go). installKernels bakes
+	// all three next to the kernels, with the same lifetime: they are
+	// released with the plan.
+	prior   *Bounds
+	opening []*openingSolve
+	conf    *configKernel
 }
 
 // Prepare runs the offline flow of Figure 4: path selection for prediction,
@@ -148,7 +151,10 @@ type ChipOutcome struct {
 	Iterations int   // tester frequency steps (the paper's per-chip ta term)
 	ScanBits   int64 // configuration bits shifted through the scan chain
 
-	AlignDuration   time.Duration // Tt component
+	// AlignDuration is the Tt component: the chip's alignment solves. A
+	// batch's opening step served from the plan's baked opening solve adds
+	// its lookup time, not a solve.
+	AlignDuration   time.Duration
 	ConfigDuration  time.Duration // Ts component
 	PredictDuration time.Duration // the chip's §3.4 prediction wall time (Tp component)
 
@@ -170,10 +176,10 @@ type ChipOutcome struct {
 // every batch and every tester iteration inside a batch, so a cancelled run
 // aborts promptly with the context's error. opts selects the measurement
 // backend and the event observer, which sees BatchStart/End, AlignSolve,
-// FrequencyStep, Predict and ChipDone events for this chip (identified by
-// Chip.Index). RunChip is safe for concurrent use on distinct chips — each
-// run owns its measurement session and bounds, and the plan is read-only
-// after Prepare.
+// FrequencyStep, Predict, Configure and ChipDone events for this chip
+// (identified by Chip.Index). RunChip is safe for concurrent use on
+// distinct chips — each run owns its measurement session and bounds, and
+// the plan is read-only after Prepare.
 //
 // RunChip is runChip over a pooled scratch, the same executor RunChips'
 // workers call.
@@ -200,7 +206,11 @@ func (pl *Plan) measureChip(ctx context.Context, ch *tester.Chip, opts RunOption
 			return nil, nil, err
 		}
 		observe(obs, BatchStartEvent{Chip: ch.Index, Batch: bi, Paths: len(batch)})
-		iters, alignDur, err := runBatchTest(ctx, sess, c, batch, b, lambda, cfg, obs, ch.Index, bi, scr)
+		var open *openingSolve
+		if bi < len(pl.opening) {
+			open = pl.opening[bi]
+		}
+		iters, alignDur, err := runBatchTest(ctx, sess, c, batch, b, lambda, cfg, open, obs, ch.Index, bi, scr)
 		observe(obs, BatchEndEvent{Chip: ch.Index, Batch: bi, Iterations: iters, AlignTime: alignDur, Err: err})
 		if err != nil {
 			return nil, nil, err
@@ -214,11 +224,14 @@ func (pl *Plan) measureChip(ctx context.Context, ch *tester.Chip, opts RunOption
 
 // finishChip runs the configuration phase: final buffer values (Eqs. 15–18)
 // and the pass/fail test at Td.
-func (pl *Plan) finishChip(ch *tester.Chip, Td float64, out *ChipOutcome, b *Bounds, scr *chipScratch) {
+func (pl *Plan) finishChip(ch *tester.Chip, Td float64, out *ChipOutcome, b *Bounds, scr *chipScratch, obs Observer) {
 	out.Bounds = b
 	cfgStart := time.Now()
 	res := pl.conf.configure(b, pl.Hold, Td, &scr.conf)
 	out.ConfigDuration = time.Since(cfgStart)
+	if obs != nil {
+		obs.Observe(ConfigureEvent{Chip: ch.Index, Duration: out.ConfigDuration, Feasible: res.Feasible})
+	}
 	out.Configured = res.Feasible
 	if res.Feasible {
 		out.X = res.X
@@ -277,7 +290,7 @@ func (pl *Plan) runChip(ctx context.Context, ch *tester.Chip, Td float64, opts R
 	if obs != nil {
 		obs.Observe(PredictEvent{Chip: ch.Index, Duration: out.PredictDuration, Groups: ks.predGroups, Predicted: ks.predPaths})
 	}
-	pl.finishChip(ch, Td, out, b, scr)
+	pl.finishChip(ch, Td, out, b, scr, obs)
 	chipDone(obs, ch.Index, out, nil)
 	return out, nil
 }

@@ -170,13 +170,18 @@ func (ks *predictKernels) predictSigmas(numPaths int) []float64 {
 }
 
 // installKernels installs the plan's baked kernels, bakes the chip
-// flow's other circuit-only state (the prior windows and the configuration
-// kernel) and installs the per-worker scratch pool.
+// flow's other chip-independent state (the prior windows, each batch's
+// opening alignment solve and the configuration kernel) and installs the
+// per-worker scratch pool. The opening solves run in a pooled scratch, so
+// the buffers they grow serve the plan's first chip instead of garbage.
 func (pl *Plan) installKernels(ks *predictKernels) {
 	pl.kernels = ks
 	pl.prior = InitBounds(pl.Circuit)
 	pl.conf = newConfigKernel(pl.Circuit)
 	pl.scratch = &sync.Pool{New: func() any { return pl.newChipScratch() }}
+	scr := pl.getScratch()
+	pl.opening = bakeOpeningSolves(pl.Circuit, pl.Batches, pl.prior, pl.Hold.Lambda, pl.Cfg, scr)
+	pl.putScratch(scr)
 }
 
 // errNoKernels is returned for a plan built by neither Prepare nor Bind (a

@@ -49,7 +49,10 @@ type FrequencyStepEvent struct {
 	Active    int     // unresolved paths the step was applied to
 }
 
-// AlignSolveEvent fires after each §3.3 alignment solve.
+// AlignSolveEvent fires after each §3.3 alignment solve, one per frequency
+// step. A batch's opening step served from the plan's baked opening solve
+// fires it too: its Duration is then the time to match and copy the baked
+// result, not a solve.
 type AlignSolveEvent struct {
 	Chip     int
 	Batch    int
@@ -69,6 +72,16 @@ type PredictEvent struct {
 	Duration  time.Duration
 }
 
+// ConfigureEvent fires once per chip, after the final buffer
+// configuration (Eqs. 15–18 with the hold bounds of Eq. 21). Duration is the
+// configuration wall time, the paper's Ts component; Feasible reports
+// whether a configuration was found.
+type ConfigureEvent struct {
+	Chip     int
+	Duration time.Duration
+	Feasible bool
+}
+
 // ChipDoneEvent fires when one chip's online flow finishes, successfully or
 // not (Err carries the per-chip failure).
 type ChipDoneEvent struct {
@@ -85,6 +98,7 @@ func (BatchEndEvent) event()      {}
 func (FrequencyStepEvent) event() {}
 func (AlignSolveEvent) event()    {}
 func (PredictEvent) event()       {}
+func (ConfigureEvent) event()     {}
 func (ChipDoneEvent) event()      {}
 
 // Observer receives flow events. Chips execute on a worker pool, so Observe

@@ -104,7 +104,7 @@ func (pl *Plan) runChipNaive(ctx context.Context, ch *tester.Chip, Td float64) (
 	if err := PredictBounds(pl.Circuit, pl.Groups, pl.Tested, b); err != nil {
 		return nil, err
 	}
-	pl.finishChip(ch, Td, out, b, scr)
+	pl.finishChip(ch, Td, out, b, scr, nil)
 	return out, nil
 }
 

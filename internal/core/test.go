@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"effitest/internal/circuit"
@@ -65,21 +66,116 @@ func NoHoldBounds(from, to int) float64 { return math.Inf(-1) }
 // alignment solver (the paper's Tt component). The context is checked before
 // every frequency step, so cancelling it aborts a long batch promptly.
 func RunBatchTest(ctx context.Context, sess tester.Session, c *circuit.Circuit, batch []int, b *Bounds, lambda LambdaFunc, cfg Config) (int, time.Duration, error) {
-	return runBatchTest(ctx, sess, c, batch, b, lambda, cfg, nil, 0, 0, &chipScratch{})
+	return runBatchTest(ctx, sess, c, batch, b, lambda, cfg, nil, nil, 0, 0, &chipScratch{})
+}
+
+// openingSolve is one batch's baked opening alignment solve. Procedure 2
+// opens a batch by aligning its paths' starting windows; in a plan's chip
+// flow those are the μ±3σ priors, aligned under the plan's hold bounds and
+// weights, so every chip poses the same problem and gets the same answer.
+// The plan solves it once per batch (bakeOpeningSolves) and runBatchTest
+// serves it to every chip whose opening items equal these bit for bit.
+type openingSolve struct {
+	mode   AlignMode
+	items  []alignItem
+	t, obj float64
+	x      []float64 // private: a hit copies it into the chip's scratch
+}
+
+// bakeOpeningSolves solves each batch's opening alignment from the prior
+// windows: the first solve of runBatchTest, over the same items, in the
+// chip scratch scr. Only the bounded-time modes are baked. The exact MILP
+// modes solve live, so that neither Prepare nor Bind blocks on a MILP;
+// they return nil.
+func bakeOpeningSolves(c *circuit.Circuit, batches [][]int, prior *Bounds, lambda LambdaFunc, cfg Config, scr *chipScratch) []*openingSolve {
+	if cfg.AlignMode != AlignHeuristic && cfg.AlignMode != AlignOff {
+		return nil
+	}
+	memo := make([]*openingSolve, len(batches))
+	for bi, batch := range batches {
+		active := activePaths(scr.active[:0], batch, prior, cfg.Eps)
+		scr.active = active[:0]
+		if len(active) == 0 {
+			continue
+		}
+		var items []alignItem // owned by the entry
+		items, scr.order = fillAlignItems(nil, scr.order, c, active, prior, lambda, cfg)
+		res, err := alignSolve(context.Background(), c, items, nil, cfg, &scr.al)
+		if err != nil {
+			continue // unreachable for the baked modes; the chip solves live
+		}
+		memo[bi] = &openingSolve{mode: cfg.AlignMode, items: items, t: res.T, obj: res.Obj, x: slices.Clone(res.X)}
+	}
+	return memo
+}
+
+// serves reports whether m holds the solve of items under mode: the same
+// mode and the same items, field for field and bit for bit. A nil m serves
+// nothing.
+func (m *openingSolve) serves(items []alignItem, mode AlignMode) bool {
+	if m == nil || m.mode != mode || len(m.items) != len(items) {
+		return false
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i := range items {
+		a, b := &items[i], &m.items[i]
+		if a.path != b.path || a.from != b.from || a.to != b.to ||
+			!same(a.lo, b.lo) || !same(a.hi, b.hi) || !same(a.lambda, b.lambda) || !same(a.weight, b.weight) {
+			return false
+		}
+	}
+	return true
+}
+
+// serve returns the baked result with X copied into the chip's alignment
+// scratch, exactly where a live solve leaves it: the warm re-solves that
+// follow start from the scratch and never touch the shared slice.
+func (m *openingSolve) serve(scr *alignScratch) alignResult {
+	scr.x = resizeF(scr.x, len(m.x))
+	copy(scr.x, m.x)
+	return alignResult{T: m.t, X: scr.x, Obj: m.obj}
+}
+
+// activePaths appends to dst the batch's paths whose window is still at
+// least eps wide.
+func activePaths(dst, batch []int, b *Bounds, eps float64) []int {
+	for _, p := range batch {
+		if b.Width(p) >= eps {
+			dst = append(dst, p)
+		}
+	}
+	return dst
+}
+
+// fillAlignItems refills items with the active paths' windows and hold
+// bounds and assigns their §3.3 weights through the rank buffer order; it
+// returns both, possibly grown, for the caller to keep.
+func fillAlignItems(items []alignItem, order []int, c *circuit.Circuit, active []int, b *Bounds, lambda LambdaFunc, cfg Config) ([]alignItem, []int) {
+	items = items[:0]
+	for _, p := range active {
+		pt := &c.Paths[p]
+		items = append(items, alignItem{
+			path: p, from: pt.From, to: pt.To,
+			lo: b.Lo[p], hi: b.Hi[p],
+			lambda: lambda(pt.From, pt.To),
+		})
+	}
+	return items, assignWeightsInto(items, cfg.WeightK0, cfg.WeightKd, order)
 }
 
 // runBatchTest is RunBatchTest with observer plumbing (chip is the die
 // index and batchIdx the batch's position in the plan, both only used to
-// tag events) and a caller-owned scratch: the items, rank and active
-// buffers the loop refills every frequency step live there, so a warm
-// scratch makes the bookkeeping of the inner loop allocation-free.
-func runBatchTest(ctx context.Context, sess tester.Session, c *circuit.Circuit, batch []int, b *Bounds, lambda LambdaFunc, cfg Config, obs Observer, chip, batchIdx int, scr *chipScratch) (int, time.Duration, error) {
-	active := scr.active[:0]
-	for _, p := range batch {
-		if b.Width(p) >= cfg.Eps {
-			active = append(active, p)
-		}
-	}
+// tag events), the batch's baked opening solve (nil when there is none)
+// and a caller-owned scratch: the items, rank and active buffers the loop
+// refills every frequency step live there, so a warm scratch makes the
+// bookkeeping of the inner loop allocation-free.
+//
+// The batch's first solve is served from open when it poses exactly
+// open's problem (open.serves); any other first solve — a plan whose hold
+// bounds or configuration changed after the bake, or a batch whose windows
+// did not start at the priors — solves live.
+func runBatchTest(ctx context.Context, sess tester.Session, c *circuit.Circuit, batch []int, b *Bounds, lambda LambdaFunc, cfg Config, open *openingSolve, obs Observer, chip, batchIdx int, scr *chipScratch) (int, time.Duration, error) {
+	active := activePaths(scr.active[:0], batch, b, cfg.Eps)
 	scr.active = active[:0] // keep a grown backing array for the next batch
 	iters := 0
 	var alignDur time.Duration
@@ -96,20 +192,18 @@ func runBatchTest(ctx context.Context, sess tester.Session, c *circuit.Circuit, 
 		if iters >= maxIters {
 			return iters, alignDur, fmt.Errorf("core: batch did not converge in %d iterations", maxIters)
 		}
-		items := scr.items[:0]
-		for _, p := range active {
-			pt := &c.Paths[p]
-			items = append(items, alignItem{
-				path: p, from: pt.From, to: pt.To,
-				lo: b.Lo[p], hi: b.Hi[p],
-				lambda: lambda(pt.From, pt.To),
-			})
-		}
+		var items []alignItem
+		items, scr.order = fillAlignItems(scr.items, scr.order, c, active, b, lambda, cfg)
 		scr.items = items[:0]
-		scr.order = assignWeightsInto(items, cfg.WeightK0, cfg.WeightKd, scr.order)
 
 		start := time.Now()
-		res, err := alignSolve(ctx, c, items, prevX, cfg, &scr.al)
+		var res alignResult
+		var err error
+		if prevX == nil && open.serves(items, cfg.AlignMode) {
+			res = open.serve(&scr.al)
+		} else {
+			res, err = alignSolve(ctx, c, items, prevX, cfg, &scr.al)
+		}
 		solveDur := time.Since(start)
 		alignDur += solveDur
 		if err != nil {
